@@ -35,6 +35,7 @@ from .enumeration import (
     iter_curves,
     lattice_class_count,
     lattice_density,
+    lifting_count,
     lifting_count_bruteforce,
     sadek_bounds,
     total_weq,
@@ -51,6 +52,7 @@ from .errors import (
     MissingSha,
     NegativeValuationWarning,
     NonMinimalModel,
+    OutOfRange,
     ParseError,
     SingularCurve,
     TooLarge,
@@ -97,19 +99,21 @@ __all__ = [
     "CurveRecord", "DensityReport", "DpMode", "EqualPrimes", "GVariant",
     "GoodReductionAt", "HeaderMismatch", "InvalidPrime", "IwastatError",
     "KodairaData", "KodairaSymbol", "LocalReduction", "MissingRegulator",
-    "MissingSha", "NegativeValuationWarning", "NonMinimalModel", "ParseError",
-    "PointCountCache", "PrimeScanResult", "ReductionClass", "SingularCurve",
-    "TooLarge", "TorsionClampWarning", "UnknownColumnWarning",
-    "UnknownLocalData", "ZeroPolynomial", "anomalous_residue_table",
-    "bad_primes", "bound_dp2", "bound_dp3", "brumer_estimate",
-    "chi_ordinary_valuation", "chi_supersingular_valuation",
-    "classify_reduction", "count_Ip", "count_points", "d_of_p", "disc0_of",
-    "dp_census", "dp_table", "empirical_densities", "enumerate_curves",
-    "g0_valuation", "is_minimal_pair", "is_trivial_shape", "iter_curves",
+    "MissingSha", "NegativeValuationWarning", "NonMinimalModel",
+    "OutOfRange", "ParseError", "PointCountCache", "PrimeScanResult",
+    "ReductionClass", "SingularCurve", "TooLarge", "TorsionClampWarning",
+    "UnknownColumnWarning", "UnknownLocalData", "ZeroPolynomial",
+    "anomalous_residue_table", "bad_primes", "bound_dp2", "bound_dp3",
+    "brumer_estimate", "chi_ordinary_valuation",
+    "chi_supersingular_valuation", "classify_reduction", "count_Ip",
+    "count_points", "d_of_p", "disc0_of", "dp_census", "dp_table",
+    "empirical_densities", "enumerate_curves", "g0_valuation",
+    "is_minimal_pair", "is_trivial_shape", "iter_curves",
     "iwasawa_invariants", "kodaira_tamagawa", "lattice_class_count",
-    "lattice_density", "lifting_count_bruteforce", "load_cache",
-    "local_reduction_raw", "parse_records", "sadek_bounds", "save_cache",
-    "scan_primes", "sigma_prime_membership", "tamagawa_p_part", "total_weq",
-    "trace_frobenius", "truncated_chi_valuation", "vanishing_order",
-    "write_density_report", "write_records", "write_scan_results", "zeta10",
+    "lattice_density", "lifting_count", "lifting_count_bruteforce",
+    "load_cache", "local_reduction_raw", "parse_records", "sadek_bounds",
+    "save_cache", "scan_primes", "sigma_prime_membership",
+    "tamagawa_p_part", "total_weq", "trace_frobenius",
+    "truncated_chi_valuation", "vanishing_order", "write_density_report",
+    "write_records", "write_scan_results", "zeta10",
 ]

@@ -120,11 +120,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    # every value is computed before the first line is printed, so a bad
+    # prime leaves stdout empty
     p = args.prime
-    print(f"bound_dp2({p}) = {bound_dp2(p):.10g}")
+    lines = [f"bound_dp2({p}) = {bound_dp2(p):.10g}"]
     for mode in DpMode:
         d = d_of_p(p, mode)
-        print(f"bound_dp3({p}, d={d} [{mode.value}]) = {bound_dp3(p, d):.10g}")
+        lines.append(f"bound_dp3({p}, d={d} [{mode.value}]) = {bound_dp3(p, d):.10g}")
+    print("\n".join(lines))
     return 0
 
 

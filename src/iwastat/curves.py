@@ -11,8 +11,22 @@ Point counts mod p use the quadratic-character sum
 
     N_p = 1 + sum_x (1 + chi(x^3 + A x + B)) = p + 1 + sum_x chi(f(x)),
 
-one chi table per prime, O(p) per curve.  No Schoof-style machinery; the
-primes handled here are desk scale.
+one chi table per prime, O(p) per curve.  No Schoof-style point counting;
+the primes handled here are desk scale.
+
+The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
+from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
+the form of R. Schoof, "Nonsingular plane cubic curves over finite fields",
+J. Combin. Theory A 46 (1987), for p >= 5 and |t| < 2 sqrt(p), p not dividing
+t, the number of nonsingular (a, b) in F_p^2 with trace t is
+
+    (p - 1)/2 * H(4p - t^2),
+
+where H is the Hurwitz class number (reduced forms weighted 1/2, 1/3 for
+the forms of a(x^2 + y^2), a(x^2 + xy + y^2), 1 otherwise), and the number
+of F_p-isomorphism classes is the unweighted count of those forms.  This is
+O(p) per prime.  dp_census, the O(p^3) sweep over F_p^2, is kept as the
+brute-force oracle the tests check the formula against.
 """
 
 from __future__ import annotations
@@ -261,6 +275,13 @@ class DpMode(str, Enum):
                       p = 5 the literal set also admits N = 10 (trace -4).
     TraceOneClasses   TraceOnePairs counted up to the F_p-isomorphism action
                       (a, b) ~ (u^4 a, u^6 b), u in F_p^*.
+
+    d_of_p evaluates each mode from class numbers (Schoof 1987, see the
+    module docstring): TraceOnePairs = (p-1)/2 * H(4p - 1), TraceOneClasses
+    = the unweighted number of reduced forms of discriminant 1 - 4p, and
+    LiteralPairs sums the pair count over every t = 1 mod p with t^2 < 4p,
+    which adds t = -4 at p = 5.  dp_census computes all three by brute force
+    and serves as the oracle.
     """
 
     LITERAL_PAIRS = "LiteralPairs"
@@ -295,14 +316,14 @@ def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:
 
 
 def dp_census(p: int) -> dict:
-    """All three census counts at p in one sweep over F_p^2.
+    """All three census counts at p in one O(p^3) sweep over F_p^2.
+
+    The brute-force oracle for d_of_p and dp_table; no shipped path calls it.
 
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
-    _require_odd_prime(p)
-    if p < 5:
-        raise InvalidPrime("census defined for p >= 5")
+    _require_census_prime(p)
     xs = np.arange(p, dtype=np.int64)
     ys2 = (xs * xs) % p
     bs = np.arange(p, dtype=np.int64)
@@ -337,47 +358,91 @@ def dp_census(p: int) -> dict:
     }
 
 
-def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
-    """Census count at p in the requested normalization."""
-    return dp_census(p)[_coerce_mode(mode).value]
+def _require_census_prime(p: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise InvalidPrime(f"{p} is not a prime >= 5")
 
 
-def _census_worker(p: int) -> tuple[int, dict]:
-    c = dp_census(p)
-    c.pop("literal_pairs")
-    return p, c
+def _reduced_forms(D: int) -> tuple[int, int]:
+    """(6 H(D), number of reduced forms) over the forms (a, b, c) with
+    b^2 - 4ac = -D, primitive or not, for D > 0 with D = 0, 3 mod 4.
 
-
-def dp_table(p_max: int, p_min: int = 5, workers: int | None = None) -> dict[int, dict]:
-    """dp_census for every prime p_min <= p < p_max, all modes at once.
-
-    workers > 1 fans the primes out over processes; aggregation is by
-    ascending prime either way, so the result is deterministic.
+    Reduced means |b| <= a <= c, and b >= 0 when |b| = a or a = c; then
+    3 b^2 <= D.  The weights of H are scaled by 6 to stay integral.
     """
-    ps = [p for p in primes_up_to(p_max - 1) if p >= p_min]
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    weighted = forms = 0
+    b = D % 2
+    while 3 * b * b <= D:
+        n = (b * b + D) // 4  # = a c
+        a = max(b, 1)
+        while a * a <= n:
+            if n % a == 0:
+                c = n // a
+                if b == 0:
+                    weighted += 3 if a == c else 6  # a(x^2 + y^2) weighs 1/2
+                    forms += 1
+                elif a == b or a == c:
+                    weighted += 2 if a == b == c else 6  # a(x^2 + xy + y^2): 1/3
+                    forms += 1
+                else:
+                    weighted += 12  # (a, b, c) and (a, -b, c)
+                    forms += 2
+            a += 1
+        b += 2
+    return weighted, forms
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            got = dict(ex.map(_census_worker, ps))
-        return {p: got[p] for p in ps}
-    out = {}
-    for p in ps:
-        out[p] = _census_worker(p)[1]
-    return out
+
+def _trace_pair_count(p: int, t: int) -> int:
+    """Number of nonsingular (a, b) in F_p^2 with trace t, for p >= 5 and
+    t^2 < 4p not divisible by p: (p - 1)/2 * H(4p - t^2)."""
+    weighted, _ = _reduced_forms(4 * p - t * t)
+    pairs, rem = divmod((p - 1) * weighted, 12)
+    assert rem == 0, f"(p-1)/2 * H(4p - t^2) not integral at p={p}, t={t}"
+    return pairs
+
+
+def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
+    """Census count at p in the requested normalization, from class numbers."""
+    _require_census_prime(p)
+    mode = _coerce_mode(mode)
+    if mode is DpMode.TRACE_ONE_CLASSES:
+        return _reduced_forms(4 * p - 1)[1]
+    if mode is DpMode.TRACE_ONE_PAIRS:
+        return _trace_pair_count(p, 1)
+    # t = 1 mod p with t^2 < 4p: t = 1 always, t = 1 - p only at p = 5
+    return sum(_trace_pair_count(p, t) for t in (1, 1 - p) if t * t < 4 * p)
+
+
+def dp_table(p_max: int, p_min: int = 5) -> dict[int, dict]:
+    """The census in all three modes for every prime p_min <= p < p_max,
+    as {p: {"p": p, mode value: count, ...}} by ascending prime."""
+    ps = [p for p in primes_up_to(p_max - 1) if p >= p_min]
+    return {p: {"p": p, **{mode.value: d_of_p(p, mode) for mode in DpMode}} for p in ps}
 
 
 def anomalous_residue_table(p: int) -> np.ndarray:
     """p x p boolean table: entry [a, b] is True when (a, b) mod p is
     nonsingular and its point count is divisible by p.  Used by the
-    height-box sweeps to test anomalicity by residue lookup."""
+    height-box sweeps to test anomalicity by residue lookup.
+
+    The point count is constant on the isomorphism orbits
+    {(u^4 a, u^6 b) : u in F_p^*}, so one representative per orbit is
+    counted and its verdict written to the whole orbit: about 2p point
+    counts of O(p) each instead of p full O(p^2) rows.
+    """
     _require_odd_prime(p)
-    xs = np.arange(p, dtype=np.int64)
-    ys2 = (xs * xs) % p
-    bs = np.arange(p, dtype=np.int64)
+    u = np.arange(1, p, dtype=np.int64)
+    u2 = u * u % p
+    u4 = u2 * u2 % p
+    u6 = u4 * u2 % p
+    seen = np.zeros((p, p), dtype=bool)
     tab = np.zeros((p, p), dtype=bool)
     for a in range(p):
-        n_row = _affine_counts_row(a, p, xs, ys2) + 1
-        nonsing = (4 * a**3 + 27 * bs * bs) % p != 0
-        tab[a] = (n_row % p == 0) & nonsing
+        for b in np.flatnonzero(~seen[a]).tolist():
+            if seen[a, b]:
+                continue  # reached from an earlier pair of this row
+            orbit = (u4 * a % p, u6 * b % p)
+            seen[orbit] = True
+            if (4 * a**3 + 27 * b * b) % p != 0 and (_affine_count(a, b, p) + 1) % p == 0:
+                tab[orbit] = True
     return tab

@@ -15,8 +15,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .curves import DpMode, anomalous_residue_table, d_of_p, is_minimal_pair
-from .errors import EqualPrimes, TooLarge
+from .curves import (
+    DpMode,
+    _require_census_prime,
+    anomalous_residue_table,
+    d_of_p,
+    is_minimal_pair,
+)
+from .errors import EqualPrimes, OutOfRange, TooLarge
 from .primes import icbrt, isqrt, legendre, primes_up_to
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "iter_curves",
     "count_Ip",
     "sadek_bounds",
+    "lifting_count",
     "lifting_count_bruteforce",
     "bound_dp2",
     "bound_dp3",
@@ -42,7 +49,8 @@ _X_CAP = 10 ** 15
 
 
 def box_bounds(X: int) -> Tuple[int, int]:
-    assert X >= 1
+    if X < 1:
+        raise OutOfRange(f"height {X} is below 1")
     if X > _X_CAP:
         raise TooLarge(f"height {X} exceeds the int64-safe cap {_X_CAP}")
     return icbrt(X), isqrt(X)
@@ -143,11 +151,26 @@ def _primorial_cutoff(X: int):
     return Lk, lk, used
 
 
+def lifting_count(l: int, p: int) -> int:
+    """Number of residue pairs (A, B) mod l^(p+1), both prime to l, with
+    v_l(disc0) = p exactly.
+
+    l^p (l-1)^2 for primes l >= 5. At l = 2, 3 the unit locus is empty at
+    every exponent (B odd gives disc0 = 1 mod 2; 3 prime to A gives
+    disc0 = A != 0 mod 3), so the count is 0 there, not the closed form.
+    lifting_count_bruteforce is the oracle.
+    """
+    if l in (2, 3):
+        return 0
+    return l ** p * (l - 1) ** 2
+
+
 def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
     """Congruence-lattice sandwich for the I_p locus count at l.
 
-    Evaluates the closed-form main term with both floor corrections;
-    the lower bound may be negative and is returned as-is.
+    Evaluates the main term, lifting_count(l, p) residue classes scaled to
+    the box, with both floor corrections; the lower bound may be negative
+    and is returned as-is. At l = 2, 3 both bounds are 0.
     """
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
@@ -156,7 +179,7 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
     prod = 1
     for q in used:
         prod *= q ** 10 - 1
-    C = 4 * l ** p * (l - 1) ** 2 * prod
+    C = 4 * lifting_count(l, p) * prod
     main = C * (x3 // (l ** (p + 1) * Lk ** 4)) * (x2 // (l ** (p + 1) * Lk ** 6))
     lower = main - C * X ** (5 / 6) / (9 * l ** (2 * p + 2) * Lk ** 10 * lk ** 9)
     upper = main + C * (
@@ -179,7 +202,8 @@ def lifting_count_bruteforce(l: int, p: int, exclusion: str = "componentwise") -
     l = 2 and 3 the componentwise count is 0 at every exponent (B odd
     gives disc0 = 1 mod 2; 3 prime to A gives disc0 = A != 0 mod 3), and
     the pair count is 64, 8748 and 256 at (l, p) = (2, 5), (3, 5) and
-    (2, 7), against the closed form's 32, 972 and 128.
+    (2, 7), against the closed form's 32, 972 and 128. The componentwise
+    count is the oracle for lifting_count.
     """
     assert exclusion in ("componentwise", "pair")
     modulus = l ** (p + 1)
@@ -208,7 +232,9 @@ def bound_dp2(p: int, tol: float = 1e-8) -> float:
     The tail over primes > L is dominated by sum_{n > L} n^(-p)
     < L^(1-p)/(p-1), so L grows until that bound clears tol.
     """
-    assert p >= 5 and tol > 0
+    _require_census_prime(p)
+    if not tol > 0:
+        raise OutOfRange(f"tolerance {tol} is not positive")
     L = 10
     while L ** (1 - p) / (p - 1) >= tol:
         L *= 2
@@ -217,7 +243,9 @@ def bound_dp2(p: int, tol: float = 1e-8) -> float:
 
 def bound_dp3(p: int, d_value: int) -> float:
     """Density bound zeta(10) * d(p) / p^2 for the anomalous locus."""
-    assert d_value >= 0
+    _require_census_prime(p)
+    if d_value < 0:
+        raise OutOfRange(f"census count {d_value} is negative")
     return zeta10() * d_value / (p * p)
 
 
@@ -396,7 +424,7 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
     e3 counts good-at-p anomalous curves only: the defect is undefined at
     bad primes, and both denominators (total, good_at_p) are in the report.
     """
-    assert p >= 5
+    _require_census_prime(p)
     amax, bmax = box_bounds(X)
     if ip_primes is None:
         maxdisc = 4 * amax ** 3 + 27 * bmax ** 2

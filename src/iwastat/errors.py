@@ -51,6 +51,11 @@ class TooLarge(IwastatError):
     """The requested exhaustive computation exceeds the allowed budget."""
 
 
+class OutOfRange(IwastatError):
+    """A numeric argument lies outside the range the operation is defined on
+    (a height below 1, a negative count, a non-positive tolerance)."""
+
+
 class ParseError(IwastatError):
     """A CSV row could not be converted into a record."""
 

@@ -19,14 +19,17 @@ __all__ = [
 
 TRIAL_LIMIT = 10**6
 
-# deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# deterministic Miller-Rabin witness set: the primes up to 41 are enough for
+# n < psi_13 = 3317044064679887385961981 ~ 3.317e24 (OEIS A014233); the
+# primes up to 37 stop at psi_12 = 318665857834031151167461 ~ 3.19e23, which
+# is below the 2^80 the discriminant range needs
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -105,6 +105,19 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 1  # no subcommand
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--prime", "3"],
+    ["bounds", "--prime", "9"],
+    ["enumerate", "--height", "0", "--prime", "5"],
+    ["enumerate", "--height", "100000", "--prime", "3"],
+])
+def test_bad_census_input_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.strip() != "error:"
+
+
 def test_assertion_maps_to_exit_2(capsys, monkeypatch):
     def boom(args):
         raise AssertionError("sandwich violated")

@@ -19,12 +19,16 @@ from iwastat.curves import (
     is_minimal_pair,
     trace_frobenius,
 )
+from iwastat.curves import _reduced_forms
 from iwastat.errors import (
     BadReductionAt,
     InvalidPrime,
     NonMinimalModel,
     SingularCurve,
 )
+from iwastat.primes import primes_up_to
+
+CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
 
 
 def brute_count(a, b, p):
@@ -220,3 +224,49 @@ def test_anomalous_residue_table():
                     assert not tab[a, b]
                 else:
                     assert tab[a, b] == (brute_count(a, b, p) % p == 0)
+
+
+def row_histogram_table(p):
+    # brute-force oracle: a full row of point counts for every a, from the
+    # histogram of b = y^2 - x^3 - a x over all (x, y) in F_p^2
+    xs = np.arange(p, dtype=np.int64)
+    bs = np.arange(p, dtype=np.int64)
+    tab = np.zeros((p, p), dtype=bool)
+    for a in range(p):
+        b_of = (xs[:, None] ** 2 - xs[None, :] ** 3 - a * xs[None, :]) % p
+        n_row = np.bincount(b_of.ravel(), minlength=p) + 1
+        tab[a] = (n_row % p == 0) & ((4 * a**3 + 27 * bs * bs) % p != 0)
+    return tab
+
+
+def test_anomalous_residue_table_matches_row_histogram():
+    for p in [3] + CENSUS_PRIMES:
+        assert np.array_equal(anomalous_residue_table(p), row_histogram_table(p)), p
+
+
+def test_hurwitz_class_numbers_known():
+    # 6 H(D) and the number of reduced forms, against the classical table
+    # H(3) = 1/3, H(4) = 1/2, H(7) = H(8) = H(11) = 1, H(12) = 4/3, H(15) = 2,
+    # H(16) = 3/2, H(19) = 1, H(20) = 2, H(23) = 3, H(24) = 2
+    want = {3: (2, 1), 4: (3, 1), 7: (6, 1), 8: (6, 1), 11: (6, 1), 12: (8, 2),
+            15: (12, 2), 16: (9, 2), 19: (6, 1), 20: (12, 2), 23: (18, 3), 24: (12, 2)}
+    assert {D: _reduced_forms(D) for D in want} == want
+
+
+def test_class_number_census_matches_bruteforce():
+    for p in CENSUS_PRIMES:
+        c = dp_census(p)
+        for mode in DpMode:
+            assert d_of_p(p, mode) == c[mode.value], (p, mode)
+
+
+def test_census_does_not_run_the_oracle(monkeypatch):
+    import iwastat.curves as curves
+
+    def oracle_called(p):
+        raise AssertionError("dp_census is a test oracle only")
+
+    monkeypatch.setattr(curves, "dp_census", oracle_called)
+    assert d_of_p(5) == 3
+    t = dp_table(50)
+    assert [t[p][DpMode.TRACE_ONE_CLASSES.value] for p in (5, 7, 11, 43)] == [1, 2, 1, 5]

@@ -16,12 +16,13 @@ from iwastat.enumeration import (
     iter_curves,
     lattice_class_count,
     lattice_density,
+    lifting_count,
     lifting_count_bruteforce,
     sadek_bounds,
     total_weq,
     zeta10,
 )
-from iwastat.errors import EqualPrimes, TooLarge
+from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
 from iwastat.primes import primes_up_to, valuation
 
@@ -162,6 +163,49 @@ def test_lifting_counts():
     assert lifting_count_bruteforce(2, 7, exclusion="pair") == 256
     with pytest.raises(TooLarge):
         lifting_count_bruteforce(7, 7)
+
+
+def test_lifting_count_matches_bruteforce():
+    # every (l, exponent) the 2^32 guard admits with l^(p+1) <= 2^12; the
+    # guard reaches l^(p+1) <= 2^16, but the brute force costs l^(2(p+1))
+    checked = []
+    for l in primes_up_to(4096):
+        p = 1
+        while l ** (p + 1) <= 2**12:
+            assert lifting_count(l, p) == lifting_count_bruteforce(l, p), (l, p)
+            checked.append((l, p))
+            p += 1
+    assert {(2, 11), (3, 6), (5, 4), (7, 3), (13, 2), (61, 1)} <= set(checked)
+    assert lifting_count(2, 5) == lifting_count(3, 5) == 0
+    assert lifting_count(5, 2) == 400 and lifting_count(7, 2) == 1764
+
+
+def test_sadek_bounds_empty_locus_at_2_and_3():
+    # the unit locus at l = 2, 3 is empty, so the sandwich must hold 0
+    for l in (2, 3):
+        lo, hi = sadek_bounds(l, 5, 10**15)
+        assert lo <= 0 <= hi
+        assert count_Ip(l, 5, 10**6) == 0
+        lo, hi = sadek_bounds(l, 5, 10**6)
+        assert lo <= 0 <= hi
+
+
+def test_input_errors_are_typed():
+    with pytest.raises(OutOfRange):
+        box_bounds(0)
+    with pytest.raises(OutOfRange):
+        empirical_densities(5, 0)
+    for p in (2, 3, 9):
+        with pytest.raises(InvalidPrime):
+            bound_dp2(p)
+        with pytest.raises(InvalidPrime):
+            bound_dp3(p, 1)
+        with pytest.raises(InvalidPrime):
+            empirical_densities(p, 10**5)
+    with pytest.raises(OutOfRange):
+        bound_dp2(5, tol=0)
+    with pytest.raises(OutOfRange):
+        bound_dp3(5, -1)
 
 
 def test_zeta10_value():

@@ -75,6 +75,33 @@ def test_is_prime_small_and_carmichael():
     assert is_prime(2**61 - 1)
 
 
+# psi_k (OEIS A014233): the least strong pseudoprime to all of the first k
+# prime bases; psi_12 = 399165290221 * 798330580441 < 2^80 needs the base 41
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_strong_pseudoprimes():
+    assert 399165290221 * 798330580441 == PSI[-1] < 2**80
+    for n in PSI:
+        assert not is_prime(n), n
+    assert is_prime(41) and is_prime(43)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1009)
+    sample = [rng.randrange(2, 2**bits) | 1 for bits in (20, 40, 64, 80) for _ in range(150)]
+    # products of two primes and primes themselves, up to 2^80
+    for _ in range(60):
+        q = sympy.nextprime(rng.randrange(2, 2**40))
+        r = sympy.nextprime(rng.randrange(2, 2**40))
+        sample += [q, q * r]
+    sample += list(PSI)
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_next_prime():
     assert next_prime(2) == 3
     assert next_prime(13) == 17

@@ -8,7 +8,6 @@ the default worker count; --workers wins when given.
 
 import argparse
 import json
-import os
 import sys
 
 from .charpoly import CharPoly, iwasawa_invariants, truncated_chi_valuation, vanishing_order
@@ -16,6 +15,7 @@ from .curves import DpMode, d_of_p
 from .enumeration import bound_dp3, bound_dp2, count_Ip, empirical_densities, sadek_bounds
 from .errors import IwastatError
 from .io import density_report_dict, parse_records, scan_result_dict, write_density_report
+from .parallel import default_workers
 from .prime_scan import scan_primes
 
 
@@ -28,10 +28,6 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     pass
-
-
-def _default_workers():
-    return int(os.environ.get("IWASTAT_THREADS", "1") or "1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +87,7 @@ def _cmd_scan(args) -> int:
         if not records:
             print(f"no record with label {args.label!r}", file=sys.stderr)
             return 1
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = args.workers if args.workers is not None else default_workers()
     payload = []
     for rec in records:
         results = scan_primes(rec, args.max_prime, workers=workers,

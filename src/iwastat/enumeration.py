@@ -2,13 +2,15 @@
 
 The height-X box is |A| <= floor(X^(1/3)), |B| <= floor(X^(1/2)); a pair
 belongs to the curve family when disc0 = 4A^3 + 27B^2 is nonzero and no
-prime q has q^4 | A and q^6 | B. Sweeps are vectorized one A-row at a time,
-which keeps a full X = 10^8 report under a second on one core; a worker
-count > 1 partitions the A-range and merges pure counts.
+prime q has q^4 | A and q^6 | B. Sweeps are vectorized one A-row at a time.
+The e2 and I_p loci are not scanned row by row: for each row A and prime
+l >= 5 the B with l^p | disc0 are the 0 or 2 residue classes of the
+Hensel-lifted square roots of -4A^3/27 mod l^p, so those stages cost
+O(hits). A full X = 10^8 report takes well under a second on one core; a
+worker count > 1 partitions the A-range and merges pure counts.
 """
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -22,8 +24,10 @@ from .curves import (
     d_of_p,
     is_minimal_pair,
 )
-from .errors import EqualPrimes, OutOfRange, TooLarge
-from .primes import icbrt, isqrt, legendre, primes_up_to
+from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
+from .local_data import _p_part_certifiably_trivial
+from .parallel import default_workers
+from .primes import icbrt, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
 
 __all__ = [
     "DensityReport",
@@ -129,8 +133,8 @@ def _ip_candidates(p: int, maxdisc: int) -> List[int]:
 
 def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
     """Exact count of family members with l coprime to A and B and
-    v_l(disc0) = p exactly.  For l >= 5 this is the locus forcing fiber
-    type I_p at l; for l in {2, 3} it is just the raw valuation locus."""
+    v_l(disc0) = p exactly, for a prime l.  For l >= 5 this is the locus
+    forcing fiber type I_p at l; at l in {2, 3} it is empty."""
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
     counts = _sweep(X, p, ip_primes=[l], want_e2=False, want_e3=False, workers=workers)
@@ -139,7 +143,8 @@ def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
 
 def _primorial_cutoff(X: int):
     # greedy maximal primorial L_k = 2*3*...*l_k with L_k <= X^(1/12)
-    assert X >= 4096, "bounds need X >= 2^12 so that at least L_1 = 2 fits"
+    if X < 4096:
+        raise OutOfRange(f"height {X} is below 2^12, so not even L_1 = 2 fits")
     Lk, lk, used = 1, None, []
     for q in primes_up_to(64):
         if (Lk * q) ** 12 <= X:
@@ -289,17 +294,59 @@ class _SweepCounts:
             self.ip_counts[l] = self.ip_counts.get(l, 0) + n
 
 
-def _uncertified_min_valuation(l: int, p: int) -> int:
-    """Smallest achievable v = v_l(disc0) for which the p-part of c_l at
-    l in {2, 3} cannot be certified trivial from valuations alone (model
-    Delta adds v_l(16) at l = 2). Candidates n = v_l(Delta) - 12k, n >= 1.
-    v_2(disc0) = 1 cannot occur (disc0 odd when B is odd, 4 | disc0 when B
-    is even), so the l = 2 scan starts at 2 to keep the filter sparse."""
+def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
+    """Strict-mode verdicts at l in {2, 3}, indexed by v = v_l(disc0).
+
+    table[v] is True when the p-part of c_l cannot be certified trivial
+    from v alone; the model Delta adds v_2(16) = 4 at l = 2. Every
+    residue mod 12 has a multiple of p in [p, 12p], so every v >= 12p is
+    uncertifiable and capping v at 12p is exact. Also returns the
+    prefilter exponent, the least v >= 1 with a True verdict; v_2(disc0)
+    = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when B is
+    even), so at l = 2 the search starts at 2 to keep the filter sparse.
+    """
     shift = 4 if l == 2 else 0
-    for v in range(2 if l == 2 else 1, 200):
-        if any(n % p == 0 for n in range(v + shift, 0, -12)):
-            return v
-    raise AssertionError("unreachable for p <= 199")
+    cap = 12 * p
+    table = np.array([not _p_part_certifiably_trivial(v + shift, p) for v in range(cap + 1)])
+    start = 2 if l == 2 else 1
+    return start + int(np.argmax(table[start:])), table
+
+
+def _capped_valuation(d: np.ndarray, l: int, cap: int) -> np.ndarray:
+    """v_l of each nonzero entry of d, capped at cap."""
+    v = np.zeros(len(d), dtype=np.int64)
+    idx = np.arange(len(d))
+    for _ in range(cap):
+        keep = d % l == 0
+        idx, d = idx[keep], d[keep] // l
+        if idx.size == 0:
+            break
+        v[idx] += 1
+    return v
+
+
+def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
+    """Every B in [-bmax, bmax] with l^p | 4A^3 + 27B^2, for a prime
+    l >= 5 that does not divide A.
+
+    The condition is B^2 = c mod l^p with c = -4A^3 / 27 a unit. c has 0
+    or 2 square roots mod l, and each lifts to exactly one root mod l^p
+    (Hensel: the derivative 2B is a unit), so the B fill 0 or 2 residue
+    classes. The moduli stay Python ints, so no l^p overflows.
+    """
+    M = l ** p
+    c = -4 * A ** 3 * pow(27, -1, M) % M
+    r = sqrt_mod(c, l)
+    if r is None:
+        return []
+    m = l
+    while m < M:  # Newton steps double the precision
+        m = min(m * m, M)
+        r = (r - (r * r - c) * pow(2 * r, -1, m)) % m
+    hits = []
+    for s in (r, M - r):
+        hits.extend(range(-bmax + (s + bmax) % M, bmax + 1, M))
+    return hits
 
 
 def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _SweepCounts:
@@ -309,16 +356,22 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     Bmodp = B % p
     q4, q6 = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_cands = [l for l in _ip_candidates(p, maxdisc) if l >= 5] if want_e2 else []
+    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
     # primes with l^p beyond the largest possible |disc0| can never hit the
-    # locus; skipping them also keeps the modulus inside int64
-    ip_set = sorted(l for l in set(ip_primes or []) if l ** p <= maxdisc)
-    ip_zero = sorted(set(ip_primes or []) - set(ip_set))
+    # locus; at l = 2, 3 the unit locus is empty (B odd makes disc0 odd,
+    # 3 prime to A makes disc0 = A mod 3), so only l >= 5 is solved
+    ip_primes = set(ip_primes or [])
+    ip_set = {l for l in ip_primes if l >= 5 and l ** p <= maxdisc}
+    locus_primes = sorted(e2_set | ip_set)
     anom = anomalous_residue_table(p) if want_e3 else None
-    strict2 = _uncertified_min_valuation(2, p) if strict else None
-    strict3 = _uncertified_min_valuation(3, p) if strict else None
+    strict_filters = []
+    if strict:
+        for l in (2, 3):
+            minv, table = _strict_skip_table(l, p)
+            if l ** minv <= maxdisc:  # else no disc0 in the box reaches it
+                strict_filters.append((l, minv, table))
 
-    out = _SweepCounts(ip_counts={l: 0 for l in ip_set + ip_zero})
+    out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes)})
     for A in range(a_lo, a_hi):
         disc = 4 * A ** 3 + Bsq27
         ok = _row_ok_mask(A, B, disc, q4, q6)
@@ -334,50 +387,38 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
         skip_mask = None
         if strict:
             skip_mask = np.zeros(len(B), dtype=bool)
-            for l, minv in ((2, strict2), (3, strict3)):
-                hit = ok & (disc % l ** minv == 0)
-                for i in np.flatnonzero(hit):
-                    d = int(disc[i])
-                    v = 0
-                    while d % l == 0:
-                        d //= l
-                        v += 1
-                    shift = 4 if l == 2 else 0
-                    if any(n % p == 0 for n in range(v + shift, 0, -12)):
-                        skip_mask[i] = True
+            for l, minv, table in strict_filters:
+                hit = np.flatnonzero(ok & (disc % l ** minv == 0))
+                v = minv + _capped_valuation(disc[hit] // l ** minv, l, len(table) - 1 - minv)
+                skip_mask[hit[table[v]]] = True
             out.skipped += int(np.count_nonzero(skip_mask))
 
-        if want_e2:
-            e2_mask = np.zeros(len(B), dtype=bool)
-            for l in e2_cands:
-                if A % l == 0:
-                    continue  # l | A with l | disc0 is additive, c_l <= 4 < p
-                hit = ok & (disc % l ** p == 0)
-                for i in np.flatnonzero(hit):
-                    d = int(disc[i])
-                    n = 0
-                    while d % l == 0:
-                        d //= l
-                        n += 1
-                    if n % p == 0 and legendre(864 * int(B[i]) % l, l) == 1:
-                        e2_mask[i] = True
-            if strict:
-                e2_mask &= ~skip_mask
-            out.e2 += int(np.count_nonzero(e2_mask))
-
-        for l in ip_set:
+        e2_hits = set()
+        for l in locus_primes:
             if A % l == 0:
-                continue
-            m = ok & ((B % l) != 0) & (disc % l ** p == 0) & (disc % l ** (p + 1) != 0)
-            out.ip_counts[l] += int(np.count_nonzero(m))
+                continue  # outside the I_p locus; l | disc0 is additive, c_l <= 4 < p
+            for b in _power_locus(A, l, p, bmax):
+                i = b + bmax
+                if not ok[i]:
+                    continue
+                v = valuation(4 * A ** 3 + 27 * b * b, l)
+                if v == p and l in ip_set:
+                    out.ip_counts[l] += 1
+                if (v % p == 0 and l in e2_set and legendre(864 * b, l) == 1
+                        and not (strict and skip_mask[i])):
+                    e2_hits.add(i)
+        out.e2 += len(e2_hits)
     return out
 
 
 def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
            workers=None) -> _SweepCounts:
     amax, _ = box_bounds(X)
+    for l in ip_primes or []:
+        if not is_prime(l):
+            raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
     if workers is None:
-        workers = int(os.environ.get("IWASTAT_THREADS", "1") or "1")
+        workers = default_workers()
     if workers <= 1 or amax < 64:
         return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)
     edges = np.linspace(-amax, amax + 1, workers + 1).astype(int)

@@ -22,7 +22,6 @@ evaluates the same divisor predicate for the supersingular checks, and in_pi
 is p | regulator excess when that datum is present.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +31,7 @@ from .charpoly import CharPoly, is_trivial_shape
 from .curves import CurveQ, PointCountCache, ReductionClass, classify_reduction
 from .errors import MissingSha
 from .local_data import bad_primes, tamagawa_p_part
+from .parallel import default_workers
 from .primes import prime_range
 
 __all__ = [
@@ -233,7 +233,7 @@ def scan_primes(
     assert p_min >= 5, "scans start at 5; local data at 2 and 3 is override-fed"
     ps = prime_range(p_min, p_max + 1)
     if workers is None:
-        workers = int(os.environ.get("IWASTAT_THREADS", "1") or "1")
+        workers = default_workers()
     if workers <= 1 or len(ps) < 4:
         cache = cache or PointCountCache()
         return [_scan_one(record, p, allow_23, cache) for p in ps]

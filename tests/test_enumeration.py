@@ -143,7 +143,7 @@ def test_sadek_sandwich_frozen():
     assert lo == pytest.approx(-0.0037908746017967514, rel=1e-12)
     assert hi == pytest.approx(7535.491071428571, rel=1e-12)
     assert lo <= 16 <= hi
-    with pytest.raises(AssertionError):
+    with pytest.raises(OutOfRange):
         sadek_bounds(7, 5, 1000)  # box too small for the primorial cutoff
 
 

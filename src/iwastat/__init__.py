@@ -12,7 +12,6 @@ from .curves import (
     CurveQ,
     DpMode,
     LocalReduction,
-    PointCountCache,
     ReductionClass,
     anomalous_residue_table,
     classify_reduction,
@@ -69,9 +68,7 @@ from .euler_char import (
     g0_valuation,
 )
 from .io import (
-    load_cache,
     parse_records,
-    save_cache,
     write_density_report,
     write_records,
     write_scan_results,
@@ -88,6 +85,7 @@ from .prime_scan import (
     Conclusion,
     CurveRecord,
     PrimeScanResult,
+    Reason,
     scan_primes,
     sigma_prime_membership,
 )
@@ -100,7 +98,7 @@ __all__ = [
     "GoodReductionAt", "HeaderMismatch", "InvalidPrime", "IwastatError",
     "KodairaData", "KodairaSymbol", "LocalReduction", "MissingRegulator",
     "MissingSha", "NegativeValuationWarning", "NonMinimalModel",
-    "OutOfRange", "ParseError", "PointCountCache", "PrimeScanResult",
+    "OutOfRange", "ParseError", "PrimeScanResult", "Reason",
     "ReductionClass", "SingularCurve", "TooLarge", "TorsionClampWarning",
     "UnknownColumnWarning", "UnknownLocalData", "ZeroPolynomial",
     "anomalous_residue_table", "bad_primes", "bound_dp2", "bound_dp3",
@@ -111,8 +109,8 @@ __all__ = [
     "is_minimal_pair", "is_trivial_shape", "iter_curves",
     "iwasawa_invariants", "kodaira_tamagawa", "lattice_class_count",
     "lattice_density", "lifting_count", "lifting_count_bruteforce",
-    "load_cache", "local_reduction_raw", "parse_records", "sadek_bounds",
-    "save_cache", "scan_primes", "sigma_prime_membership",
+    "local_reduction_raw", "parse_records", "sadek_bounds",
+    "scan_primes", "sigma_prime_membership",
     "tamagawa_p_part", "total_weq", "trace_frobenius",
     "truncated_chi_valuation", "vanishing_order", "write_density_report",
     "write_records", "write_scan_results", "zeta10",

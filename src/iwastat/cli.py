@@ -15,7 +15,7 @@ from .curves import DpMode, d_of_p
 from .enumeration import bound_dp3, bound_dp2, count_Ip, empirical_densities, sadek_bounds
 from .errors import IwastatError
 from .io import density_report_dict, parse_records, scan_result_dict, write_density_report
-from .parallel import default_workers
+from .parallel import default_workers, fan_out
 from .prime_scan import scan_primes
 
 
@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None, help="restrict to one record label")
     p.add_argument("--allow-23", action="store_true",
                    help="run the full local algorithm at 2 and 3 when overrides are absent")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="fan the records out over this many processes")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("enumerate",
@@ -78,6 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _scan_record(rec, max_prime, allow_23):
+    """(JSON entry, None) for one record, or (None, message) when a typed
+    error stops its scan, so that one bad record does not sink the batch."""
+    try:
+        results = scan_primes(rec, max_prime, allow_23=allow_23)
+    except IwastatError as e:
+        return None, str(e)
+    return {"label": rec.label, "results": [scan_result_dict(r) for r in results]}, None
+
+
 def _cmd_scan(args) -> int:
     records, errors = parse_records(args.records)
     for lineno, msg in errors:
@@ -88,21 +99,22 @@ def _cmd_scan(args) -> int:
             print(f"no record with label {args.label!r}", file=sys.stderr)
             return 1
     workers = args.workers if args.workers is not None else default_workers()
+    jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
     payload = []
-    for rec in records:
-        results = scan_primes(rec, args.max_prime, workers=workers,
-                              allow_23=args.allow_23)
-        payload.append({
-            "label": rec.label,
-            "results": [scan_result_dict(r) for r in results],
-        })
+    failed = bool(errors)
+    for rec, (entry, msg) in zip(records, fan_out(_scan_record, jobs, workers)):
+        if msg is None:
+            payload.append(entry)
+        else:
+            print(f"record {rec.label}: {msg}", file=sys.stderr)
+            failed = True
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0 if not errors else 1
+    return 1 if failed else 0
 
 
 def _cmd_enumerate(args) -> int:

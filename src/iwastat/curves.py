@@ -31,7 +31,6 @@ brute-force oracle the tests check the formula against.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -47,7 +46,7 @@ from .errors import (
 from .primes import is_prime, iroot, isqrt, legendre, primes_up_to, valuation
 
 __all__ = [
-    "CurveQ", "LocalReduction", "ReductionClass", "DpMode", "PointCountCache",
+    "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
     "legendre", "count_points", "trace_frobenius", "classify_reduction",
     "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
     "anomalous_residue_table",
@@ -142,58 +141,6 @@ def _chi_table(p: int) -> np.ndarray:
     return tab
 
 
-class PointCountCache:
-    """Read-through cache of point counts keyed by (A mod p, B mod p, p).
-
-    Reads are lock-free dict lookups; writes are serialized.  At most p^2
-    entries per prime can ever exist, so no eviction is needed at desk scale.
-    snapshot()/restore() give an optional on-disk round trip; the format tag
-    guards against stale snapshots after incompatible changes.
-    """
-
-    FORMAT_VERSION = 1
-
-    def __init__(self):
-        self._data: dict[tuple[int, int, int], int] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._data)
-
-    def get(self, a: int, b: int, p: int) -> int | None:
-        return self._data.get((a % p, b % p, p))
-
-    def put(self, a: int, b: int, p: int, n: int) -> None:
-        with self._lock:
-            self._data[(a % p, b % p, p)] = n
-
-    def get_or_compute(self, a: int, b: int, p: int, compute) -> int:
-        key = (a % p, b % p, p)
-        n = self._data.get(key)
-        if n is None:
-            n = compute()
-            with self._lock:
-                self._data[key] = n
-        return n
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "format": self.FORMAT_VERSION,
-                "entries": [[a, b, p, n] for (a, b, p), n in self._data.items()],
-            }
-
-    def restore(self, blob: dict) -> int:
-        if blob.get("format") != self.FORMAT_VERSION:
-            return 0
-        loaded = 0
-        with self._lock:
-            for a, b, p, n in blob.get("entries", []):
-                self._data[(a, b, p)] = n
-                loaded += 1
-        return loaded
-
-
 def _require_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise InvalidPrime(f"{p} is not an odd prime")
@@ -209,24 +156,21 @@ def _affine_count(a: int, b: int, p: int) -> int:
     return p + int(chi[f].sum(dtype=np.int64))
 
 
-def count_points(A: int, B: int, p: int, cache: PointCountCache | None = None) -> int:
+def count_points(A: int, B: int, p: int) -> int:
     """#E(F_p) including the point at infinity, for an odd prime of good
     reduction.  Raises BadReductionAt when p divides disc0."""
     _require_odd_prime(p)
     a, b = A % p, B % p
     if (4 * a * a * a + 27 * b * b) % p == 0:
         raise BadReductionAt(f"p={p} divides disc0")
-    if cache is not None:
-        n = cache.get_or_compute(a, b, p, lambda: _affine_count(a, b, p) + 1)
-    else:
-        n = _affine_count(a, b, p) + 1
+    n = _affine_count(a, b, p) + 1
     t = p + 1 - n
     assert t * t <= 4 * p, f"Hasse bound violated: a_p={t} at p={p}"
     return n
 
 
-def trace_frobenius(A: int, B: int, p: int, cache: PointCountCache | None = None) -> int:
-    return p + 1 - count_points(A, B, p, cache)
+def trace_frobenius(A: int, B: int, p: int) -> int:
+    return p + 1 - count_points(A, B, p)
 
 
 def _is_anomalous(n_points: int, p: int) -> bool:
@@ -234,7 +178,6 @@ def _is_anomalous(n_points: int, p: int) -> bool:
 
 
 def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
-                       cache: PointCountCache | None = None,
                        allow_p3: bool = False) -> LocalReduction:
     """Reduction class of the curve at p.
 
@@ -249,7 +192,7 @@ def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
         raise InvalidPrime(f"p={p} not admitted (allow_p3={allow_p3})")
     if curve.disc0 % p == 0:
         return LocalReduction(p, ReductionClass.BAD, None, None, False)
-    n = count_points(curve.A, curve.B, p, cache)
+    n = count_points(curve.A, curve.B, p)
     a_p = p + 1 - n
     if a_p % p == 0:
         # p >= 5 forces a_p = 0 here by Hasse, |a_p| <= 2 sqrt p < p

@@ -11,7 +11,6 @@ worker count > 1 partitions the A-range and merges pure counts.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -26,7 +25,7 @@ from .curves import (
 )
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from .local_data import _p_part_certifiably_trivial
-from .parallel import default_workers
+from .parallel import default_workers, fan_out
 from .primes import icbrt, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
 
 __all__ = [
@@ -210,7 +209,8 @@ def lifting_count_bruteforce(l: int, p: int, exclusion: str = "componentwise") -
     (2, 7), against the closed form's 32, 972 and 128. The componentwise
     count is the oracle for lifting_count.
     """
-    assert exclusion in ("componentwise", "pair")
+    if exclusion not in ("componentwise", "pair"):
+        raise ValueError(f"exclusion must be 'componentwise' or 'pair', got {exclusion!r}")
     modulus = l ** (p + 1)
     if modulus * modulus > 2 ** 32:
         raise TooLarge(f"l^(2(p+1)) = {modulus * modulus} exceeds the 2^32 guard")
@@ -427,14 +427,9 @@ def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
         for i in range(workers)
     ]
     merged = _SweepCounts(ip_counts={l: 0 for l in (ip_primes or [])})
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep_chunk_star, jobs):
-            merged.merge(part)
+    for part in fan_out(_sweep_chunk, jobs, workers):
+        merged.merge(part)
     return merged
-
-
-def _sweep_chunk_star(args):
-    return _sweep_chunk(*args)
 
 
 @dataclass(frozen=True)

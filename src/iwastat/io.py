@@ -1,4 +1,4 @@
-"""CSV ingestion of curve records, report serialization, cache persistence.
+"""CSV ingestion of curve records and report serialization.
 
 Ingest schema (header names exact, lower-case):
     label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess
@@ -13,7 +13,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .curves import CurveQ, PointCountCache
+from .curves import CurveQ
 from .enumeration import DensityReport
 from .errors import HeaderMismatch, IwastatError, ParseError, UnknownColumnWarning
 from .prime_scan import CurveRecord, PrimeScanResult
@@ -28,8 +28,6 @@ __all__ = [
     "write_density_report",
     "scan_result_dict",
     "write_scan_results",
-    "save_cache",
-    "load_cache",
 ]
 
 REQUIRED_COLUMNS = ["label", "a", "b", "rank"]
@@ -127,7 +125,7 @@ def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
                     reg_excess=_parse_reg_excess(raw.get("reg_excess")),
                 )
                 records.append(_row_to_record(row))
-            except (IwastatError, ValueError, AssertionError) as e:
+            except (IwastatError, ValueError) as e:
                 errors.append((lineno, str(e) or type(e).__name__))
         return records, errors
 
@@ -175,7 +173,7 @@ def scan_result_dict(res: PrimeScanResult) -> dict:
         "in_pi": res.in_pi,
         "conclusion": res.conclusion.value,
         "conditional": res.conditional,
-        "reason": res.reason,
+        "reason": res.reason.value,
         "mu": res.mu,
         "lam": res.lam,
         "chi_valuation": res.chi_valuation,
@@ -187,15 +185,3 @@ def write_scan_results(results: List[PrimeScanResult], path, label: str = "") ->
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_cache(cache: PointCountCache, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cache.snapshot(), fh)
-
-
-def load_cache(path) -> PointCountCache:
-    cache = PointCountCache()
-    with open(path, encoding="utf-8") as fh:
-        cache.restore(json.load(fh))
-    return cache

@@ -12,10 +12,11 @@ turns out to be non-minimal at l.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .curves import CurveQ
-from .errors import GoodReductionAt, SingularCurve, UnknownLocalData
+from .errors import GoodReductionAt, InvalidPrime, SingularCurve, UnknownLocalData
 from .primes import factorize, legendre, sqrt_mod, valuation
 
 __all__ = [
@@ -405,6 +406,30 @@ def _p_part_certifiably_trivial(v_delta, p):
     return all(n % p for n in range(v_delta, 0, -12))
 
 
+@lru_cache(maxsize=256)
+def _tamagawa_table(curve, overrides, allow_23):
+    """((l, c_l, v_l(Delta)), ...) over the bad primes l of curve, ascending.
+
+    c_l comes from the override items (a sorted tuple), from the closed
+    table at l >= 5, or from the full local algorithm at l in {2, 3} when
+    allow_23 is set. Where none of these applies c_l is None and v_l(Delta)
+    is given for the divisibility certificate; otherwise v_l(Delta) is None.
+    A scan asks for every prime p, so this is worked out once per record.
+    """
+    given = dict(overrides)
+    table = []
+    for l in sorted(bad_primes(curve)):
+        if l in given:
+            table.append((l, given[l], None))
+        elif l >= 5:
+            table.append((l, kodaira_tamagawa(curve, l).tamagawa, None))
+        elif allow_23:
+            table.append((l, local_reduction_raw(curve.A, curve.B, l).tamagawa, None))
+        else:
+            table.append((l, None, valuation(curve.discriminant, l)))
+    return tuple(table)
+
+
 def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     """tau_p: the product over bad primes l of p^{v_p(c_l)}, for p >= 5.
 
@@ -413,9 +438,10 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     computation; they are the default source at l in {2, 3}. Without an
     override or allow_23 at those primes, a divisibility certificate on
     v_l(Delta) is tried before giving up with UnknownLocalData. Entries in
-    overrides at good primes are ignored.
+    overrides at good primes are ignored. p < 5 raises InvalidPrime.
     """
-    assert p >= 5, "tau_p is defined for p >= 5 here"
+    if p < 5:
+        raise InvalidPrime(f"tau_p is defined for p >= 5 here, got {p}")
     curve = getattr(record_or_curve, "curve", record_or_curve)
     if not isinstance(curve, CurveQ):
         curve = CurveQ(*curve)
@@ -423,24 +449,12 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
         overrides = getattr(record_or_curve, "tamagawa_overrides", None) or {}
 
     tau = 1
-    for l in sorted(bad_primes(curve)):
-        if l in overrides:
-            c = overrides[l]
-        elif l >= 5:
-            c = kodaira_tamagawa(curve, l).tamagawa
-        elif allow_23:
-            c = local_reduction_raw(curve.A, curve.B, l).tamagawa
-        else:
-            v_delta = valuation(curve.discriminant, l)
-            if _p_part_certifiably_trivial(v_delta, p):
-                continue
+    for l, c, v_delta in _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23):
+        if c is not None:
+            tau *= p ** valuation(c, p)
+        elif not _p_part_certifiably_trivial(v_delta, p):
             raise UnknownLocalData(
                 f"cannot certify the {p}-part of c_{l}; supply an override "
                 f"or pass allow_23=True"
             )
-        v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
-        tau *= p ** v
     return tau

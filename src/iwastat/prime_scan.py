@@ -22,22 +22,23 @@ evaluates the same divisor predicate for the supersingular checks, and in_pi
 is p | regulator excess when that datum is present.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from .charpoly import CharPoly, is_trivial_shape
-from .curves import CurveQ, PointCountCache, ReductionClass, classify_reduction
-from .errors import MissingSha
+# perfbench/tracing.py times is_trivial_shape by rebinding it at this
+# module, so the name stays importable here
+from .charpoly import is_trivial_shape  # noqa: F401
+from .curves import CurveQ, ReductionClass, classify_reduction
+from .errors import InvalidPrime, MissingSha, OutOfRange
 from .local_data import bad_primes, tamagawa_p_part
-from .parallel import default_workers
 from .primes import prime_range
 
 __all__ = [
     "Conclusion",
     "CurveRecord",
     "PrimeScanResult",
+    "Reason",
     "sigma_prime_membership",
     "scan_primes",
 ]
@@ -49,6 +50,19 @@ class Conclusion(str, Enum):
     CHAR_ELEMENT_IS_TR = "CharElementIsTr"
     INCONCLUSIVE = "Inconclusive"
     BAD_PRIME = "BadPrime"
+
+
+class Reason(str, Enum):
+    """Why a result is not (or only conditionally) conclusive."""
+
+    NONE = ""
+    BAD_PRIME = "p divides the discriminant"
+    ANOMALOUS = "anomalous"
+    MISSING_SHA = "MissingSha"
+    SHA_OR_TAMAGAWA = "p divides the Sha order or a Tamagawa number"
+    MISSING_REGULATOR = "missing regulator-excess valuation"
+    REGULATOR_DIVIDES = "p divides the regulator excess"
+    CONDITIONAL = "conditional on the signed leading-term conjecture"
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,10 @@ class CurveRecord:
     def __post_init__(self):
         if not isinstance(self.curve, CurveQ):
             object.__setattr__(self, "curve", CurveQ(*self.curve))
-        assert self.rank >= 0
-        assert self.torsion_order >= 1
+        if self.rank < 0:
+            raise OutOfRange(f"rank must be nonnegative, got {self.rank}")
+        if self.torsion_order < 1:
+            raise OutOfRange(f"torsion_order must be positive, got {self.torsion_order}")
         if self.sha_order is not None and self.sha_order < 1:
             raise ValueError(f"sha_order must be positive, got {self.sha_order}")
         bad = bad_primes(self.curve)
@@ -88,7 +104,7 @@ class PrimeScanResult:
     in_pi: Optional[bool]
     conclusion: Conclusion
     conditional: bool = False
-    reason: str = ""
+    reason: Reason = Reason.NONE
     # invariants the conclusion reports for the (unknown) true characteristic
     # element: a conclusive result pins mu = 0 and lambda = rank
     mu: Optional[int] = None
@@ -105,9 +121,7 @@ class PrimeScanResult:
         elif self.conclusion is Conclusion.CHAR_ELEMENT_IS_TR:
             assert self.in_pi is False
         if self.mu is not None and self.lam is not None:
-            # the reported shape must be consistent with the polynomial-level test
-            f = CharPoly(self.p, [0] * self.lam + [1])
-            assert is_trivial_shape(f, self.lam) and self.mu == 0
+            assert self.mu == 0 and self.lam >= 0
 
 
 def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) -> bool:
@@ -121,16 +135,14 @@ def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) 
     return tamagawa_p_part(record, p, allow_23=allow_23) > 1
 
 
-def _scan_one(record: CurveRecord, p: int, allow_23: bool, cache=None) -> PrimeScanResult:
-    curve = record.curve
-    if curve.disc0 % p == 0:
+def _scan_one(record: CurveRecord, p: int, allow_23: bool) -> PrimeScanResult:
+    if record.curve.disc0 % p == 0:
         return PrimeScanResult(
             p, ReductionClass.BAD, False, None, None, None,
-            Conclusion.BAD_PRIME, reason="p divides the discriminant",
+            Conclusion.BAD_PRIME, reason=Reason.BAD_PRIME,
         )
-    red = classify_reduction(curve, p, cache=cache)
-    in_sigma = red.anomalous
-
+    red = classify_reduction(record.curve, p)
+    ordinary = red.reduction_class is ReductionClass.GOOD_ORDINARY
     try:
         divisor_hit = sigma_prime_membership(record, p, allow_23=allow_23)
     except MissingSha:
@@ -138,108 +150,50 @@ def _scan_one(record: CurveRecord, p: int, allow_23: bool, cache=None) -> PrimeS
     in_pi = None
     if record.regulator_valuations is not None and p in record.regulator_valuations:
         in_pi = record.regulator_valuations[p] != 0
-
-    ordinary = red.reduction_class is ReductionClass.GOOD_ORDINARY
-    kwargs = dict(
-        p=p, reduction_class=red.reduction_class, in_sigma=in_sigma,
+    flags = dict(
+        p=p, reduction_class=red.reduction_class, in_sigma=red.anomalous,
         in_sigma_prime=divisor_hit, in_upsilon=divisor_hit, in_pi=in_pi,
     )
 
-    if record.rank == 0:
-        if ordinary:
-            if in_sigma:
-                return PrimeScanResult(
-                    **kwargs, conclusion=Conclusion.INCONCLUSIVE, reason="anomalous"
-                )
-            if divisor_hit is None:
-                return PrimeScanResult(
-                    **kwargs, conclusion=Conclusion.INCONCLUSIVE, reason="MissingSha"
-                )
-            if divisor_hit:
-                return PrimeScanResult(
-                    **kwargs, conclusion=Conclusion.INCONCLUSIVE,
-                    reason="p divides the Sha order or a Tamagawa number",
-                )
-            return PrimeScanResult(
-                **kwargs, conclusion=Conclusion.SELMER_TRIVIAL,
-                mu=0, lam=0, chi_valuation=0,
-            )
-        # supersingular: anomalous is impossible for p >= 5
-        assert not in_sigma
-        if divisor_hit is None:
-            return PrimeScanResult(
-                **kwargs, conclusion=Conclusion.INCONCLUSIVE, reason="MissingSha"
-            )
-        if divisor_hit:
-            return PrimeScanResult(
-                **kwargs, conclusion=Conclusion.INCONCLUSIVE,
-                reason="p divides the Sha order or a Tamagawa number",
-            )
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.SIGNED_SELMER_TRIVIAL,
-            mu=0, lam=0, chi_valuation=0,
-        )
+    # the hypotheses in the order they are checked; the first that fails
+    # names the reason. Supersingular primes are never anomalous for p >= 5.
+    gates = [
+        (ordinary and red.anomalous, Reason.ANOMALOUS),
+        (divisor_hit is None, Reason.MISSING_SHA),
+        (divisor_hit, Reason.SHA_OR_TAMAGAWA),
+    ]
+    if record.rank >= 1:
+        gates += [
+            (in_pi is None, Reason.MISSING_REGULATOR),
+            (in_pi, Reason.REGULATOR_DIVIDES),
+        ]
+    for failed, reason in gates:
+        if failed:
+            return PrimeScanResult(**flags, conclusion=Conclusion.INCONCLUSIVE, reason=reason)
 
-    # rank >= 1
-    if ordinary and in_sigma:
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.INCONCLUSIVE, reason="anomalous"
-        )
-    if divisor_hit is None:
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.INCONCLUSIVE, reason="MissingSha"
-        )
-    if divisor_hit:
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.INCONCLUSIVE,
-            reason="p divides the Sha order or a Tamagawa number",
-        )
-    if in_pi is None:
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.INCONCLUSIVE,
-            reason="missing regulator-excess valuation",
-        )
-    if in_pi:
-        return PrimeScanResult(
-            **kwargs, conclusion=Conclusion.INCONCLUSIVE,
-            reason="p divides the regulator excess",
-        )
+    if record.rank >= 1:
+        conclusion = Conclusion.CHAR_ELEMENT_IS_TR
+    elif ordinary:
+        conclusion = Conclusion.SELMER_TRIVIAL
+    else:
+        conclusion = Conclusion.SIGNED_SELMER_TRIVIAL
+    conditional = record.rank >= 1 and not ordinary
     return PrimeScanResult(
-        **kwargs, conclusion=Conclusion.CHAR_ELEMENT_IS_TR,
-        conditional=not ordinary,
-        reason="" if ordinary else "conditional on the signed leading-term conjecture",
+        **flags, conclusion=conclusion, conditional=conditional,
+        reason=Reason.CONDITIONAL if conditional else Reason.NONE,
         mu=0, lam=record.rank, chi_valuation=0,
     )
-
-
-def _scan_chunk(record, ps, allow_23):
-    cache = PointCountCache()
-    return [_scan_one(record, p, allow_23, cache) for p in ps]
 
 
 def scan_primes(
     record: CurveRecord,
     p_max: int,
     p_min: int = 5,
-    workers: Optional[int] = None,
     allow_23: bool = False,
-    cache: Optional[PointCountCache] = None,
 ) -> List[PrimeScanResult]:
-    """Classify every prime in [p_min, p_max] for the record.
-
-    Work items are independent, so the scan can fan out over processes;
-    results always come back ordered by p regardless of worker count.
-    """
-    assert p_min >= 5, "scans start at 5; local data at 2 and 3 is override-fed"
-    ps = prime_range(p_min, p_max + 1)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(ps) < 4:
-        cache = cache or PointCountCache()
-        return [_scan_one(record, p, allow_23, cache) for p in ps]
-    chunks = [ps[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_scan_chunk, [record] * len(chunks), chunks, [allow_23] * len(chunks)))
-    merged = [r for part in parts for r in part]
-    merged.sort(key=lambda r: r.p)
-    return merged
+    """Classify every prime in [p_min, p_max] for the record, ordered by p."""
+    if p_min < 5:
+        raise InvalidPrime(
+            f"scans start at 5, got p_min={p_min}; local data at 2 and 3 is override-fed"
+        )
+    return [_scan_one(record, p, allow_23) for p in prime_range(p_min, p_max + 1)]

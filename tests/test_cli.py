@@ -125,3 +125,40 @@ def test_assertion_maps_to_exit_2(capsys, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "dp", boom)
     code, _, err = run(capsys, "dp", "--prime", "5")
     assert code == 2 and "internal error" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_bad_record_does_not_sink_batch(capsys, tmp_path, workers):
+    # v_2(Delta) = 10 for (5, 6): the 5-part of c_2 cannot be certified
+    # without an override, so that record stops with UnknownLocalData
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\ngood,-1,0,0,1,4,,,\nbad,5,6,0,1,1,,,\n")
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "20",
+                         "--workers", workers)
+    assert code == 1
+    assert "record bad: cannot certify the 5-part of c_2" in err
+    blob = json.loads(out)
+    assert [r["label"] for r in blob] == ["good"]
+    assert [r["p"] for r in blob[0]["results"]] == [5, 7, 11, 13, 17, 19]
+
+
+def test_scan_workers_match_serial(capsys, tmp_path):
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\n" + "\n".join([
+        "a,-1,0,0,1,4,,,",
+        "b,-1,1,1,1,1,,,5:0;7:1;59:0",
+        "c,3,0,0,,,,,",
+        "d,28,-86,0,1,1,,,",
+        "e,0,1,2,9,6,,,",
+        "f,-7,6,1,1,1,2,,5:0;11:0",
+        "g,5,6,0,1,1,1,,",
+        "h,-2,3,0,25,1,,,",
+    ]) + "\n")
+    outs = []
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "scan", str(path), "--max-prime", "60",
+                             "--allow-23", "--workers", workers)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [r["label"] for r in json.loads(outs[0])] == list("abcdefgh")

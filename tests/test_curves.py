@@ -7,7 +7,6 @@ import pytest
 from iwastat.curves import (
     CurveQ,
     DpMode,
-    PointCountCache,
     ReductionClass,
     anomalous_residue_table,
     classify_reduction,
@@ -143,19 +142,6 @@ def test_classify_reduction_prime_policy():
         classify_reduction((-1, 0), 9)
     r = classify_reduction((-1, 0), 3, allow_p3=True)
     assert r.is_good
-
-
-def test_point_count_cache():
-    cache = PointCountCache()
-    n1 = count_points(2, 3, 97, cache)
-    n2 = count_points(2, 3, 97, cache)
-    assert n1 == n2 == count_points(2, 3, 97)
-    snap = cache.snapshot()
-    fresh = PointCountCache()
-    fresh.restore(snap)
-    assert fresh.get(2, 3, 97) == n1
-    # poisoned lambda proves the cache path is hit
-    assert fresh.get_or_compute(2, 3, 97, lambda: -1) == n1
 
 
 def test_dp_census_frozen_values():

@@ -3,14 +3,11 @@ import warnings
 
 import pytest
 
-from iwastat.curves import PointCountCache, count_points
 from iwastat.enumeration import empirical_densities
 from iwastat.errors import HeaderMismatch, UnknownColumnWarning
 from iwastat.io import (
     density_report_dict,
-    load_cache,
     parse_records,
-    save_cache,
     scan_result_dict,
     write_density_report,
     write_records,
@@ -131,18 +128,3 @@ def test_scan_result_serialization(tmp_path):
     blob = json.loads(path.read_text())
     assert blob["label"] == "x"
     assert [row["p"] for row in blob["results"]] == [5, 7, 11, 13, 17, 19]
-
-
-def test_cache_round_trip(tmp_path):
-    cache = PointCountCache()
-    n = count_points(2, 3, 101, cache)
-    path = tmp_path / "cache.json"
-    save_cache(cache, path)
-    back = load_cache(path)
-    assert back.get(2, 3, 101) == n
-    # stale format versions are ignored rather than trusted
-    blob = json.loads(path.read_text())
-    blob["format"] = 999
-    path.write_text(json.dumps(blob))
-    empty = load_cache(path)
-    assert empty.get(2, 3, 101) is None

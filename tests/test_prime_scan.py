@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import iwastat
+from iwastat import local_data
 from iwastat.curves import CurveQ, ReductionClass, classify_reduction
-from iwastat.errors import MissingSha, UnknownLocalData
+from iwastat.errors import InvalidPrime, MissingSha, UnknownLocalData
 from iwastat.prime_scan import (
     Conclusion,
     CurveRecord,
@@ -180,9 +188,51 @@ def test_result_invariant_asserts():
 
 
 def test_scan_primes_bounds_and_workers():
-    with pytest.raises(AssertionError):
+    # serial == parallel is checked over records in
+    # tests/test_cli.py::test_scan_workers_match_serial
+    with pytest.raises(InvalidPrime):
         scan_primes(FULL_TWO_TORSION, 20, p_min=3)
     serial = scan_primes(FULL_TWO_TORSION, 60)
-    par = scan_primes(FULL_TWO_TORSION, 60, workers=2)
-    assert serial == par
     assert [x.p for x in serial] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_scan_factors_disc0_at_most_once(monkeypatch):
+    rec = CurveRecord((-1, 1), rank=0, sha_order=1)
+    calls = []
+    real = local_data.factorize
+    monkeypatch.setattr(local_data, "factorize", lambda n: calls.append(n) or real(n))
+    local_data._tamagawa_table.cache_clear()
+    results = scan_primes(rec, 500)
+    assert len(results) == 93
+    assert len(calls) <= 1
+
+
+def test_input_checks_survive_python_O(tmp_path):
+    # input validation must not rely on assert, which python -O strips
+    script = textwrap.dedent("""
+        from iwastat.enumeration import lifting_count_bruteforce
+        from iwastat.errors import InvalidPrime, OutOfRange
+        from iwastat.local_data import tamagawa_p_part
+        from iwastat.prime_scan import CurveRecord, scan_primes
+
+        def raises(exc, fn, *args, **kwargs):
+            try:
+                fn(*args, **kwargs)
+            except exc:
+                return
+            raise SystemExit(f"{fn.__name__}{args} did not raise {exc.__name__}")
+
+        raises(OutOfRange, CurveRecord, (-1, 0), rank=-1)
+        raises(OutOfRange, CurveRecord, (-1, 0), rank=0, torsion_order=0)
+        rec = CurveRecord((-1, 0), rank=0, sha_order=1)
+        raises(InvalidPrime, scan_primes, rec, 20, p_min=3)
+        raises(InvalidPrime, tamagawa_p_part, rec, 3)
+        raises(ValueError, lifting_count_bruteforce, 5, 2, exclusion="neither")
+        print("ok")
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

@@ -46,6 +46,7 @@ from .errors import (
     GoodReductionAt,
     HeaderMismatch,
     InvalidPrime,
+    InvalidSetting,
     IwastatError,
     MissingRegulator,
     MissingSha,
@@ -95,7 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadReductionAt", "CharPoly", "ChiInputs", "Conclusion", "CurveQ",
     "CurveRecord", "DensityReport", "DpMode", "EqualPrimes", "GVariant",
-    "GoodReductionAt", "HeaderMismatch", "InvalidPrime", "IwastatError",
+    "GoodReductionAt", "HeaderMismatch", "InvalidPrime", "InvalidSetting", "IwastatError",
     "KodairaData", "KodairaSymbol", "LocalReduction", "MissingRegulator",
     "MissingSha", "NegativeValuationWarning", "NonMinimalModel",
     "OutOfRange", "ParseError", "PrimeScanResult", "Reason",

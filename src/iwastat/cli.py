@@ -14,7 +14,16 @@ from .charpoly import CharPoly, iwasawa_invariants, truncated_chi_valuation, van
 from .curves import DpMode, d_of_p
 from .enumeration import bound_dp3, bound_dp2, count_Ip, empirical_densities, sadek_bounds
 from .errors import IwastatError
-from .io import density_report_dict, parse_records, scan_result_dict, write_density_report
+# perfbench/tracing.py times scan_result_dict by rebinding it at this module,
+# so the name stays importable here
+from .io import (  # noqa: F401
+    density_report_dict,
+    parse_records,
+    scan_entry_text,
+    scan_json_text,
+    scan_result_dict,
+    write_density_report,
+)
 from .parallel import default_workers, fan_out
 from .prime_scan import scan_primes
 
@@ -80,13 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scan_record(rec, max_prime, allow_23):
-    """(JSON entry, None) for one record, or (None, message) when a typed
-    error stops its scan, so that one bad record does not sink the batch."""
+    """(exit code, text) for one record: 0 and its JSON entry, 1 and a
+    message when a typed error stops its scan, or 2 and a message when an
+    internal check fails, so that one record does not sink the batch."""
     try:
         results = scan_primes(rec, max_prime, allow_23=allow_23)
     except IwastatError as e:
-        return None, str(e)
-    return {"label": rec.label, "results": [scan_result_dict(r) for r in results]}, None
+        return 1, f"record {rec.label}: {e}"
+    except AssertionError as e:
+        return 2, f"internal error in record {rec.label}: {e}"
+    return 0, scan_entry_text(rec.label, results)
 
 
 def _cmd_scan(args) -> int:
@@ -100,21 +112,21 @@ def _cmd_scan(args) -> int:
             return 1
     workers = args.workers if args.workers is not None else default_workers()
     jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
-    payload = []
-    failed = bool(errors)
-    for rec, (entry, msg) in zip(records, fan_out(_scan_record, jobs, workers)):
-        if msg is None:
-            payload.append(entry)
+    entries = []
+    status = 1 if errors else 0
+    for code, text in fan_out(_scan_record, jobs, workers):
+        if code:
+            print(text, file=sys.stderr)
+            status = max(status, code)
         else:
-            print(f"record {rec.label}: {msg}", file=sys.stderr)
-            failed = True
-    text = json.dumps(payload, indent=2, sort_keys=True)
+            entries.append(text)
+    text = scan_json_text(entries)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 1 if failed else 0
+    return status
 
 
 def _cmd_enumerate(args) -> int:

@@ -12,7 +12,12 @@ Point counts mod p use the quadratic-character sum
     N_p = 1 + sum_x (1 + chi(x^3 + A x + B)) = p + 1 + sum_x chi(f(x)),
 
 one chi table per prime, O(p) per curve.  No Schoof-style point counting;
-the primes handled here are desk scale.
+the primes handled here are desk scale.  count_points evaluates the sum for
+one curve at one prime and stays the single-curve API and test oracle;
+frobenius_traces evaluates it for one curve at every prime of a scan in one
+numpy pass.  The pass runs over a layout of the prime list (the x ranges,
+x^3 mod p and the chi tables, concatenated, in blocks of at most 2^16 x
+values) that is built once per prime list and reused for every curve.
 
 The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
 from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
@@ -47,7 +52,8 @@ from .primes import is_prime, iroot, isqrt, legendre, primes_up_to, valuation
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
-    "legendre", "count_points", "trace_frobenius", "classify_reduction",
+    "legendre", "count_points", "trace_frobenius", "frobenius_traces",
+    "classify_reduction",
     "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
     "anomalous_residue_table",
 ]
@@ -171,6 +177,73 @@ def count_points(A: int, B: int, p: int) -> int:
 
 def trace_frobenius(A: int, B: int, p: int) -> int:
     return p + 1 - count_points(A, B, p)
+
+
+# elements per block of the batched character sum: a long prime list is cut
+# into blocks of at most this many x values (a larger prime gets a block of
+# its own), so memory stays bounded whatever the largest prime
+_BLOCK_ELEMENTS = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _sum_block(primes: tuple) -> tuple:
+    """A run of primes laid out for the character sum: (sizes, starts, x,
+    x3, mod, base, chi). sizes holds the primes and starts the first element
+    of each prime's segment; x, x3 = x^3 mod p, mod = p and base = the
+    segment start have one entry per x in 0..p-1 of each prime in turn; chi
+    is the primes' chi tables concatenated, so chi_p(t) = chi[base + t]."""
+    # x^3 mod p + a x + b < p^2 fits int32 up to p = 46340, which halves the
+    # memory traffic of the per-curve pass
+    dtype = np.int32 if max(primes) ** 2 < 2**31 else np.int64
+    sizes = np.array(primes, dtype=dtype)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(dtype)
+    base = np.repeat(starts, sizes)
+    mod = np.repeat(sizes, sizes)
+    x = np.arange(len(mod), dtype=dtype) - base
+    x3 = x * x % mod * x % mod
+    chi = np.concatenate([_chi_table(p) for p in primes])
+    return sizes, starts, x, x3, mod, base, chi
+
+
+@lru_cache(maxsize=16)
+def _sum_blocks(primes: tuple, budget: int) -> tuple:
+    """primes cut into consecutive runs of at most budget elements each."""
+    runs, run, size = [], [], 0
+    for p in primes:
+        if run and size + p > budget:
+            runs.append(tuple(run))
+            run, size = [], 0
+        run.append(p)
+        size += p
+    if run:
+        runs.append(tuple(run))
+    return tuple(runs)
+
+
+def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
+    """a_p = p + 1 - #E(F_p) of y^2 = x^3 + A x + B at every p in primes.
+
+    primes is a tuple of distinct primes >= 5, as a sieve gives them; their
+    primality is not tested.  A and B may be any integers: they are reduced
+    mod each p as Python ints.  Where p divides disc0 the value is that of
+    the singular cubic (0 or +-1).  One numpy pass per block of primes
+    replaces a count_points call per prime.
+    """
+    traces = []
+    for run in _sum_blocks(primes, _BLOCK_ELEMENTS):
+        sizes, starts, x, x3, mod, base, chi = _sum_block(run)
+        f = np.array([A % p for p in run], dtype=x.dtype).repeat(sizes)
+        f *= x
+        f += x3
+        f += np.array([B % p for p in run], dtype=x.dtype).repeat(sizes)
+        np.remainder(f, mod, out=f)
+        f += base
+        ap = -np.add.reduceat(chi.take(f), starts, dtype=np.int64)
+        # Hasse, and p >= 5 leaves a_p = 0 as the only multiple of p
+        assert np.all(ap * ap <= 4 * sizes), f"Hasse bound violated in {run}"
+        assert not np.any((ap % sizes == 0) & (ap != 0)), f"a_p = 0 mod p != 0 in {run}"
+        traces.extend(ap.tolist())
+    return traces
 
 
 def _is_anomalous(n_points: int, p: int) -> bool:

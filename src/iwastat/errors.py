@@ -22,7 +22,8 @@ class BadReductionAt(IwastatError):
 
 
 class GoodReductionAt(IwastatError):
-    """A bad-reduction quantity was requested at a prime of good reduction."""
+    """A bad-reduction quantity was requested at, or supplied for, a prime of
+    good reduction."""
 
 
 class UnknownLocalData(IwastatError):
@@ -54,6 +55,11 @@ class TooLarge(IwastatError):
 class OutOfRange(IwastatError):
     """A numeric argument lies outside the range the operation is defined on
     (a height below 1, a negative count, a non-positive tolerance)."""
+
+
+class InvalidSetting(IwastatError):
+    """An environment setting such as IWASTAT_THREADS holds a value the
+    package cannot use."""
 
 
 class ParseError(IwastatError):

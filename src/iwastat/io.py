@@ -10,7 +10,9 @@ malformed rows are rejected with a per-row error, never silently fixed.
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .curves import CurveQ
@@ -27,6 +29,8 @@ __all__ = [
     "density_report_dict",
     "write_density_report",
     "scan_result_dict",
+    "scan_entry_text",
+    "scan_json_text",
     "write_scan_results",
 ]
 
@@ -178,6 +182,46 @@ def scan_result_dict(res: PrimeScanResult) -> dict:
         "lam": res.lam,
         "chi_valuation": res.chi_valuation,
     }
+
+
+# every field of a result but p, in declaration order: the key of a row's text
+_row_key = attrgetter(*(f.name for f in fields(PrimeScanResult) if f.name != "p"))
+_ROW_INDENT = " " * 6
+_P_KEY = '"p": '
+
+
+@lru_cache(maxsize=256)
+def _row_template(key) -> Tuple[str, str]:
+    """The text of a result row in the scan JSON, cut where the value of p
+    goes. Rows with equal keys differ only in p, so a scan renders a few
+    dozen distinct rows with the json encoder and splices p into them."""
+    text = json.dumps(scan_result_dict(PrimeScanResult(-1, *key)), indent=2, sort_keys=True)
+    text = _ROW_INDENT + text.replace("\n", "\n" + _ROW_INDENT)
+    head, mark, tail = text.partition(_P_KEY + "-1")
+    assert mark, text
+    return head + _P_KEY, tail
+
+
+def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
+    """One record's entry of the scan JSON, as the text that
+    json.dumps(payload, indent=2, sort_keys=True) gives the element
+    {"label": label, "results": [scan_result_dict(r) for r in results]}
+    of the payload list."""
+    head = '  {\n    "label": ' + json.dumps(label) + ',\n    "results": '
+    if not results:
+        return head + "[]\n  }"
+    rows = []
+    for res in results:
+        row_head, row_tail = _row_template(_row_key(res))
+        rows.append(row_head + str(res.p) + row_tail)
+    return head + "[\n" + ",\n".join(rows) + "\n    ]\n  }"
+
+
+def scan_json_text(entries: List[str]) -> str:
+    """The scan JSON from scan_entry_text entries: byte for byte
+    json.dumps(payload, indent=2, sort_keys=True) of the payload list,
+    without the pure-Python encoder that indent=2 falls back to."""
+    return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
 
 
 def write_scan_results(results: List[PrimeScanResult], path, label: str = "") -> None:

@@ -447,9 +447,13 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
         curve = CurveQ(*curve)
     if overrides is None:
         overrides = getattr(record_or_curve, "tamagawa_overrides", None) or {}
+    return _p_part(_tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23), p)
 
+
+def _p_part(table, p) -> int:
+    """tau_p read off a _tamagawa_table, for p >= 5."""
     tau = 1
-    for l, c, v_delta in _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23):
+    for l, c, v_delta in table:
         if c is not None:
             tau *= p ** valuation(c, p)
         elif not _p_part_certifiably_trivial(v_delta, p):

@@ -2,15 +2,20 @@
 
 default_workers is the default worker count: IWASTAT_THREADS sets it;
 unset or empty means one worker. A value that is not an integer raises
-ValueError, which the CLI reports with exit code 1.
+InvalidSetting, which the CLI reports with exit code 1.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import InvalidSetting
+
 
 def default_workers() -> int:
-    return int(os.environ.get("IWASTAT_THREADS", "1") or "1")
+    try:
+        return int(os.environ.get("IWASTAT_THREADS", "1") or "1")
+    except ValueError as e:
+        raise InvalidSetting(str(e)) from None
 
 
 def fan_out(fn, jobs, workers: int) -> list:

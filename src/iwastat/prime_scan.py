@@ -24,15 +24,17 @@ is p | regulator excess when that datum is present.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, Optional
 
-# perfbench/tracing.py times is_trivial_shape by rebinding it at this
-# module, so the name stays importable here
+# perfbench/tracing.py times is_trivial_shape and classify_reduction by
+# rebinding them at this module, so the names stay importable here
 from .charpoly import is_trivial_shape  # noqa: F401
-from .curves import CurveQ, ReductionClass, classify_reduction
-from .errors import InvalidPrime, MissingSha, OutOfRange
-from .local_data import bad_primes, tamagawa_p_part
-from .primes import prime_range
+from .curves import classify_reduction  # noqa: F401
+from .curves import CurveQ, ReductionClass, frobenius_traces
+from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
+from .local_data import _p_part, _tamagawa_table, bad_primes, tamagawa_p_part
+from .primes import is_prime, prime_range
 
 __all__ = [
     "Conclusion",
@@ -83,14 +85,17 @@ class CurveRecord:
         if self.torsion_order < 1:
             raise OutOfRange(f"torsion_order must be positive, got {self.torsion_order}")
         if self.sha_order is not None and self.sha_order < 1:
-            raise ValueError(f"sha_order must be positive, got {self.sha_order}")
-        bad = bad_primes(self.curve)
+            raise OutOfRange(f"sha_order must be positive, got {self.sha_order}")
         for l, c in self.tamagawa_overrides.items():
             if c < 1:
-                raise ValueError(f"Tamagawa override at {l} must be positive, got {c}")
-            if l not in bad:
-                raise ValueError(
-                    f"Tamagawa override at good prime {l} (bad set {sorted(bad)})"
+                raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
+            # l is bad iff l = 2 (the -16 in Delta) or a prime dividing disc0;
+            # the full bad set is factored only for the message, so a scan
+            # factors disc0 once, in its Tamagawa table
+            if l != 2 and not (is_prime(l) and self.curve.disc0 % l == 0):
+                raise GoodReductionAt(
+                    f"Tamagawa override at good prime {l} "
+                    f"(bad set {sorted(bad_primes(self.curve))})"
                 )
 
 
@@ -135,30 +140,29 @@ def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) 
     return tamagawa_p_part(record, p, allow_23=allow_23) > 1
 
 
-def _scan_one(record: CurveRecord, p: int, allow_23: bool) -> PrimeScanResult:
-    if record.curve.disc0 % p == 0:
-        return PrimeScanResult(
-            p, ReductionClass.BAD, False, None, None, None,
-            Conclusion.BAD_PRIME, reason=Reason.BAD_PRIME,
-        )
-    red = classify_reduction(record.curve, p)
-    ordinary = red.reduction_class is ReductionClass.GOOD_ORDINARY
-    try:
-        divisor_hit = sigma_prime_membership(record, p, allow_23=allow_23)
-    except MissingSha:
-        divisor_hit = None
+def _decide(record: CurveRecord, p: int, a_p: int,
+            divisor_hit: Optional[bool]) -> PrimeScanResult:
+    """The result at a good prime p >= 5 with trace a_p; divisor_hit is
+    sigma_prime_membership, or None when the Sha order is missing."""
+    # Hasse puts |a_p| < p, so p | a_p (supersingular) means a_p = 0, and
+    # p | N_p = p + 1 - a_p (anomalous) means a_p = 1 mod p
+    ordinary = a_p != 0
+    anomalous = (a_p - 1) % p == 0
     in_pi = None
     if record.regulator_valuations is not None and p in record.regulator_valuations:
         in_pi = record.regulator_valuations[p] != 0
     flags = dict(
-        p=p, reduction_class=red.reduction_class, in_sigma=red.anomalous,
-        in_sigma_prime=divisor_hit, in_upsilon=divisor_hit, in_pi=in_pi,
+        p=p,
+        reduction_class=(ReductionClass.GOOD_ORDINARY if ordinary
+                         else ReductionClass.GOOD_SUPERSINGULAR),
+        in_sigma=anomalous, in_sigma_prime=divisor_hit, in_upsilon=divisor_hit,
+        in_pi=in_pi,
     )
 
     # the hypotheses in the order they are checked; the first that fails
     # names the reason. Supersingular primes are never anomalous for p >= 5.
     gates = [
-        (ordinary and red.anomalous, Reason.ANOMALOUS),
+        (ordinary and anomalous, Reason.ANOMALOUS),
         (divisor_hit is None, Reason.MISSING_SHA),
         (divisor_hit, Reason.SHA_OR_TAMAGAWA),
     ]
@@ -185,15 +189,47 @@ def _scan_one(record: CurveRecord, p: int, allow_23: bool) -> PrimeScanResult:
     )
 
 
+@lru_cache(maxsize=64)
+def _scan_range(p_min: int, p_max: int) -> tuple:
+    return tuple(prime_range(p_min, p_max + 1))
+
+
 def scan_primes(
     record: CurveRecord,
     p_max: int,
     p_min: int = 5,
     allow_23: bool = False,
 ) -> List[PrimeScanResult]:
-    """Classify every prime in [p_min, p_max] for the record, ordered by p."""
+    """Classify every prime in [p_min, p_max] for the record, ordered by p.
+
+    Every a_p comes from one frobenius_traces pass and the record's
+    Tamagawa table is read once, at the first prime that needs it: where
+    the Sha order is missing or divisible by p, as in
+    sigma_prime_membership, it is not consulted.
+    """
     if p_min < 5:
         raise InvalidPrime(
             f"scans start at 5, got p_min={p_min}; local data at 2 and 3 is override-fed"
         )
-    return [_scan_one(record, p, allow_23) for p in prime_range(p_min, p_max + 1)]
+    primes = _scan_range(p_min, p_max)
+    curve, sha = record.curve, record.sha_order
+    table = None
+    results = []
+    for p, a_p in zip(primes, frobenius_traces(curve.A, curve.B, primes)):
+        if curve.disc0 % p == 0:
+            results.append(PrimeScanResult(
+                p, ReductionClass.BAD, False, None, None, None,
+                Conclusion.BAD_PRIME, reason=Reason.BAD_PRIME,
+            ))
+            continue
+        if sha is None:
+            divisor_hit = None
+        elif sha % p == 0:
+            divisor_hit = True
+        else:
+            if table is None:
+                overrides = tuple(sorted(record.tamagawa_overrides.items()))
+                table = _tamagawa_table(curve, overrides, allow_23)
+            divisor_hit = _p_part(table, p) > 1
+        results.append(_decide(record, p, a_p, divisor_hit))
+    return results

@@ -32,6 +32,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < _MR_WITNESSES[-1] ** 2:
+        return True  # a composite this small has a prime factor below 41
     d = n - 1
     s = 0
     while d % 2 == 0:

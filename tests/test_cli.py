@@ -162,3 +162,59 @@ def test_scan_workers_match_serial(capsys, tmp_path):
         outs.append(out)
     assert outs[0] == outs[1]
     assert [r["label"] for r in json.loads(outs[0])] == list("abcdefgh")
+
+
+def test_scan_record_input_errors_exit_1(capsys, tmp_path, monkeypatch):
+    # the typed record errors keep their messages and exit code 1
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\n" + "\n".join([
+        "ok,-1,0,0,1,,,,",
+        "nosha,-1,0,0,0,,,,",
+        "zeroc2,-1,0,0,1,,0,,",
+        "goodat3,-1,0,0,1,,,2,",
+    ]) + "\n")
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "10")
+    assert code == 1
+    assert err.splitlines() == [
+        "row 3: sha_order must be positive, got 0",
+        "row 4: Tamagawa override at 2 must be positive, got 0",
+        "row 5: Tamagawa override at good prime 3 (bad set [2])",
+    ]
+    assert [r["label"] for r in json.loads(out)] == ["ok"]
+    monkeypatch.setenv("IWASTAT_THREADS", "x")
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "10", "--label", "ok")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_internal_error_does_not_hide_other_records(capsys, tmp_path, monkeypatch, workers):
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,\nc,3,0,0,1,,,,\n")
+    code, want, _ = run(capsys, "scan", str(path), "--max-prime", "30", "--label", "a")
+    assert code == 0
+    code, want_c, _ = run(capsys, "scan", str(path), "--max-prime", "30", "--label", "c")
+    real = cli.scan_primes
+
+    def scan(rec, *args, **kwargs):
+        if rec.label == "b":
+            raise AssertionError("invariant broken")
+        return real(rec, *args, **kwargs)
+
+    # the pool forks, so its workers see the patched name too
+    monkeypatch.setattr(cli, "scan_primes", scan)
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "30", "--workers", workers)
+    assert code == 2
+    assert err == "internal error in record b: invariant broken\n"
+    assert json.loads(out) == json.loads(want) + json.loads(want_c)
+
+
+def test_scan_out_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
+    out_path = tmp_path / "scan.json"
+    code, out, _ = run(capsys, "scan", str(path), "--max-prime", "40")
+    assert code == 0 and out.endswith("]\n")
+    code, nothing, _ = run(capsys, "scan", str(path), "--max-prime", "40", "--out", str(out_path))
+    assert code == 0 and nothing == ""
+    assert out_path.read_bytes() == out.encode()

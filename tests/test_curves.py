@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iwastat import curves
 from iwastat.curves import (
     CurveQ,
     DpMode,
@@ -15,10 +18,11 @@ from iwastat.curves import (
     disc0_of,
     dp_census,
     dp_table,
+    frobenius_traces,
     is_minimal_pair,
     trace_frobenius,
 )
-from iwastat.curves import _reduced_forms
+from iwastat.curves import _affine_count, _reduced_forms, _sum_blocks
 from iwastat.errors import (
     BadReductionAt,
     InvalidPrime,
@@ -256,3 +260,40 @@ def test_census_does_not_run_the_oracle(monkeypatch):
     assert d_of_p(5) == 3
     t = dp_table(50)
     assert [t[p][DpMode.TRACE_ONE_CLASSES.value] for p in (5, 7, 11, 43)] == [1, 2, 1, 5]
+
+
+SCAN_PRIMES = tuple(p for p in primes_up_to(200) if p >= 5)
+COEFF = st.one_of(st.integers(-10**4, 10**4), st.integers(-2**80, 2**80),
+                  st.sampled_from([2**63, -2**63 - 1, 3 * 2**64 + 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=COEFF, B=COEFF,
+       lo=st.integers(0, len(SCAN_PRIMES) - 1), budget=st.sampled_from([60, 97, 250, 1 << 16]))
+def test_frobenius_traces_match_count_points(A, B, lo, budget):
+    # small budgets cut the prime list into blocks, a prime above the
+    # budget (61.. at 60, 101.. at 97) standing alone
+    primes = SCAN_PRIMES[lo:]
+    old = curves._BLOCK_ELEMENTS
+    curves._BLOCK_ELEMENTS = budget
+    try:
+        traces = frobenius_traces(A, B, primes)
+    finally:
+        curves._BLOCK_ELEMENTS = old
+    assert len(traces) == len(primes)
+    for p, a_p in zip(primes, traces):
+        if (4 * A**3 + 27 * B**2) % p:
+            assert a_p == trace_frobenius(A, B, p), (A, B, p)
+        else:
+            assert a_p == p - _affine_count(A % p, B % p, p) and abs(a_p) <= 1
+
+
+def test_frobenius_traces_blocks():
+    assert _sum_blocks((5, 7, 11, 13, 67, 71, 73), 60) == ((5, 7, 11, 13), (67,), (71,), (73,))
+    assert _sum_blocks((5, 7, 11), 23) == ((5, 7, 11),)
+    assert _sum_blocks((), 60) == ()
+    assert frobenius_traces(1, 1, ()) == []
+    # above 46340 the pass switches from int32 to int64 arithmetic
+    big = (46337, 46349)
+    for A, B in ((2**70 + 3, -5), (-1, 1)):
+        assert frobenius_traces(A, B, big) == [trace_frobenius(A, B, p) for p in big]

@@ -8,6 +8,8 @@ from iwastat.errors import HeaderMismatch, UnknownColumnWarning
 from iwastat.io import (
     density_report_dict,
     parse_records,
+    scan_entry_text,
+    scan_json_text,
     scan_result_dict,
     write_density_report,
     write_records,
@@ -128,3 +130,20 @@ def test_scan_result_serialization(tmp_path):
     blob = json.loads(path.read_text())
     assert blob["label"] == "x"
     assert [row["p"] for row in blob["results"]] == [5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("label", [
+    "", 'say "hi"', "back\\slash\\", "tab\tnew\nline", "caf\u00e9 \u2603 \U0001f600", "\x00\x7f",
+])
+def test_scan_json_writer_escapes_labels(label):
+    rec = CurveRecord(curve=(-1, 1), rank=1, sha_order=1, regulator_valuations={5: 0})
+    cases = [[(label, scan_primes(rec, 60))],
+             [(label, []), ("next", scan_primes(rec, 7))],   # a record with no results
+             []]                                              # an empty batch
+    for scans in cases:
+        payload = [{"label": lab, "results": [scan_result_dict(r) for r in results]}
+                   for lab, results in scans]
+        text = scan_json_text([scan_entry_text(lab, results) for lab, results in scans])
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        assert text.isascii()
+    assert scan_json_text([]) == "[]"

@@ -9,12 +9,11 @@ import pytest
 import iwastat
 from iwastat import local_data
 from iwastat.curves import CurveQ, ReductionClass, classify_reduction
-from iwastat.errors import InvalidPrime, MissingSha, UnknownLocalData
+from iwastat.errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, UnknownLocalData
 from iwastat.prime_scan import (
     Conclusion,
     CurveRecord,
     PrimeScanResult,
-    _scan_one,
     scan_primes,
     sigma_prime_membership,
 )
@@ -24,17 +23,30 @@ FULL_TWO_TORSION = CurveRecord(
 )
 
 
+def scan_at(record, p, allow_23=False):
+    """The scan's result at the one prime p."""
+    (res,) = scan_primes(record, p, p_min=p, allow_23=allow_23)
+    return res
+
+
 def test_record_validation():
     r = CurveRecord(curve=(-1, 0), rank=0)
     assert isinstance(r.curve, CurveQ)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="^sha_order must be positive, got 0$"):
         CurveRecord(curve=(-1, 0), rank=0, sha_order=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="^Tamagawa override at 2 must be positive, got 0$"):
         CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={2: 0})
-    with pytest.raises(ValueError):
-        # 7 is a good prime for disc0 = -4
-        CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={7: 2})
+    # 7 is a good prime for disc0 = -4; so are 4 (not prime) and 3
+    for l in (7, 4, 3):
+        with pytest.raises(GoodReductionAt,
+                           match=rf"^Tamagawa override at good prime {l} \(bad set \[2\]\)$"):
+            CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={l: 2})
     CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={2: 4})
+    # disc0 = 4 * 17^3 + 27 * 11^2 = 22919 = 13 * 41 * 43
+    rec = CurveRecord(curve=(17, 11), rank=0, tamagawa_overrides={2: 1, 13: 2, 41: 1, 43: 1})
+    assert local_data.bad_primes(rec.curve) == {2, 13, 41, 43}
+    with pytest.raises(GoodReductionAt, match=r"\(bad set \[2, 13, 41, 43\]\)$"):
+        CurveRecord(curve=(17, 11), rank=0, tamagawa_overrides={13 * 41: 1})
 
 
 def test_rank_zero_scan_conclusions():
@@ -57,7 +69,7 @@ def test_rank_zero_scan_conclusions():
 
 def test_anomalous_prime_is_inconclusive():
     rec = CurveRecord(curve=(3, 0), rank=0, sha_order=1)
-    one = _scan_one(rec, 5, False)
+    one = scan_at(rec, 5)
     assert one.conclusion is Conclusion.INCONCLUSIVE
     assert one.reason == "anomalous" and one.in_sigma is True
 
@@ -84,7 +96,7 @@ def test_inconclusive_set_is_exactly_the_anomalous_set():
 
 def test_missing_sha_blocks_conclusion():
     rec = CurveRecord(curve=(-1, 0), rank=0)
-    one = _scan_one(rec, 5, False)
+    one = scan_at(rec, 5)
     assert one.conclusion is Conclusion.INCONCLUSIVE
     assert one.reason == "MissingSha"
     with pytest.raises(MissingSha):
@@ -99,19 +111,19 @@ def test_rank_one_decision_tree():
         regulator_valuations={5: 0, 7: 1},
         label="rank1",
     )
-    one = _scan_one(rec, 5, False)
+    one = scan_at(rec, 5)
     assert one.conclusion is Conclusion.CHAR_ELEMENT_IS_TR
     assert one.conditional is False and one.in_pi is False
     assert (one.mu, one.lam, one.chi_valuation) == (0, 1, 0)
     # p divides the regulator excess: refuse
-    one = _scan_one(rec, 7, False)
+    one = scan_at(rec, 7)
     assert one.conclusion is Conclusion.INCONCLUSIVE and one.in_pi is True
     # no regulator data at all: refuse with a different reason
-    one = _scan_one(rec, 11, False)
+    one = scan_at(rec, 11)
     assert one.conclusion is Conclusion.INCONCLUSIVE
     assert one.reason == "missing regulator-excess valuation"
     # bad prime short-circuits
-    one = _scan_one(rec, 23, False)
+    one = scan_at(rec, 23)
     assert one.conclusion is Conclusion.BAD_PRIME
 
 
@@ -119,7 +131,7 @@ def test_supersingular_rank_one_is_conditional():
     rec = CurveRecord(
         curve=(-1, 1), rank=1, sha_order=1, regulator_valuations={59: 0}
     )
-    one = _scan_one(rec, 59, False)
+    one = scan_at(rec, 59)
     assert one.reduction_class is ReductionClass.GOOD_SUPERSINGULAR
     assert one.conclusion is Conclusion.CHAR_ELEMENT_IS_TR
     assert one.conditional is True
@@ -135,27 +147,27 @@ def test_sigma_prime_membership():
     tam5 = CurveRecord(curve=(28, -86), rank=0, sha_order=1)
     assert sigma_prime_membership(tam5, 5) is True
     assert sigma_prime_membership(tam5, 11) is False
-    assert _scan_one(tam5, 11, False).conclusion is Conclusion.SELMER_TRIVIAL
+    assert scan_at(tam5, 11).conclusion is Conclusion.SELMER_TRIVIAL
 
 
 def test_divisor_hit_is_inconclusive():
     sha5 = CurveRecord(curve=(-1, 0), rank=0, sha_order=5)
-    one = _scan_one(sha5, 5, False)
+    one = scan_at(sha5, 5)
     assert one.conclusion is Conclusion.INCONCLUSIVE
     assert one.in_sigma_prime is True and one.in_upsilon is True
     # at other primes the record is clean
-    assert _scan_one(sha5, 13, False).conclusion is Conclusion.SELMER_TRIVIAL
+    assert scan_at(sha5, 13).conclusion is Conclusion.SELMER_TRIVIAL
 
 
 def test_unknown_local_data_propagates():
     # v_2(Delta) = 10 for (5, 6): the 5-part of c_2 cannot be certified away
     rec = CurveRecord(curve=(5, 6), rank=0, sha_order=1)
     with pytest.raises(UnknownLocalData):
-        _scan_one(rec, 5, False)
+        scan_at(rec, 5)
     fixed = CurveRecord(curve=(5, 6), rank=0, sha_order=1, tamagawa_overrides={2: 1})
-    assert _scan_one(fixed, 5, False).conclusion is not Conclusion.BAD_PRIME
+    assert scan_at(fixed, 5).conclusion is not Conclusion.BAD_PRIME
     # or let the local algorithm run at 2
-    assert _scan_one(rec, 5, True).conclusion is _scan_one(fixed, 5, False).conclusion
+    assert scan_at(rec, 5, True).conclusion is scan_at(fixed, 5).conclusion
 
 
 def test_result_invariant_asserts():
@@ -205,6 +217,13 @@ def test_scan_factors_disc0_at_most_once(monkeypatch):
     results = scan_primes(rec, 500)
     assert len(results) == 93
     assert len(calls) <= 1
+    # validating an override at parse time does not factor disc0: the scan's
+    # Tamagawa table is the one factorization per curve
+    calls.clear()
+    rec = CurveRecord((17, 11), rank=0, sha_order=1, tamagawa_overrides={2: 2, 13: 1})
+    assert calls == []
+    scan_primes(rec, 100)
+    assert len(calls) == 1
 
 
 def test_input_checks_survive_python_O(tmp_path):

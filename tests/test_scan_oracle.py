@@ -6,10 +6,14 @@ once per record and the twelve result branches became one ordered gate list.
 They are kept verbatim (the point-count cache argument dropped) as the
 oracle: on seeded records and every prime from 5 to 200, with and without
 the local algorithm at 2 and 3, the scan must give equal results or raise
-the same exception type.
+the same exception type. The oracle classifies each prime with
+classify_reduction (one count_points call); the scan reads every a_p of a
+record from one batched pass, checked both one prime at a time and over
+the whole range at once.
 """
 
 import dataclasses
+import json
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +23,7 @@ import pytest
 from iwastat.charpoly import CharPoly, is_trivial_shape
 from iwastat.curves import CurveQ, ReductionClass, classify_reduction, is_minimal_pair
 from iwastat.errors import MissingSha, UnknownLocalData
+from iwastat.io import scan_entry_text, scan_json_text, scan_result_dict
 from iwastat.local_data import (
     _p_part_certifiably_trivial,
     bad_primes,
@@ -26,7 +31,7 @@ from iwastat.local_data import (
     local_reduction_raw,
 )
 from iwastat.primes import prime_range, valuation
-from iwastat.prime_scan import Conclusion, CurveRecord, Reason, _scan_one
+from iwastat.prime_scan import Conclusion, CurveRecord, Reason, scan_primes
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,12 @@ def old_scan_one(record, p, allow_23):
 PRIMES = prime_range(5, 201)
 
 
+def scan_one(record, p, allow_23):
+    """The scan's result at the one prime p."""
+    (res,) = scan_primes(record, p, p_min=p, allow_23=allow_23)
+    return res
+
+
 def seeded_records(seed, n):
     """n records with small coefficients, a share of them CM (A = 0 or
     B = 0, so that supersingular primes are common), Sha orders with small
@@ -227,16 +238,20 @@ def seeded_records(seed, n):
     return records
 
 
+def as_row(res):
+    """The result as (conclusion, reason string, every other field)."""
+    row = dataclasses.asdict(res)
+    row["reason"] = str(getattr(res.reason, "value", res.reason))
+    return row
+
+
 def outcome(scan, record, p, allow_23):
-    """The result as (conclusion, reason string, every other field), or the
-    type of the exception the scan raised."""
+    """as_row of the result, or the type of the exception the scan raised."""
     try:
         res = scan(record, p, allow_23)
     except Exception as e:
         return type(e)
-    row = dataclasses.asdict(res)
-    row["reason"] = str(getattr(res.reason, "value", res.reason))
-    return row
+    return as_row(res)
 
 
 @pytest.mark.parametrize("allow_23", [False, True])
@@ -246,7 +261,7 @@ def test_gate_list_matches_the_old_branches(allow_23):
     for record in seeded_records(20240501, 120):
         for p in PRIMES:
             want = outcome(old_scan_one, record, p, allow_23)
-            got = outcome(_scan_one, record, p, allow_23)
+            got = outcome(scan_one, record, p, allow_23)
             assert got == want, (record, p, allow_23)
             if isinstance(want, dict):
                 pairs.add((want["conclusion"], want["reason"]))
@@ -266,3 +281,33 @@ def test_gate_list_matches_the_old_branches(allow_23):
     }
     # without the local algorithm some 2-adic Tamagawa parts stay uncertified
     assert (raised > 0) is not allow_23
+
+
+@pytest.mark.parametrize("allow_23", [False, True])
+def test_whole_range_scan_matches_the_old_branches(allow_23):
+    # one batched pass over every prime: the results of the old per-prime
+    # scan, or the exception type of the first prime at which it raised
+    for record in seeded_records(20240502, 60):
+        want = []
+        for p in PRIMES:
+            one = outcome(old_scan_one, record, p, allow_23)
+            want.append(one)
+            if not isinstance(one, dict):
+                want = one
+                break
+        try:
+            got = [as_row(res) for res in scan_primes(record, PRIMES[-1], allow_23=allow_23)]
+        except Exception as e:
+            got = type(e)
+        assert got == want, (record, allow_23)
+
+
+def test_scan_json_writer_matches_json_dumps():
+    # the fixed-schema writer against the indent encoder, byte for byte
+    records = seeded_records(20240501, 120)
+    scans = [(f"r{i}", scan_primes(rec, PRIMES[-1], allow_23=True))
+             for i, rec in enumerate(records)]
+    payload = [{"label": label, "results": [scan_result_dict(r) for r in results]}
+               for label, results in scans]
+    want = json.dumps(payload, indent=2, sort_keys=True)
+    assert scan_json_text([scan_entry_text(label, results) for label, results in scans]) == want

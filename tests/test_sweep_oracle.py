@@ -26,7 +26,7 @@ from iwastat.enumeration import (
     count_Ip,
     empirical_densities,
 )
-from iwastat.errors import InvalidPrime
+from iwastat.errors import InvalidPrime, InvalidSetting
 from iwastat.parallel import default_workers
 from iwastat.primes import isqrt, legendre, primes_up_to
 
@@ -236,7 +236,7 @@ def test_default_workers_reads_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("IWASTAT_THREADS", "3")
     assert default_workers() == 3
     monkeypatch.setenv("IWASTAT_THREADS", "two")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting, match=r"^invalid literal for int\(\) with base 10: 'two'$"):
         default_workers()
     assert cli.main(["enumerate", "--height", "100", "--prime", "5"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Commands: scan, enumerate, bounds, dp, invariants, ip-count. Exit codes:
-0 success, 1 input error (bad flags, bad files, bad math inputs), 2
-internal error (assertion failures and other bugs). IWASTAT_THREADS sets
-the default worker count; --workers wins when given.
+0 success, 1 input error (bad flags, files, math inputs), 2 internal error
+(any other exception is a bug). IWASTAT_THREADS sets the default worker
+count; --workers wins when given.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import sys
 from .charpoly import CharPoly, iwasawa_invariants, truncated_chi_valuation, vanishing_order
 from .curves import DpMode, d_of_p
 from .enumeration import bound_dp3, bound_dp2, count_Ip, empirical_densities, sadek_bounds
-from .errors import IwastatError
+from .errors import IwastatError, ParseError
 # perfbench/tracing.py times scan_result_dict by rebinding it at this module,
 # so the name stays importable here
 from .io import (  # noqa: F401
@@ -90,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scan_record(rec, max_prime, allow_23):
     """(exit code, text) for one record: 0 and its JSON entry, 1 and a
-    message when a typed error stops its scan, or 2 and a message when an
-    internal check fails, so that one record does not sink the batch."""
+    message when a typed error stops its scan, or 2 and a message when a
+    bug does, so that one record does not sink the batch."""
     try:
         results = scan_primes(rec, max_prime, allow_23=allow_23)
     except IwastatError as e:
         return 1, f"record {rec.label}: {e}"
-    except AssertionError as e:
+    except Exception as e:
         return 2, f"internal error in record {rec.label}: {e}"
     return 0, scan_entry_text(rec.label, results)
 
@@ -157,7 +157,10 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    coeffs = [int(tok) for tok in args.poly.split(",")]
+    try:
+        coeffs = [int(tok) for tok in args.poly.split(",")]
+    except ValueError:
+        raise ParseError(f"--poly {args.poly!r} is not a comma-separated integer list") from None
     f = CharPoly(args.prime, coeffs)
     mu, lam = iwasawa_invariants(f)
     print(f"mu = {mu}")
@@ -196,10 +199,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (IwastatError, FileNotFoundError, ValueError) as e:
+    except (IwastatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except AssertionError as e:
+    except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
 

@@ -46,6 +46,7 @@ from .errors import (
     BadReductionAt,
     InvalidPrime,
     NonMinimalModel,
+    OutOfRange,
     SingularCurve,
 )
 from .primes import is_prime, iroot, isqrt, legendre, primes_up_to, valuation
@@ -320,7 +321,7 @@ def _coerce_mode(mode) -> DpMode:
     try:
         return alias[str(mode)]
     except KeyError:
-        raise ValueError(f"unknown census mode {mode!r}") from None
+        raise OutOfRange(f"unknown census mode {mode!r}") from None
 
 
 def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:

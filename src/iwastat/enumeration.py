@@ -210,7 +210,7 @@ def lifting_count_bruteforce(l: int, p: int, exclusion: str = "componentwise") -
     count is the oracle for lifting_count.
     """
     if exclusion not in ("componentwise", "pair"):
-        raise ValueError(f"exclusion must be 'componentwise' or 'pair', got {exclusion!r}")
+        raise OutOfRange(f"exclusion must be 'componentwise' or 'pair', got {exclusion!r}")
     modulus = l ** (p + 1)
     if modulus * modulus > 2 ** 32:
         raise TooLarge(f"l^(2(p+1)) = {modulus * modulus} exceeds the 2^32 guard")

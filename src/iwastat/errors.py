@@ -52,9 +52,9 @@ class TooLarge(IwastatError):
     """The requested exhaustive computation exceeds the allowed budget."""
 
 
-class OutOfRange(IwastatError):
-    """A numeric argument lies outside the range the operation is defined on
-    (a height below 1, a negative count, a non-positive tolerance)."""
+class OutOfRange(IwastatError, ValueError):
+    """An argument lies outside the values the operation is defined on (a
+    height below 1, a negative count or valuation, an unknown census mode)."""
 
 
 class InvalidSetting(IwastatError):
@@ -63,7 +63,7 @@ class InvalidSetting(IwastatError):
 
 
 class ParseError(IwastatError):
-    """A CSV row could not be converted into a record."""
+    """Text input (a CSV file or row, a coefficient list) could not be parsed."""
 
 
 class HeaderMismatch(IwastatError):

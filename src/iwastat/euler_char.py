@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import MissingRegulator, NegativeValuationWarning, TorsionClampWarning
+from .errors import MissingRegulator, NegativeValuationWarning, OutOfRange, TorsionClampWarning
 
 __all__ = [
     "ChiInputs",
@@ -43,9 +43,9 @@ class ChiInputs:
         for name in ("v_sha", "v_tam", "v_red", "v_tors"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+                raise OutOfRange(f"{name} must be a nonnegative integer, got {v!r}")
         if self.v_reg_excess is not None and not isinstance(self.v_reg_excess, int):
-            raise ValueError("v_reg_excess must be an integer when present")
+            raise OutOfRange("v_reg_excess must be an integer when present")
 
 
 class GVariant(str, Enum):

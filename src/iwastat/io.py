@@ -10,7 +10,7 @@ malformed rows are rejected with a per-row error, never silently fixed.
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -21,7 +21,6 @@ from .errors import HeaderMismatch, IwastatError, ParseError, UnknownColumnWarni
 from .prime_scan import CurveRecord, PrimeScanResult
 
 __all__ = [
-    "IngestRow",
     "REQUIRED_COLUMNS",
     "KNOWN_COLUMNS",
     "parse_records",
@@ -40,19 +39,6 @@ KNOWN_COLUMNS = REQUIRED_COLUMNS + [
 ]
 
 
-@dataclass(frozen=True)
-class IngestRow:
-    label: str
-    a: int
-    b: int
-    rank: int
-    sha_order: Optional[int] = None
-    torsion_order: Optional[int] = None
-    tamagawa_2: Optional[int] = None
-    tamagawa_3: Optional[int] = None
-    reg_excess: Optional[Dict[int, int]] = None
-
-
 def _parse_int(raw: str, col: str) -> int:
     raw = raw.strip()
     try:
@@ -68,10 +54,8 @@ def _parse_opt_int(raw: Optional[str], col: str) -> Optional[int]:
 
 
 def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
-    if raw is None or raw.strip() == "":
-        return None
     out = {}
-    for part in raw.split(";"):
+    for part in (raw or "").split(";"):
         part = part.strip()
         if not part:
             continue
@@ -82,56 +66,49 @@ def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
     return out or None
 
 
-def _row_to_record(row: IngestRow) -> CurveRecord:
-    overrides = {}
-    if row.tamagawa_2 is not None:
-        overrides[2] = row.tamagawa_2
-    if row.tamagawa_3 is not None:
-        overrides[3] = row.tamagawa_3
-    return CurveRecord(
-        curve=CurveQ(row.a, row.b),
-        rank=row.rank,
-        sha_order=row.sha_order,
-        torsion_order=row.torsion_order if row.torsion_order is not None else 1,
-        tamagawa_overrides=overrides,
-        regulator_valuations=row.reg_excess,
-        label=row.label,
-    )
-
-
 def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
     """Read the ingest CSV. Returns (records, errors); errors carry
-    (1-based line number, message) and leave the other rows intact."""
+    (1-based line number, message) and leave the other rows intact.
+    A file that is not UTF-8 text raises ParseError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise HeaderMismatch("empty file, header row required")
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise HeaderMismatch(f"missing required columns: {missing}")
-        unknown = [c for c in header if c not in KNOWN_COLUMNS]
-        if unknown:
-            warnings.warn(f"ignoring unknown columns: {unknown}", UnknownColumnWarning)
+        try:
+            return _parse_rows(csv.DictReader(fh))
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text: {e}") from None
 
-        records, errors = [], []
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                row = IngestRow(
-                    label=(raw.get("label") or "").strip(),
-                    a=_parse_int(raw.get("a") or "", "a"),
-                    b=_parse_int(raw.get("b") or "", "b"),
-                    rank=_parse_int(raw.get("rank") or "", "rank"),
-                    sha_order=_parse_opt_int(raw.get("sha_order"), "sha_order"),
-                    torsion_order=_parse_opt_int(raw.get("torsion_order"), "torsion_order"),
-                    tamagawa_2=_parse_opt_int(raw.get("tamagawa_2"), "tamagawa_2"),
-                    tamagawa_3=_parse_opt_int(raw.get("tamagawa_3"), "tamagawa_3"),
-                    reg_excess=_parse_reg_excess(raw.get("reg_excess")),
-                )
-                records.append(_row_to_record(row))
-            except (IwastatError, ValueError) as e:
-                errors.append((lineno, str(e) or type(e).__name__))
-        return records, errors
+
+def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
+    header = reader.fieldnames
+    if header is None:
+        raise HeaderMismatch("empty file, header row required")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise HeaderMismatch(f"missing required columns: {missing}")
+    unknown = [c for c in header if c not in KNOWN_COLUMNS]
+    if unknown:
+        warnings.warn(f"ignoring unknown columns: {unknown}", UnknownColumnWarning)
+
+    records, errors = [], []
+    for lineno, raw in enumerate(reader, start=2):
+        try:
+            # every column is parsed, in schema order, before the curve is
+            # built, so the message names a row's first malformed column
+            a, b, rank = (_parse_int(raw.get(c) or "", c) for c in ("a", "b", "rank"))
+            sha, torsion, tam2, tam3 = (_parse_opt_int(raw.get(c), c) for c in (
+                "sha_order", "torsion_order", "tamagawa_2", "tamagawa_3"))
+            reg = _parse_reg_excess(raw.get("reg_excess"))
+            records.append(CurveRecord(
+                curve=CurveQ(a, b),
+                rank=rank,
+                sha_order=sha,
+                torsion_order=1 if torsion is None else torsion,
+                tamagawa_overrides={l: c for l, c in ((2, tam2), (3, tam3)) if c is not None},
+                regulator_valuations=reg,
+                label=(raw.get("label") or "").strip(),
+            ))
+        except IwastatError as e:
+            errors.append((lineno, str(e) or type(e).__name__))
+    return records, errors
 
 
 def write_records(records: List[CurveRecord], path) -> None:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .curves import CurveQ
-from .errors import GoodReductionAt, InvalidPrime, SingularCurve, UnknownLocalData
-from .primes import factorize, legendre, sqrt_mod, valuation
+from .errors import GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, UnknownLocalData
+from .primes import factorize, is_prime, legendre, sqrt_mod, valuation
 
 __all__ = [
     "KodairaSymbol",
@@ -258,8 +258,10 @@ def local_reduction_raw(A, B, l, max_rounds=64):
     rescaling by l whenever the model is non-minimal at l, so the input
     pair need not be minimal. Returns KodairaData (symbol I0 with c = 1
     if the curve turns out to have good reduction at l on the minimal
-    model).
+    model). A non-prime l raises InvalidPrime.
     """
+    if not is_prime(l):
+        raise InvalidPrime(f"l must be prime, got {l}")
     if 4 * A**3 + 27 * B * B == 0:
         raise SingularCurve(f"disc0 vanishes for ({A}, {B})")
     a = (0, 0, 0, A, B)
@@ -378,16 +380,16 @@ def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
     l-minimal, so one pass settles it). l in {2, 3} runs the full local
     algorithm only when allow_23 is set; the default path expects callers
     to supply ingested Tamagawa overrides instead and raises
-    UnknownLocalData.
+    UnknownLocalData. A non-prime l raises InvalidPrime.
     """
     if not isinstance(curve, CurveQ):
         curve = CurveQ(*curve)
+    if not is_prime(l):
+        raise InvalidPrime(f"l must be prime, got {l}")
     if l >= 5:
         if curve.disc0 % l:
             raise GoodReductionAt(f"curve has good reduction at {l}")
         return _kodaira_l_ge_5(curve.A, curve.B, l)
-    if l not in (2, 3):
-        raise ValueError(f"l must be prime, got {l}")
     if not allow_23:
         raise UnknownLocalData(
             f"local data at l={l} needs allow_23=True (full local algorithm) "
@@ -408,26 +410,43 @@ def _p_part_certifiably_trivial(v_delta, p):
 
 @lru_cache(maxsize=256)
 def _tamagawa_table(curve, overrides, allow_23):
-    """((l, c_l, v_l(Delta)), ...) over the bad primes l of curve, ascending.
+    """(product of the known c_l, ((l, v_l(Delta)), ...) for the other bad l).
 
-    c_l comes from the override items (a sorted tuple), from the closed
-    table at l >= 5, or from the full local algorithm at l in {2, 3} when
-    allow_23 is set. Where none of these applies c_l is None and v_l(Delta)
-    is given for the divisibility certificate; otherwise v_l(Delta) is None.
-    A scan asks for every prime p, so this is worked out once per record.
+    c_l is known from the override items (a sorted tuple) or from
+    kodaira_tamagawa: at l >= 5 always, at l in {2, 3} when allow_23 is set.
+    The other l, ascending, carry v_l(Delta) for the certificate.
     """
     given = dict(overrides)
-    table = []
+    product, uncertified = 1, []
     for l in sorted(bad_primes(curve)):
         if l in given:
-            table.append((l, given[l], None))
-        elif l >= 5:
-            table.append((l, kodaira_tamagawa(curve, l).tamagawa, None))
-        elif allow_23:
-            table.append((l, local_reduction_raw(curve.A, curve.B, l).tamagawa, None))
+            product *= given[l]
+        elif l >= 5 or allow_23:
+            product *= kodaira_tamagawa(curve, l, allow_23).tamagawa
         else:
-            table.append((l, None, valuation(curve.discriminant, l)))
-    return tuple(table)
+            uncertified.append((l, valuation(curve.discriminant, l)))
+    return product, tuple(uncertified)
+
+
+def _p_parts(curve, overrides, allow_23):
+    """p -> tau_p (p >= 5) for one curve and override dict; the Tamagawa
+    table is worked out once, at the first call."""
+    table = None
+
+    def tau_p(p):
+        nonlocal table
+        if table is None:
+            table = _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23)
+        product, uncertified = table
+        for l, v_delta in uncertified:
+            if not _p_part_certifiably_trivial(v_delta, p):
+                raise UnknownLocalData(
+                    f"cannot certify the {p}-part of c_{l}; supply an override "
+                    f"or pass allow_23=True"
+                )
+        return p ** valuation(product, p)
+
+    return tau_p
 
 
 def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
@@ -438,7 +457,8 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     computation; they are the default source at l in {2, 3}. Without an
     override or allow_23 at those primes, a divisibility certificate on
     v_l(Delta) is tried before giving up with UnknownLocalData. Entries in
-    overrides at good primes are ignored. p < 5 raises InvalidPrime.
+    overrides at good primes are ignored. p < 5 raises InvalidPrime and an
+    override below 1 raises OutOfRange.
     """
     if p < 5:
         raise InvalidPrime(f"tau_p is defined for p >= 5 here, got {p}")
@@ -447,18 +467,7 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
         curve = CurveQ(*curve)
     if overrides is None:
         overrides = getattr(record_or_curve, "tamagawa_overrides", None) or {}
-    return _p_part(_tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23), p)
-
-
-def _p_part(table, p) -> int:
-    """tau_p read off a _tamagawa_table, for p >= 5."""
-    tau = 1
-    for l, c, v_delta in table:
-        if c is not None:
-            tau *= p ** valuation(c, p)
-        elif not _p_part_certifiably_trivial(v_delta, p):
-            raise UnknownLocalData(
-                f"cannot certify the {p}-part of c_{l}; supply an override "
-                f"or pass allow_23=True"
-            )
-    return tau
+    for l, c in overrides.items():
+        if c < 1:
+            raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
+    return _p_parts(curve, overrides, allow_23)(p)

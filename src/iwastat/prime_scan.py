@@ -33,7 +33,7 @@ from .charpoly import is_trivial_shape  # noqa: F401
 from .curves import classify_reduction  # noqa: F401
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
-from .local_data import _p_part, _tamagawa_table, bad_primes, tamagawa_p_part
+from .local_data import _p_parts, bad_primes, tamagawa_p_part
 from .primes import is_prime, prime_range
 
 __all__ = [
@@ -129,36 +129,30 @@ class PrimeScanResult:
             assert self.mu == 0 and self.lam >= 0
 
 
+def _divisor_hit(record: CurveRecord, p: int, tau_p) -> Optional[bool]:
+    """p | Sha or p | tau_p(p), None without a Sha order; tau_p is asked
+    only where p does not divide the Sha order."""
+    sha = record.sha_order
+    return None if sha is None else (sha % p == 0 or tau_p(p) > 1)
+
+
 def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) -> bool:
     """p = 2, or p divides the Sha order, or p divides the Tamagawa product."""
     if p == 2:
         return True
-    if record.sha_order is None:
+    hit = _divisor_hit(record, p, lambda q: tamagawa_p_part(record, q, allow_23=allow_23))
+    if hit is None:
         raise MissingSha(f"Sha order needed to decide membership at p={p}")
-    if record.sha_order % p == 0:
-        return True
-    return tamagawa_p_part(record, p, allow_23=allow_23) > 1
+    return hit
 
 
-def _decide(record: CurveRecord, p: int, a_p: int,
-            divisor_hit: Optional[bool]) -> PrimeScanResult:
-    """The result at a good prime p >= 5 with trace a_p; divisor_hit is
-    sigma_prime_membership, or None when the Sha order is missing."""
-    # Hasse puts |a_p| < p, so p | a_p (supersingular) means a_p = 0, and
-    # p | N_p = p + 1 - a_p (anomalous) means a_p = 1 mod p
-    ordinary = a_p != 0
-    anomalous = (a_p - 1) % p == 0
-    in_pi = None
-    if record.regulator_valuations is not None and p in record.regulator_valuations:
-        in_pi = record.regulator_valuations[p] != 0
-    flags = dict(
-        p=p,
-        reduction_class=(ReductionClass.GOOD_ORDINARY if ordinary
-                         else ReductionClass.GOOD_SUPERSINGULAR),
-        in_sigma=anomalous, in_sigma_prime=divisor_hit, in_upsilon=divisor_hit,
-        in_pi=in_pi,
-    )
-
+@lru_cache(maxsize=256)
+def _verdict(rank: int, ordinary: bool, anomalous: bool,
+             divisor_hit: Optional[bool], in_pi: Optional[bool]) -> tuple:
+    """Every field of the PrimeScanResult but p at a good prime p >= 5; a
+    scan meets only a few dozen distinct keys."""
+    flags = (ReductionClass.GOOD_ORDINARY if ordinary else ReductionClass.GOOD_SUPERSINGULAR,
+             anomalous, divisor_hit, divisor_hit, in_pi)
     # the hypotheses in the order they are checked; the first that fails
     # names the reason. Supersingular primes are never anomalous for p >= 5.
     gates = [
@@ -166,27 +160,28 @@ def _decide(record: CurveRecord, p: int, a_p: int,
         (divisor_hit is None, Reason.MISSING_SHA),
         (divisor_hit, Reason.SHA_OR_TAMAGAWA),
     ]
-    if record.rank >= 1:
+    if rank >= 1:
         gates += [
             (in_pi is None, Reason.MISSING_REGULATOR),
             (in_pi, Reason.REGULATOR_DIVIDES),
         ]
     for failed, reason in gates:
         if failed:
-            return PrimeScanResult(**flags, conclusion=Conclusion.INCONCLUSIVE, reason=reason)
+            return flags + (Conclusion.INCONCLUSIVE, False, reason, None, None, None)
 
-    if record.rank >= 1:
+    if rank >= 1:
         conclusion = Conclusion.CHAR_ELEMENT_IS_TR
     elif ordinary:
         conclusion = Conclusion.SELMER_TRIVIAL
     else:
         conclusion = Conclusion.SIGNED_SELMER_TRIVIAL
-    conditional = record.rank >= 1 and not ordinary
-    return PrimeScanResult(
-        **flags, conclusion=conclusion, conditional=conditional,
-        reason=Reason.CONDITIONAL if conditional else Reason.NONE,
-        mu=0, lam=record.rank, chi_valuation=0,
-    )
+    conditional = rank >= 1 and not ordinary
+    return flags + (conclusion, conditional,
+                    Reason.CONDITIONAL if conditional else Reason.NONE, 0, rank, 0)
+
+
+_BAD_PRIME = (ReductionClass.BAD, False, None, None, None,
+              Conclusion.BAD_PRIME, False, Reason.BAD_PRIME, None, None, None)
 
 
 @lru_cache(maxsize=64)
@@ -202,34 +197,28 @@ def scan_primes(
 ) -> List[PrimeScanResult]:
     """Classify every prime in [p_min, p_max] for the record, ordered by p.
 
-    Every a_p comes from one frobenius_traces pass and the record's
-    Tamagawa table is read once, at the first prime that needs it: where
-    the Sha order is missing or divisible by p, as in
-    sigma_prime_membership, it is not consulted.
+    Every a_p comes from one frobenius_traces pass, the record's Tamagawa
+    table is read once, at the first prime that needs it (not where the Sha
+    order is missing or divisible by p), and each distinct verdict is
+    decided once.
     """
     if p_min < 5:
         raise InvalidPrime(
             f"scans start at 5, got p_min={p_min}; local data at 2 and 3 is override-fed"
         )
     primes = _scan_range(p_min, p_max)
-    curve, sha = record.curve, record.sha_order
-    table = None
+    curve, rank = record.curve, record.rank
+    tau_p = _p_parts(curve, record.tamagawa_overrides, allow_23)
+    in_pi = {p: v != 0 for p, v in (record.regulator_valuations or {}).items()}
     results = []
     for p, a_p in zip(primes, frobenius_traces(curve.A, curve.B, primes)):
         if curve.disc0 % p == 0:
-            results.append(PrimeScanResult(
-                p, ReductionClass.BAD, False, None, None, None,
-                Conclusion.BAD_PRIME, reason=Reason.BAD_PRIME,
-            ))
+            results.append(PrimeScanResult(p, *_BAD_PRIME))
             continue
-        if sha is None:
-            divisor_hit = None
-        elif sha % p == 0:
-            divisor_hit = True
-        else:
-            if table is None:
-                overrides = tuple(sorted(record.tamagawa_overrides.items()))
-                table = _tamagawa_table(curve, overrides, allow_23)
-            divisor_hit = _p_part(table, p) > 1
-        results.append(_decide(record, p, a_p, divisor_hit))
+        # Hasse puts |a_p| < p, so p | a_p (supersingular) means a_p = 0,
+        # and p | N_p = p + 1 - a_p (anomalous) means a_p = 1 mod p
+        results.append(PrimeScanResult(p, *_verdict(
+            rank, a_p != 0, (a_p - 1) % p == 0,
+            _divisor_hit(record, p, tau_p), in_pi.get(p),
+        )))
     return results

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 
+from .errors import InvalidPrime
+
 __all__ = [
     "is_prime", "primes_up_to", "prime_range", "next_prime",
     "factorize", "valuation", "isqrt", "icbrt", "iroot",
@@ -151,7 +153,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """v_p(n) for n != 0.  Raises for n == 0 (the valuation is infinite)."""
+    """v_p(n) for n != 0 and p >= 2.  Raises for n == 0 (the valuation is infinite)."""
+    if p < 2:
+        raise InvalidPrime(f"valuations need a base p >= 2, got {p}")
     if n == 0:
         raise ValueError("v_p(0) is infinite")
     n = abs(n)

@@ -118,6 +118,40 @@ def test_bad_census_input_exits_1(capsys, argv):
     assert err.startswith("error: ") and err.strip() != "error:"
 
 
+def test_invariants_bad_poly_is_an_input_error(capsys):
+    code, out, err = run(capsys, "invariants", "--poly", "1,x", "--prime", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: --poly '1,x' is not a comma-separated integer list\n"
+
+
+def test_scan_non_utf8_csv_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "recs.csv"
+    path.write_bytes(HEADER.encode() + b"\n\xff,-1,0,0,1,,,,\n")
+    code, out, err = run(capsys, "scan", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_os_errors_exit_1(capsys, tmp_path):
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\na,-1,0,0,1,4,,,\n")
+    for argv in (["scan", str(tmp_path)], ["scan", str(path), "--out", str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError, KeyError])
+def test_other_exceptions_map_to_exit_2(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "dp", boom)
+    code, out, err = run(capsys, "dp", "--prime", "5")
+    assert (code, out) == (2, "")
+    assert err == f"internal error: {exc('boom')}\n"
+
+
 def test_assertion_maps_to_exit_2(capsys, monkeypatch):
     def boom(args):
         raise AssertionError("sandwich violated")
@@ -207,6 +241,25 @@ def test_scan_internal_error_does_not_hide_other_records(capsys, tmp_path, monke
     assert code == 2
     assert err == "internal error in record b: invariant broken\n"
     assert json.loads(out) == json.loads(want) + json.loads(want_c)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_record_bug_does_not_hide_other_records(capsys, tmp_path, monkeypatch, workers):
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,\nc,3,0,0,1,,,,\n")
+    code, want, _ = run(capsys, "scan", str(path), "--max-prime", "30")
+    real = cli.scan_primes
+
+    def scan(rec, *args, **kwargs):
+        if rec.label == "b":
+            return real(rec, *args, **kwargs) + None
+        return real(rec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_primes", scan)
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "30", "--workers", workers)
+    assert code == 2
+    assert err.startswith("internal error in record b: can only concatenate list")
+    assert json.loads(out) == [r for r in json.loads(want) if r["label"] != "b"]
 
 
 def test_scan_out_file_matches_stdout(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from iwastat.curves import classify_reduction, disc0_of, is_minimal_pair
+from iwastat.curves import classify_reduction, d_of_p, disc0_of, is_minimal_pair
 from iwastat.enumeration import (
     DensityReport,
     bound_dp2,
@@ -206,6 +206,13 @@ def test_input_errors_are_typed():
         bound_dp2(5, tol=0)
     with pytest.raises(OutOfRange):
         bound_dp3(5, -1)
+
+
+def test_unknown_choices_are_typed():
+    with pytest.raises(OutOfRange, match="^unknown census mode 'nope'$"):
+        d_of_p(5, "nope")
+    with pytest.raises(OutOfRange, match="^exclusion must be"):
+        lifting_count_bruteforce(5, 2, exclusion="neither")
 
 
 def test_zeta10_value():

@@ -4,6 +4,7 @@ import pytest
 
 from iwastat.errors import (
     MissingRegulator,
+    OutOfRange,
     NegativeValuationWarning,
     TorsionClampWarning,
 )
@@ -24,6 +25,12 @@ def test_inputs_validation():
     with pytest.raises(ValueError):
         ChiInputs(v_reg_excess=1.5)
     ChiInputs(v_reg_excess=-1)  # negative excess is representable
+
+
+def test_input_errors_are_typed():
+    for kwargs in ({"v_sha": -1}, {"v_tors": "1"}, {"v_reg_excess": 1.5}):
+        with pytest.raises(OutOfRange):
+            ChiInputs(**kwargs)
 
 
 def test_chi_ordinary_known_values():

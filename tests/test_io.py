@@ -53,6 +53,26 @@ def test_parse_optional_fields(tmp_path):
     assert bare.sha_order is None and bare.torsion_order == 1
 
 
+def test_row_error_names_the_first_malformed_column(tmp_path):
+    # columns are parsed in schema order, and all of them before the curve
+    # is built, so a singular pair with a bad reg_excess is a parse error
+    path = write_csv(
+        tmp_path,
+        "bq,-1,q,0,1,,z,,",
+        "rank,0,0,zero,1,,,,5:x",
+        "sing,0,0,0,1,,,,5:x",
+        "tors,-1,0,0,1,0,,,",
+    )
+    records, errors = parse_records(path)
+    assert records == []
+    assert errors == [
+        (2, "column b: 'q' is not an integer"),
+        (3, "column rank: 'zero' is not an integer"),
+        (4, "column reg_excess value: 'x' is not an integer"),
+        (5, "torsion_order must be positive, got 0"),
+    ]
+
+
 def test_round_trip(tmp_path):
     recs = [
         CurveRecord(curve=(-1, 0), rank=0, sha_order=1, torsion_order=4,

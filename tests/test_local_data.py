@@ -5,6 +5,8 @@ import pytest
 from iwastat.curves import CurveQ, disc0_of, is_minimal_pair
 from iwastat.errors import (
     GoodReductionAt,
+    InvalidPrime,
+    OutOfRange,
     SingularCurve,
     UnknownLocalData,
 )
@@ -186,3 +188,28 @@ def test_tamagawa_p_part_from_table():
     assert tamagawa_p_part((28, -86), 5, overrides={2: 1, 3: 1}) == 5
     # override keys at good primes are ignored
     assert tamagawa_p_part((-1, 0), 5, overrides={7: 5}) == 1
+
+
+def test_tamagawa_p_part_multiplies_the_p_parts():
+    # disc0 = 7^5 * 17^2 for (-17, 425): split I5 at 7, so c_7 = 5; with
+    # c_2 = 5 from an override two bad primes each give a factor 5
+    assert kodaira_tamagawa((-17, 425), 7).display == "I5"
+    assert tamagawa_p_part((-17, 425), 5) == 5
+    assert tamagawa_p_part((-17, 425), 5, overrides={2: 5}) == 25
+    assert tamagawa_p_part((-17, 425), 5, overrides={2: 50}) == 125
+    assert tamagawa_p_part((-17, 425), 7, overrides={2: 5}) == 1
+
+
+def test_local_input_errors_are_typed():
+    # 25 divides disc0 = -3^4 * 5^2 * 53 of (-30, 5), so only a primality
+    # check stops the closed table at l = 25
+    for l in (25, 4, 1, 0, -7):
+        with pytest.raises(InvalidPrime, match=f"^l must be prime, got {l}$"):
+            kodaira_tamagawa((-30, 5), l)
+        with pytest.raises(InvalidPrime, match=f"^l must be prime, got {l}$"):
+            local_reduction_raw(-30, 5, l)
+    for p in (1, 0, -2):
+        with pytest.raises(InvalidPrime):
+            valuation(12, p)
+    with pytest.raises(OutOfRange, match="^Tamagawa override at 2 must be positive, got 0$"):
+        tamagawa_p_part((-1, 0), 5, overrides={2: 0})

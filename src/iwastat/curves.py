@@ -55,13 +55,27 @@ __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
     "legendre", "count_points", "trace_frobenius", "frobenius_traces",
     "classify_reduction",
-    "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
+    "minimal_mask", "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
     "anomalous_residue_table",
 ]
 
 
 def disc0_of(A: int, B: int) -> int:
     return 4 * A**3 + 27 * B**2
+
+
+def minimal_mask(A: int, B, qs, ok=True):
+    """ok with every B dropped that some q in qs makes non-minimal at A:
+    q^4 | A and q^6 | B.
+
+    B is an int or an int64 row and ok a bool or a bool row of the same
+    shape; a row ok is updated in place. qs must hold every prime q with
+    q^4 | A and q^6 | B for some B that ok still admits.
+    """
+    for q in qs:
+        if A % q**4 == 0:
+            ok &= B % q**6 != 0
+    return ok
 
 
 def is_minimal_pair(A: int, B: int) -> bool:
@@ -72,14 +86,7 @@ def is_minimal_pair(A: int, B: int) -> bool:
     """
     if A == 0 and B == 0:
         return False
-    if A == 0:
-        return all(B % q**6 != 0 for q in primes_up_to(iroot(abs(B), 6)))
-    if B == 0:
-        return all(A % q**4 != 0 for q in primes_up_to(iroot(abs(A), 4)))
-    for q in primes_up_to(iroot(abs(A), 4)):
-        if A % q**4 == 0 and B % q**6 == 0:
-            return False
-    return True
+    return minimal_mask(A, B, primes_up_to(iroot(abs(A), 4) if A else iroot(abs(B), 6)))
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,6 @@ def _require_odd_prime(p: int) -> None:
 
 
 def _affine_count(a: int, b: int, p: int) -> int:
-    if p < 64:
-        chi = _chi_table(p)
-        return p + int(sum(int(chi[(x * x * x + a * x + b) % p]) for x in range(p)))
     chi = _chi_table(p)
     x = np.arange(p, dtype=np.int64)
     f = (x * x % p * x + a * x + b) % p

@@ -22,11 +22,12 @@ from .curves import (
     anomalous_residue_table,
     d_of_p,
     is_minimal_pair,
+    minimal_mask,
 )
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from .local_data import _p_part_certifiably_trivial
 from .parallel import default_workers, fan_out
-from .primes import icbrt, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
+from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
 
 __all__ = [
     "DensityReport",
@@ -79,10 +80,10 @@ def brumer_estimate(X: int) -> float:
 # exact enumeration
 
 
-def _minimality_primes(amax: int, bmax: int):
-    q4 = [q for q in primes_up_to(max(int(amax ** 0.25) + 2, 3)) if q ** 4 <= amax]
-    q6 = [q for q in primes_up_to(max(int(bmax ** (1 / 6)) + 2, 3)) if q ** 6 <= bmax]
-    return q4, q6
+def _minimality_primes(amax: int, bmax: int) -> List[int]:
+    """Every prime q that can make a nonsingular pair of the box non-minimal:
+    q^4 <= amax (A != 0) or q^6 <= bmax (A = 0)."""
+    return primes_up_to(max(iroot(amax, 4), iroot(bmax, 6)))
 
 
 def iter_curves(X: int) -> Iterator[Tuple[int, int]]:
@@ -109,18 +110,6 @@ def enumerate_curves(X: int, visitor: Optional[Callable[[int, int], None]] = Non
     return count
 
 
-def _row_ok_mask(A: int, B: np.ndarray, disc: np.ndarray, q4: list, q6: list) -> np.ndarray:
-    ok = disc != 0
-    if A == 0:
-        for q in q6:
-            ok &= (B % q ** 6) != 0
-    else:
-        for q in q4:
-            if A % q ** 4 == 0:
-                ok &= (B % q ** 6) != 0
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # I_p loci and the congruence bounds
 
@@ -133,7 +122,9 @@ def _ip_candidates(p: int, maxdisc: int) -> List[int]:
 def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
     """Exact count of family members with l coprime to A and B and
     v_l(disc0) = p exactly, for a prime l.  For l >= 5 this is the locus
-    forcing fiber type I_p at l; at l in {2, 3} it is empty."""
+    forcing fiber type I_p at l; at l in {2, 3} it is empty. p must be a
+    prime >= 5."""
+    _require_census_prime(p)
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
     counts = _sweep(X, p, ip_primes=[l], want_e2=False, want_e3=False, workers=workers)
@@ -174,8 +165,10 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
 
     Evaluates the main term, lifting_count(l, p) residue classes scaled to
     the box, with both floor corrections; the lower bound may be negative
-    and is returned as-is. At l = 2, 3 both bounds are 0.
+    and is returned as-is. At l = 2, 3 both bounds are 0. p must be a
+    prime >= 5.
     """
+    _require_census_prime(p)
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
     x3, x2 = box_bounds(X)
@@ -354,7 +347,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     B = np.arange(-bmax, bmax + 1, dtype=np.int64)
     Bsq27 = 27 * B * B
     Bmodp = B % p
-    q4, q6 = _minimality_primes(amax, bmax)
+    qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
     e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
     # primes with l^p beyond the largest possible |disc0| can never hit the
@@ -374,7 +367,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes)})
     for A in range(a_lo, a_hi):
         disc = 4 * A ** 3 + Bsq27
-        ok = _row_ok_mask(A, B, disc, q4, q6)
+        ok = minimal_mask(A, B, qs, disc != 0)
         n_ok = int(np.count_nonzero(ok))
         if n_ok == 0:
             continue

@@ -457,11 +457,13 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     computation; they are the default source at l in {2, 3}. Without an
     override or allow_23 at those primes, a divisibility certificate on
     v_l(Delta) is tried before giving up with UnknownLocalData. Entries in
-    overrides at good primes are ignored. p < 5 raises InvalidPrime and an
-    override below 1 raises OutOfRange.
+    overrides at good primes are ignored. p < 5 or a non-prime p raises
+    InvalidPrime and an override below 1 raises OutOfRange.
     """
     if p < 5:
         raise InvalidPrime(f"tau_p is defined for p >= 5 here, got {p}")
+    if not is_prime(p):
+        raise InvalidPrime(f"tau_p needs a prime p, got {p}")
     curve = getattr(record_or_curve, "curve", record_or_curve)
     if not isinstance(curve, CurveQ):
         curve = CurveQ(*curve)

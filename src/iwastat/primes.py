@@ -1,8 +1,9 @@
 """Small integer number theory: primality, sieves, factorization, valuations,
 quadratic characters and modular square roots.
 
-Everything here is exact integer arithmetic.  Factorization follows the
-trial-division-then-rho strategy that is adequate for discriminants of
+Everything here is exact integer arithmetic.  factorize divides out the
+Miller-Rabin witness primes (those up to 41), then splits what is left with
+Brent's variant of Pollard rho, which is adequate for discriminants of
 desk-scale curves (well below 2^80).
 """
 
@@ -14,12 +15,10 @@ import random
 from .errors import InvalidPrime
 
 __all__ = [
-    "is_prime", "primes_up_to", "prime_range", "next_prime",
+    "is_prime", "primes_up_to", "prime_range",
     "factorize", "valuation", "isqrt", "icbrt", "iroot",
     "legendre", "sqrt_mod",
 ]
-
-TRIAL_LIMIT = 10**6
 
 # deterministic Miller-Rabin witness set: the primes up to 41 are enough for
 # n < psi_13 = 3317044064679887385961981 ~ 3.317e24 (OEIS A014233); the
@@ -71,15 +70,8 @@ def prime_range(lo: int, hi: int) -> list[int]:
     return [p for p in primes_up_to(hi - 1) if p >= lo]
 
 
-def next_prime(n: int) -> int:
-    k = n + 1
-    while not is_prime(k):
-        k += 1
-    return k
-
-
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle variant; n must be odd composite, not a prime power issue
+    # Brent's cycle variant; n must be composite (a prime power is fine)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -114,22 +106,10 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("0 has no factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_WITNESSES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # wheel over 30 avoids multiples of 2, 3, 5
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d <= TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += inc[i]
-        i = (i + 1) % 8
-    if n == 1:
-        return out
     rng = random.Random(0xC0FFEE ^ n)
     stack = [n]
     while stack:

@@ -118,6 +118,13 @@ def test_bad_census_input_exits_1(capsys, argv):
     assert err.startswith("error: ") and err.strip() != "error:"
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4", "9"])
+def test_ip_count_non_prime_exponent_exits_1(capsys, p):
+    code, out, err = run(capsys, "ip-count", "--l", "7", "--p", p, "--height", "5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_invariants_bad_poly_is_an_input_error(capsys):
     code, out, err = run(capsys, "invariants", "--poly", "1,x", "--prime", "5")
     assert (code, out) == (1, "")

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iwastat.curves import classify_reduction, d_of_p, disc0_of, is_minimal_pair
+from iwastat.curves import classify_reduction, d_of_p, disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
     DensityReport,
     bound_dp2,
@@ -24,7 +27,7 @@ from iwastat.enumeration import (
 )
 from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
-from iwastat.primes import primes_up_to, valuation
+from iwastat.primes import iroot, primes_up_to, valuation
 
 
 def brute_family(X):
@@ -38,18 +41,49 @@ def brute_family(X):
     out = []
     for A in range(-amax, amax + 1):
         for B in range(-bmax, bmax + 1):
-            if 4 * A**3 + 27 * B * B == 0:
-                continue
-            q = 2
-            minimal = True
-            while q**4 <= max(abs(A), 1) or q**6 <= max(abs(B), 1):
-                if A % q**4 == 0 and B % q**6 == 0:
-                    minimal = False
-                    break
-                q += 1
-            if minimal:
+            if 4 * A**3 + 27 * B * B != 0 and brute_minimal(A, B):
                 out.append((A, B))
     return out
+
+
+def brute_minimal(A, B):
+    # every integer q >= 2, prime or not, up to the bound either coefficient allows
+    q = 2
+    while q**4 <= max(abs(A), 1) or q**6 <= max(abs(B), 1):
+        if A % q**4 == 0 and B % q**6 == 0:
+            return False
+        q += 1
+    return True
+
+
+# A = 0 and multiples of 2^4, 3^4, 5^4; B windows around 0 and multiples of
+# 2^6 and 3^6, where the q^4/q^6 test bites
+MASK_A = st.one_of(
+    st.just(0),
+    st.builds(lambda k, q: k * q, st.integers(-2000, 2000), st.sampled_from([16, 81, 625])),
+    st.integers(-10**6, 10**6),
+)
+MASK_B_CENTRE = st.one_of(
+    st.just(0),
+    st.builds(lambda k, q: k * q, st.integers(-10**4, 10**4), st.sampled_from([64, 729])),
+    st.integers(-10**7, 10**7),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=MASK_A, centre=MASK_B_CENTRE, half=st.integers(0, 100))
+def test_minimal_mask_matches_brute_force(A, centre, half):
+    B = np.arange(centre - half, centre + half + 1, dtype=np.int64)
+    bmax = int(np.abs(B).max())
+    qs = primes_up_to(max(iroot(abs(A), 4), iroot(bmax, 6)))
+    disc = 4 * A**3 + 27 * B * B
+    mask = minimal_mask(A, B, qs, disc != 0)
+    want = [4 * A**3 + 27 * b * b != 0 and brute_minimal(A, b) for b in B.tolist()]
+    assert mask.tolist() == want
+    for b in (B.tolist()[0], centre):
+        if 4 * A**3 + 27 * b * b != 0:
+            assert minimal_mask(A, b, qs) == brute_minimal(A, b)
+            assert is_minimal_pair(A, b) == brute_minimal(A, b)
 
 
 def test_box_bounds():
@@ -136,6 +170,14 @@ def test_count_Ip_values_and_guards():
     assert count_Ip(11, 5, 10**6) == 0
     with pytest.raises(EqualPrimes):
         count_Ip(5, 5, 10**6)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_ip_locus_needs_a_prime_exponent(p):
+    with pytest.raises(InvalidPrime):
+        count_Ip(7, p, 5000)
+    with pytest.raises(InvalidPrime):
+        sadek_bounds(7, p, 10**6)
 
 
 def test_sadek_sandwich_frozen():

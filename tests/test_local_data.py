@@ -174,6 +174,12 @@ def test_tamagawa_p_part_certification():
     assert tamagawa_p_part((-1, 0), 7, overrides={2: 5}) == 1
 
 
+@pytest.mark.parametrize("p", [25, 49, 91])
+def test_tamagawa_p_part_rejects_composite_p(p):
+    with pytest.raises(InvalidPrime):
+        tamagawa_p_part(CurveQ(-17, 425), p)
+
+
 def test_tamagawa_p_part_uncertified():
     # (5, 6): v_2(Delta) = 10 is divisible by 5, certification fails
     with pytest.raises(UnknownLocalData):

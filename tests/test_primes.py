@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwastat.primes import (
     factorize,
@@ -8,7 +10,6 @@ from iwastat.primes import (
     iroot,
     is_prime,
     legendre,
-    next_prime,
     prime_range,
     primes_up_to,
     sqrt_mod,
@@ -103,12 +104,6 @@ def test_is_prime_agrees_with_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_next_prime():
-    assert next_prime(2) == 3
-    assert next_prime(13) == 17
-    assert next_prime(89) == 97
-
-
 def test_legendre_at_7():
     qrs = {x * x % 7 for x in range(1, 7)}
     assert qrs == {1, 2, 4}
@@ -166,3 +161,33 @@ def test_factorize_reconstructs():
             assert is_prime(p) and e >= 1
             prod *= p**e
         assert prod == n
+
+
+# a prime power of a prime above the witness set, times a cofactor: rho must
+# split repeated factors it cannot trial-divide
+PRIME_POWER_TIMES = st.builds(
+    lambda q, e, m: q**e * m,
+    st.sampled_from([43, 47, 59, 97, 65537, 2**31 - 1]),
+    st.integers(1, 9),
+    st.integers(1, 2**20),
+).filter(lambda n: n < 2**80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.integers(1, 2**80), PRIME_POWER_TIMES))
+def test_factorize_agrees_with_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == sympy.factorint(n)
+    assert factorize(-n) == factorize(n)
+
+
+def test_factorize_hard_cases_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    cases = [43**7, 59**17, (2**31 - 1) ** 3 * 43**7, 47**2 * 53**3, 43 * 47, 2**80 - 1]
+    # products of two ~40-bit primes, the slowest inputs for rho below 2^80
+    for _ in range(2):
+        cases.append(sympy.nextprime(rng.randrange(2**39, 2**40))
+                     * sympy.nextprime(rng.randrange(2**39, 2**40)))
+    for n in cases:
+        assert factorize(n) == sympy.factorint(n), n

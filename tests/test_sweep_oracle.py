@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from iwastat import cli
-from iwastat.curves import anomalous_residue_table
+from iwastat.curves import anomalous_residue_table, minimal_mask
 from iwastat.enumeration import (
     _capped_valuation,
     _ip_candidates,
     _minimality_primes,
     _power_locus,
-    _row_ok_mask,
     _strict_skip_table,
     _sweep_chunk,
     _SweepCounts,
@@ -44,7 +43,7 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict):
     B = np.arange(-bmax, bmax + 1, dtype=np.int64)
     Bsq27 = 27 * B * B
     Bmodp = B % p
-    q4, q6 = _minimality_primes(amax, bmax)
+    qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
     e2_cands = [l for l in _ip_candidates(p, maxdisc) if l >= 5] if want_e2 else []
     ip_set = sorted(l for l in set(ip_primes or []) if l ** p <= maxdisc)
@@ -56,7 +55,7 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict):
     out = _SweepCounts(ip_counts={l: 0 for l in ip_set + ip_zero})
     for A in range(a_lo, a_hi):
         disc = 4 * A ** 3 + Bsq27
-        ok = _row_ok_mask(A, B, disc, q4, q6)
+        ok = minimal_mask(A, B, qs, disc != 0)
         n_ok = int(np.count_nonzero(ok))
         if n_ok == 0:
             continue

@@ -14,7 +14,7 @@ Both are additive in products.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidPrime, ZeroPolynomial
 from .primes import is_prime, valuation

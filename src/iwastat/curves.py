@@ -49,7 +49,7 @@ from .errors import (
     OutOfRange,
     SingularCurve,
 )
-from .primes import is_prime, iroot, isqrt, legendre, primes_up_to, valuation
+from .primes import is_prime, iroot, legendre, primes_up_to
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",

@@ -2,11 +2,12 @@
 
 Conventions for y^2 = x^3 + Ax + B: c4 = -48A, c6 = -864B,
 Delta = -16*(4A^3 + 27B^2), so valuations at l >= 5 agree with disc0
-valuations. For l >= 5 a globally minimal (A, B) pair is automatically
-l-minimal and a closed (v_l(A), v_l(B), v_l(disc0)) table settles the
-symbol; for l in {2, 3} (or non-minimal input) the full iterative local
-algorithm below does the work, including rescaling by l when the model
-turns out to be non-minimal at l.
+valuations. Tate's algorithm (Silverman, Advanced Topics in the Arithmetic
+of Elliptic Curves, IV.9) classifies the fibre at every prime l, rescaling
+by l whenever the model turns out to be non-minimal at l. It finds the
+singular point of the reduction in closed form at l >= 5 (by search at
+l in {2, 3}); its only O(l) step, the search for the roots of a cubic
+over F_l, runs only for fibres past IV (I0*, I_n*, IV*, III*, II*).
 """
 
 import math
@@ -15,9 +16,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .curves import CurveQ
+from .curves import CurveQ, disc0_of
 from .errors import GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, UnknownLocalData
-from .primes import factorize, is_prime, legendre, sqrt_mod, valuation
+from .primes import factorize, is_prime, legendre, valuation
 
 __all__ = [
     "KodairaSymbol",
@@ -40,10 +41,6 @@ class KodairaSymbol(str, Enum):
     IV_STAR = "IV*"
     III_STAR = "III*"
     II_STAR = "II*"
-
-
-# symbols with potentially multiplicative behavior; everything else is additive
-_MULTIPLICATIVE = {KodairaSymbol.In}
 
 
 @dataclass(frozen=True)
@@ -82,64 +79,16 @@ def bad_primes(curve) -> frozenset:
     """Primes dividing the discriminant -16*disc0 of the given model.
 
     2 is always present (the -16 factor); the rest come from exact
-    factorization of disc0.
+    factorization of disc0. A singular pair raises SingularCurve.
     """
-    disc0 = curve.disc0 if isinstance(curve, CurveQ) else 4 * curve[0] ** 3 + 27 * curve[1] ** 2
+    disc0 = curve.disc0 if isinstance(curve, CurveQ) else disc0_of(*curve)
+    if disc0 == 0:
+        raise SingularCurve(f"disc0 vanishes for {tuple(curve)}")
     return frozenset({2} | set(factorize(abs(disc0))))
 
 
 # ---------------------------------------------------------------------------
-# closed classification for l >= 5 on an l-minimal pair
-
-
-def _split_In(A, B, l):
-    # tangent slopes at the node are rational iff -c6 = 864B is a QR mod l
-    return legendre(864 * B % l, l) == 1
-
-
-def _kodaira_l_ge_5(A, B, l) -> KodairaData:
-    disc0 = 4 * A ** 3 + 27 * B ** 2
-    vD = valuation(disc0, l)
-    if vD == 0:
-        return KodairaData(l, KodairaSymbol.I0, 0, 1)
-    if A % l:
-        split = _split_In(A, B, l)
-        c = vD if split else math.gcd(2, vD)
-        return KodairaData(l, KodairaSymbol.In, vD, c, split)
-    # additive: l | A and l | B
-    vA = valuation(A, l) if A else 10 ** 9
-    vB = valuation(B, l) if B else 10 ** 9
-    assert vB >= 1 and not (vA >= 4 and vB >= 6), "pair not l-minimal"
-    if vD == 2:
-        return KodairaData(l, KodairaSymbol.II, 0, 1)
-    if vD == 3:
-        return KodairaData(l, KodairaSymbol.III, 0, 2)
-    if vD == 4:
-        c = 3 if legendre(B // l ** 2 % l, l) == 1 else 1
-        return KodairaData(l, KodairaSymbol.IV, 0, c)
-    if vD == 6:
-        # c = 1 + number of rational roots of T^3 + (A/l^2) T + (B/l^3)
-        a = A // l ** 2 % l
-        b = B // l ** 3 % l
-        nroots = sum(1 for t in range(l) if (t * t * t + a * t + b) % l == 0)
-        assert nroots in (0, 1, 3)
-        return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + nroots)
-    if vA == 2 and vB == 3:
-        # In* with n = vD - 6; component count needs the iterative tail
-        data = local_reduction_raw(A, B, l)
-        assert data.symbol is KodairaSymbol.In_STAR and data.n == vD - 6, data
-        return data
-    if vD == 8:
-        c = 3 if legendre(B // l ** 4 % l, l) == 1 else 1
-        return KodairaData(l, KodairaSymbol.IV_STAR, 0, c)
-    if vD == 9:
-        return KodairaData(l, KodairaSymbol.III_STAR, 0, 2)
-    assert vD == 10, (A, B, l, vD)
-    return KodairaData(l, KodairaSymbol.II_STAR, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# full iterative local algorithm, any prime l, any integral model
+# Tate's algorithm, any prime l, any integral model
 
 
 def _b_invariants(a1, a2, a3, a4, a6):
@@ -178,29 +127,17 @@ def _singular_point(a, l):
                 if on == 0 and fy == 0 and fx == 0:
                     return x, y
         raise AssertionError(f"no singular point mod {l} for {a}")
-    # odd l >= 5: complete the square, find the repeated root of the cubic
+    # l >= 5: complete the square; the singular x is the repeated root r of
+    # g = x^3 + c2 x^2 + c1 x + c0 = (x - r)^2 (x - s), and comparing
+    # coefficients gives c2^2 - 3 c1 = (r - s)^2 and 9 c0 - c1 c2 = 2 r (r - s)^2
     inv2 = pow(2, -1, l)
     b2, b4, b6, _ = _b_invariants(*a)
-    inv4 = pow(4, -1, l)
-    c2 = b2 * inv4 % l
-    c1 = b4 * inv2 % l
-    c0 = b6 * inv4 % l
-    # repeated root satisfies g = g' = 0 with g = x^3 + c2 x^2 + c1 x + c0
-    inv3 = pow(3, -1, l)
-    disc = (4 * c2 * c2 - 12 * c1) % l
-    candidates = []
-    if disc == 0:
-        candidates.append(-2 * c2 * inv2 * inv3 % l)
-    else:
-        rt = sqrt_mod(disc, l)
-        assert rt is not None, "derivative quadratic must split at a repeated root"
-        inv6 = inv2 * inv3 % l
-        candidates.extend([(-2 * c2 + rt) * inv6 % l, (-2 * c2 - rt) * inv6 % l])
-    for x in candidates:
-        if (x ** 3 + c2 * x * x + c1 * x + c0) % l == 0:
-            y = -(a1 * x + a3) * inv2 % l
-            return x, y
-    raise AssertionError(f"no singular point mod {l} for {a}")
+    c2, c1, c0 = b2 * inv2 * inv2 % l, b4 * inv2 % l, b6 * inv2 * inv2 % l
+    d = (c2 * c2 - 3 * c1) % l
+    x = (9 * c0 - c1 * c2) * pow(2 * d, -1, l) % l if d else -c2 * pow(3, -1, l) % l
+    if (x ** 3 + c2 * x * x + c1 * x + c0) % l:
+        raise AssertionError(f"no singular point mod {l} for {a}")
+    return x, -(a1 * x + a3) * inv2 % l
 
 
 def _poly_roots_mod(coeffs, l):
@@ -251,21 +188,27 @@ def _quad_distinct_rational(qa, qb, qc, l):
     return True, legendre(disc, l) == 1, None
 
 
-def local_reduction_raw(A, B, l, max_rounds=64):
+def local_reduction_raw(A, B, l):
     """Kodaira symbol and Tamagawa number at l for y^2 = x^3 + Ax + B.
 
-    Runs the full iterative local algorithm on integer a-invariants,
-    rescaling by l whenever the model is non-minimal at l, so the input
-    pair need not be minimal. Returns KodairaData (symbol I0 with c = 1
-    if the curve turns out to have good reduction at l on the minimal
-    model). A non-prime l raises InvalidPrime.
+    Runs Tate's algorithm on integer a-invariants, rescaling by l whenever
+    the model is non-minimal at l, so the input pair need not be minimal.
+    Returns KodairaData (symbol I0 with c = 1 if the curve turns out to
+    have good reduction at l on the minimal model). A non-prime l raises
+    InvalidPrime and a singular pair SingularCurve.
     """
     if not is_prime(l):
         raise InvalidPrime(f"l must be prime, got {l}")
-    if 4 * A**3 + 27 * B * B == 0:
+    if disc0_of(A, B) == 0:
         raise SingularCurve(f"disc0 vanishes for ({A}, {B})")
+    return _tate(A, B, l)
+
+
+def _tate(A, B, l) -> KodairaData:
+    """Tate's algorithm at the prime l for a nonsingular integral pair;
+    the callers check both."""
     a = (0, 0, 0, A, B)
-    for _ in range(max_rounds):
+    for _ in range(64):
         disc = _discriminant(*a)
         assert disc != 0
         vD = valuation(disc, l)
@@ -374,28 +317,27 @@ def local_reduction_raw(A, B, l, max_rounds=64):
 
 
 def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
-    """KodairaData of curve at a bad prime l.
+    """KodairaData of curve at a bad prime l, by Tate's algorithm.
 
-    l >= 5 goes through the closed valuation table (the minimal pair is
-    l-minimal, so one pass settles it). l in {2, 3} runs the full local
-    algorithm only when allow_23 is set; the default path expects callers
-    to supply ingested Tamagawa overrides instead and raises
-    UnknownLocalData. A non-prime l raises InvalidPrime.
+    It runs at every l; at l >= 5 the minimal pair is l-minimal, so one
+    round settles it, and its O(l) root search runs only for fibres past
+    IV (I0*, I_n*, IV*, III*, II*). A good l >= 5 raises GoodReductionAt.
+    l in {2, 3} runs it only when allow_23 is set; the default path
+    expects callers to supply ingested Tamagawa overrides instead and
+    raises UnknownLocalData. A non-prime l raises InvalidPrime.
     """
     if not isinstance(curve, CurveQ):
         curve = CurveQ(*curve)
     if not is_prime(l):
         raise InvalidPrime(f"l must be prime, got {l}")
-    if l >= 5:
-        if curve.disc0 % l:
-            raise GoodReductionAt(f"curve has good reduction at {l}")
-        return _kodaira_l_ge_5(curve.A, curve.B, l)
-    if not allow_23:
+    if l >= 5 and curve.disc0 % l:
+        raise GoodReductionAt(f"curve has good reduction at {l}")
+    if l < 5 and not allow_23:
         raise UnknownLocalData(
             f"local data at l={l} needs allow_23=True (full local algorithm) "
             "or an ingested Tamagawa override"
         )
-    data = local_reduction_raw(curve.A, curve.B, l)
+    data = _tate(curve.A, curve.B, l)
     if l == 3 and curve.disc0 % 3 and data.symbol is not KodairaSymbol.I0:
         raise AssertionError("good reduction at 3 must come back as I0")
     return data
@@ -412,19 +354,23 @@ def _p_part_certifiably_trivial(v_delta, p):
 def _tamagawa_table(curve, overrides, allow_23):
     """(product of the known c_l, ((l, v_l(Delta)), ...) for the other bad l).
 
-    c_l is known from the override items (a sorted tuple) or from
-    kodaira_tamagawa: at l >= 5 always, at l in {2, 3} when allow_23 is set.
-    The other l, ascending, carry v_l(Delta) for the certificate.
+    One factorization of disc0 gives every bad l and v_l(Delta) (plus 4 at
+    l = 2, from the 16 in Delta). c_l is known from the override items (a
+    sorted tuple) or from Tate's algorithm: at l >= 5 always, at l in
+    {2, 3} when allow_23 is set. The other l, ascending, carry v_l(Delta)
+    for the certificate.
     """
     given = dict(overrides)
+    v_delta = factorize(curve.disc0)
+    v_delta[2] = v_delta.get(2, 0) + 4
     product, uncertified = 1, []
-    for l in sorted(bad_primes(curve)):
+    for l in sorted(v_delta):
         if l in given:
             product *= given[l]
         elif l >= 5 or allow_23:
-            product *= kodaira_tamagawa(curve, l, allow_23).tamagawa
+            product *= _tate(curve.A, curve.B, l).tamagawa
         else:
-            uncertified.append((l, valuation(curve.discriminant, l)))
+            uncertified.append((l, v_delta[l]))
     return product, tuple(uncertified)
 
 

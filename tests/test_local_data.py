@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,12 +14,14 @@ from iwastat.errors import (
 from iwastat.local_data import (
     KodairaData,
     KodairaSymbol,
+    _shift,
+    _singular_point,
     bad_primes,
     kodaira_tamagawa,
     local_reduction_raw,
     tamagawa_p_part,
 )
-from iwastat.primes import valuation
+from iwastat.primes import legendre, valuation
 
 
 def test_bad_primes_always_include_two():
@@ -108,10 +111,102 @@ def test_general_algorithm_rejects_singular():
         local_reduction_raw(-3, 2, 3)
     with pytest.raises(SingularCurve):
         local_reduction_raw(0, 0, 2)
+    with pytest.raises(SingularCurve):
+        bad_primes((-3, 2))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the closed (v_l(A), v_l(B), v_l(disc0)) table for l >= 5 on an
+# l-minimal pair, which shares no code with Tate's algorithm. Its I_n*
+# branch reads c off the Legendre-symbol form of Tate's last step.
+
+
+def _split_In(A, B, l):
+    # tangent slopes at the node are rational iff -c6 = 864B is a QR mod l
+    return legendre(864 * B % l, l) == 1
+
+
+def _kodaira_l_ge_5(A, B, l) -> KodairaData:
+    disc0 = 4 * A ** 3 + 27 * B ** 2
+    vD = valuation(disc0, l)
+    if vD == 0:
+        return KodairaData(l, KodairaSymbol.I0, 0, 1)
+    if A % l:
+        split = _split_In(A, B, l)
+        c = vD if split else math.gcd(2, vD)
+        return KodairaData(l, KodairaSymbol.In, vD, c, split)
+    # additive: l | A and l | B
+    vA = valuation(A, l) if A else 10 ** 9
+    vB = valuation(B, l) if B else 10 ** 9
+    assert vB >= 1 and not (vA >= 4 and vB >= 6), "pair not l-minimal"
+    if vD == 2:
+        return KodairaData(l, KodairaSymbol.II, 0, 1)
+    if vD == 3:
+        return KodairaData(l, KodairaSymbol.III, 0, 2)
+    if vD == 4:
+        c = 3 if legendre(B // l ** 2 % l, l) == 1 else 1
+        return KodairaData(l, KodairaSymbol.IV, 0, c)
+    if vD == 6:
+        # c = 1 + number of rational roots of T^3 + (A/l^2) T + (B/l^3)
+        a = A // l ** 2 % l
+        b = B // l ** 3 % l
+        nroots = sum(1 for t in range(l) if (t * t * t + a * t + b) % l == 0)
+        assert nroots in (0, 1, 3)
+        return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + nroots)
+    if vA == 2 and vB == 3:
+        # In* with n = vD - 6: c = 3 + (Delta / l^(6+n) | l) for even n and
+        # 3 + (Delta c6 / l^(9+n) | l) for odd n
+        n = vD - 6
+        unit = -16 * disc0 // l ** vD
+        if n % 2:
+            unit *= -864 * B // l ** 3
+        return KodairaData(l, KodairaSymbol.In_STAR, n, 3 + legendre(unit % l, l))
+    if vD == 8:
+        c = 3 if legendre(B // l ** 4 % l, l) == 1 else 1
+        return KodairaData(l, KodairaSymbol.IV_STAR, 0, c)
+    if vD == 9:
+        return KodairaData(l, KodairaSymbol.III_STAR, 0, 2)
+    assert vD == 10, (A, B, l, vD)
+    return KodairaData(l, KodairaSymbol.II_STAR, 0, 1)
+
+
+def _seeded_pairs(rng, l, count):
+    """count (A, B) = (l^va u, l^vb w) with l-units u, w, bad at l: every
+    (va, vb) with va < 4 or vb < 6, A = 0 and B = 0 included. A quarter
+    take u = -3t^2, w = 2t^3 + l^k z at (va, vb) = (0, 0) or (2, 3), where
+    v_l(disc0) = k (resp. k + 6), so I_n and I_n* reach n = k up to 6."""
+    def unit():
+        return rng.choice((1, -1)) * (rng.randrange(1, l) + l * rng.randrange(40))
+
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.25:
+            va = rng.choice((0, 2))
+            t, z = unit(), unit()
+            u, w = -3 * t * t, 2 * t ** 3 + l ** rng.randrange(1, 7) * z
+            A, B = l ** va * u, l ** (3 * va // 2) * w
+        else:
+            va, vb = rng.randrange(7), rng.randrange(9)
+            if va >= 4 and vb >= 6:
+                continue
+            A = 0 if va == 6 else l ** va * unit()
+            B = 0 if vb == 8 else l ** vb * unit()
+        if disc0_of(A, B) % l == 0 and disc0_of(A, B) and is_minimal_pair(A, B):
+            out.append((A, B))
+    return out
 
 
 def test_general_matches_table_on_corpus():
-    # every bad (curve, l) with l >= 5 in a small box, table vs general
+    # Tate's algorithm against the closed table: every bad (curve, l) with
+    # l >= 5 in a small box, then seeded pairs reaching every fibre type
+    def check(A, B, l):
+        t = _kodaira_l_ge_5(A, B, l)
+        for g in (kodaira_tamagawa((A, B), l), local_reduction_raw(A, B, l)):
+            assert (t.symbol, t.n, t.tamagawa, t.split) == (g.symbol, g.n, g.tamagawa, g.split), (
+                A, B, l, t, g,
+            )
+        return t.symbol
+
     checked = 0
     for A in range(-20, 21):
         for B in range(-50, 51):
@@ -123,13 +218,30 @@ def test_general_matches_table_on_corpus():
             for l in (5, 7, 11, 13, 17, 19):
                 if d0 % l:
                     continue
-                t = kodaira_tamagawa((A, B), l)
-                g = local_reduction_raw(A, B, l)
-                assert (t.symbol, t.n, t.tamagawa) == (g.symbol, g.n, g.tamagawa), (
-                    A, B, l, t, g,
-                )
+                check(A, B, l)
                 checked += 1
     assert checked > 400
+    rng = random.Random(2102)
+    for l in (5, 7, 11, 101, 1009):
+        seen = {check(A, B, l) for A, B in _seeded_pairs(rng, l, 150)}
+        assert seen == set(KodairaSymbol) - {KodairaSymbol.I0}, (l, seen)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 101, 2**31 - 1])
+def test_singular_point_is_singular(l):
+    # (A, B) = (-3t^2, 2t^3) mod l makes disc0 vanish mod l, so the reduction
+    # of every model shifted from it by (r, s, t) has a singular point
+    rng = random.Random(l)
+    for _ in range(200):
+        x0 = rng.randrange(l)
+        A = -3 * x0 * x0 + l * rng.randrange(-50, 51)
+        B = 2 * x0 ** 3 + l * rng.randrange(-50, 51)
+        r, s, t = (rng.randrange(-10 * l, 10 * l) for _ in range(3))
+        a1, a2, a3, a4, a6 = a = _shift((0, 0, 0, A, B), r, s, t)
+        x, y = _singular_point(a, l)
+        assert (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % l == 0, (a, l)
+        assert (2 * y + a1 * x + a3) % l == 0, (a, l)
+        assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % l == 0, (a, l)
 
 
 def test_scaling_invariance():

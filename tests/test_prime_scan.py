@@ -230,8 +230,8 @@ def test_input_checks_survive_python_O(tmp_path):
     # input validation must not rely on assert, which python -O strips
     script = textwrap.dedent("""
         from iwastat.enumeration import lifting_count_bruteforce
-        from iwastat.errors import InvalidPrime, OutOfRange
-        from iwastat.local_data import tamagawa_p_part
+        from iwastat.errors import InvalidPrime, OutOfRange, SingularCurve
+        from iwastat.local_data import bad_primes, tamagawa_p_part
         from iwastat.prime_scan import CurveRecord, scan_primes
 
         def raises(exc, fn, *args, **kwargs):
@@ -246,6 +246,7 @@ def test_input_checks_survive_python_O(tmp_path):
         rec = CurveRecord((-1, 0), rank=0, sha_order=1)
         raises(InvalidPrime, scan_primes, rec, 20, p_min=3)
         raises(InvalidPrime, tamagawa_p_part, rec, 3)
+        raises(SingularCurve, bad_primes, (-3, 2))
         raises(ValueError, lifting_count_bruteforce, 5, 2, exclusion="neither")
         print("ok")
     """)

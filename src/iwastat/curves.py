@@ -32,6 +32,10 @@ the forms of a(x^2 + y^2), a(x^2 + xy + y^2), 1 otherwise), and the number
 of F_p-isomorphism classes is the unweighted count of those forms.  This is
 O(p) per prime.  dp_census, the O(p^3) sweep over F_p^2, is kept as the
 brute-force oracle the tests check the formula against.
+
+numpy is imported inside the functions that build arrays, not at module
+level, so a command that needs no array (the census, the bounds) never
+loads it.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
+from math import gcd
 
 from .errors import (
     BadReductionAt,
@@ -81,12 +84,14 @@ def minimal_mask(A: int, B, qs, ok=True):
 def is_minimal_pair(A: int, B: int) -> bool:
     """True unless some prime q has q^4 | A and q^6 | B.
 
-    A == 0 is divisible by every q^4, so it demands a sixth-power-free B;
-    symmetrically B == 0 demands a fourth-power-free A.
+    Such a q has q^12 | gcd(A^3, B^2), so only the primes up to the twelfth
+    root of that gcd are tried. A == 0 is divisible by every q^4, so it
+    demands a sixth-power-free B (the gcd is B^2); symmetrically B == 0
+    demands a fourth-power-free A (the gcd is |A|^3).
     """
     if A == 0 and B == 0:
         return False
-    return minimal_mask(A, B, primes_up_to(iroot(abs(A), 4) if A else iroot(abs(B), 6)))
+    return minimal_mask(A, B, primes_up_to(iroot(gcd(A**3, B**2), 12)))
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,7 @@ class LocalReduction:
 @lru_cache(maxsize=512)
 def _chi_table(p: int) -> np.ndarray:
     """chi[t] in {-1, 0, +1} for t in 0..p-1."""
+    import numpy as np
     tab = np.full(p, -1, dtype=np.int8)
     x = np.arange(p, dtype=np.int64)
     tab[(x * x) % p] = 1
@@ -161,6 +167,7 @@ def _require_odd_prime(p: int) -> None:
 
 
 def _affine_count(a: int, b: int, p: int) -> int:
+    import numpy as np
     chi = _chi_table(p)
     x = np.arange(p, dtype=np.int64)
     f = (x * x % p * x + a * x + b) % p
@@ -197,6 +204,7 @@ def _sum_block(primes: tuple) -> tuple:
     of each prime's segment; x, x3 = x^3 mod p, mod = p and base = the
     segment start have one entry per x in 0..p-1 of each prime in turn; chi
     is the primes' chi tables concatenated, so chi_p(t) = chi[base + t]."""
+    import numpy as np
     # x^3 mod p + a x + b < p^2 fits int32 up to p = 46340, which halves the
     # memory traffic of the per-curve pass
     dtype = np.int32 if max(primes) ** 2 < 2**31 else np.int64
@@ -234,6 +242,7 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     the singular cubic (0 or +-1).  One numpy pass per block of primes
     replaces a count_points call per prime.
     """
+    import numpy as np
     traces = []
     for run in _sum_blocks(primes, _BLOCK_ELEMENTS):
         sizes, starts, x, x3, mod, base, chi = _sum_block(run)
@@ -331,6 +340,7 @@ def _coerce_mode(mode) -> DpMode:
 def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:
     """Affine point counts for all b at fixed a, via the histogram of
     b = y^2 - x^3 - a x over (x, y) in F_p^2."""
+    import numpy as np
     fx = (xs * xs % p * xs + a * xs) % p
     b_of = (ys2[:, None] - fx[None, :]) % p
     return np.bincount(b_of.ravel(), minlength=p)
@@ -344,6 +354,7 @@ def dp_census(p: int) -> dict:
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
+    import numpy as np
     _require_census_prime(p)
     xs = np.arange(p, dtype=np.int64)
     ys2 = (xs * xs) % p
@@ -451,6 +462,7 @@ def anomalous_residue_table(p: int) -> np.ndarray:
     counted and its verdict written to the whole orbit: about 2p point
     counts of O(p) each instead of p full O(p^2) rows.
     """
+    import numpy as np
     _require_odd_prime(p)
     u = np.arange(1, p, dtype=np.int64)
     u2 = u * u % p

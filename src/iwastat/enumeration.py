@@ -7,14 +7,16 @@ The e2 and I_p loci are not scanned row by row: for each row A and prime
 l >= 5 the B with l^p | disc0 are the 0 or 2 residue classes of the
 Hensel-lifted square roots of -4A^3/27 mod l^p, so those stages cost
 O(hits). A full X = 10^8 report takes well under a second on one core; a
-worker count > 1 partitions the A-range and merges pure counts.
+worker count > 1 partitions the A-range and merges pure counts. numpy is
+imported by the functions that build arrays, so the closed-form bounds
+(bound_dp2, bound_dp3, sadek_bounds) run without it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from .curves import (
     DpMode,
@@ -202,6 +204,7 @@ def lifting_count_bruteforce(l: int, p: int, exclusion: str = "componentwise") -
     (2, 7), against the closed form's 32, 972 and 128. The componentwise
     count is the oracle for lifting_count.
     """
+    import numpy as np
     if exclusion not in ("componentwise", "pair"):
         raise OutOfRange(f"exclusion must be 'componentwise' or 'pair', got {exclusion!r}")
     modulus = l ** (p + 1)
@@ -298,6 +301,7 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
     = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when B is
     even), so at l = 2 the search starts at 2 to keep the filter sparse.
     """
+    import numpy as np
     shift = 4 if l == 2 else 0
     cap = 12 * p
     table = np.array([not _p_part_certifiably_trivial(v + shift, p) for v in range(cap + 1)])
@@ -307,6 +311,7 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
 
 def _capped_valuation(d: np.ndarray, l: int, cap: int) -> np.ndarray:
     """v_l of each nonzero entry of d, capped at cap."""
+    import numpy as np
     v = np.zeros(len(d), dtype=np.int64)
     idx = np.arange(len(d))
     for _ in range(cap):
@@ -343,6 +348,7 @@ def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
 
 
 def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _SweepCounts:
+    import numpy as np
     amax, bmax = box_bounds(X)
     B = np.arange(-bmax, bmax + 1, dtype=np.int64)
     Bsq27 = 27 * B * B
@@ -406,6 +412,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
 
 def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
            workers=None) -> _SweepCounts:
+    import numpy as np
     amax, _ = box_bounds(X)
     for l in ip_primes or []:
         if not is_prime(l):

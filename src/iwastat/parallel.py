@@ -3,10 +3,13 @@
 default_workers is the default worker count: IWASTAT_THREADS sets it;
 unset or empty means one worker. A value that is not an integer raises
 InvalidSetting, which the CLI reports with exit code 1.
+
+concurrent.futures is imported on the first parallel call of fan_out, so a
+serial run never loads the process pool. That call also loads numpy before
+the pool forks, so the workers share it.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import InvalidSetting
 
@@ -27,6 +30,12 @@ def fan_out(fn, jobs, workers: int) -> list:
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    # every job the package fans out (sweep chunks, scan records) builds
+    # numpy arrays: numpy loaded before the pool forks is shared by the
+    # workers, where each would otherwise import it again
+    import numpy  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers))))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 
-from .errors import InvalidPrime
+from .errors import InvalidPrime, TooLarge
 
 __all__ = [
     "is_prime", "primes_up_to", "prime_range",
@@ -20,14 +21,26 @@ __all__ = [
     "legendre", "sqrt_mod",
 ]
 
-# deterministic Miller-Rabin witness set: the primes up to 41 are enough for
-# n < psi_13 = 3317044064679887385961981 ~ 3.317e24 (OEIS A014233); the
-# primes up to 37 stop at psi_12 = 318665857834031151167461 ~ 3.19e23, which
-# is below the 2^80 the discriminant range needs
+# deterministic Miller-Rabin: psi_k (OEIS A014233) is the least odd
+# composite that is a strong pseudoprime to each of the first k primes, so
+# the first k primes of _MR_WITNESSES decide every n < psi_k. The primes up to
+# 41 stop at psi_13 = 3317044064679887385961981 ~ 3.317e24, which is above
+# the 2^80 the discriminant range needs; past it is_prime raises TooLarge
+# rather than return True for a number every witness passes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981)
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, proven for n < psi_13 ~ 3.317e24.
+
+    Raises TooLarge for an n >= psi_13 that every witness passes: the
+    witnesses prove nothing there. A composite past psi_13 that some witness
+    exposes still gives False.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -40,7 +53,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -50,6 +63,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PSI[-1]:
+        raise TooLarge(f"{n} passes every Miller-Rabin witness up to 41, which "
+                       f"proves primality only below {_MR_PSI[-1]}")
     return True
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import iwastat
 from iwastat import cli
 
 HEADER = "label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess"
@@ -278,3 +284,27 @@ def test_scan_out_file_matches_stdout(capsys, tmp_path):
     code, nothing, _ = run(capsys, "scan", str(path), "--max-prime", "40", "--out", str(out_path))
     assert code == 0 and nothing == ""
     assert out_path.read_bytes() == out.encode()
+
+
+def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
+    # a fresh interpreter: this one has numpy loaded by the tests already
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import iwastat
+        import iwastat.cli
+        loaded = lambda: [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+        print(*loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [iwastat.cli.main(argv) for argv in (
+                ["dp", "--prime", "499"],
+                ["bounds", "--prime", "499"],
+                ["invariants", "--poly", "25,5", "--prime", "5"],
+            )]
+        print(*codes, *loaded())
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["", "0 0 0"]

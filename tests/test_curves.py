@@ -120,6 +120,24 @@ def test_curveq_validation():
     assert is_minimal_pair(8, 0) and is_minimal_pair(0, 32)
 
 
+def test_minimal_pair_sieves_only_to_the_gcd_bound(monkeypatch):
+    # only q with q^12 | gcd(A^3, B^2) can break minimality; with B = 1 there
+    # is none, so a huge A needs no sieve
+    bounds = []
+
+    def recording(n):
+        bounds.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(curves, "primes_up_to", recording)
+    c = CurveQ(10**28 + 1, 1)
+    assert c.height == (10**28 + 1) ** 3
+    assert bounds and max(bounds) <= 1
+    # a shared 97^4 / 97^6 is still found
+    assert not is_minimal_pair(97**4 * 10**10, 97**6 * 7)
+    assert max(bounds) == 97
+
+
 def test_classify_reduction_cases():
     r = classify_reduction((0, 1), 5)
     assert r.reduction_class is ReductionClass.GOOD_SUPERSINGULAR

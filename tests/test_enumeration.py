@@ -86,6 +86,25 @@ def test_minimal_mask_matches_brute_force(A, centre, half):
             assert is_minimal_pair(A, b) == brute_minimal(A, b)
 
 
+# |A| far above any height box, so is_minimal_pair's sieve bound comes from
+# gcd(A^3, B^2), not from |A| alone; shared q^4 / q^6 factors make pairs that
+# are not minimal
+LARGE_PAIR = st.one_of(
+    st.tuples(st.integers(-10**15, 10**15), st.one_of(st.just(0), st.integers(-10**18, 10**18))),
+    st.builds(lambda q, k, m: (k * q**4, m * q**6),
+              st.sampled_from([2, 3, 5, 43, 97, 101]),
+              st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=LARGE_PAIR)
+def test_is_minimal_pair_matches_brute_force_at_large_A(pair):
+    A, B = pair
+    if 4 * A**3 + 27 * B * B != 0:
+        assert is_minimal_pair(A, B) == brute_minimal(A, B)
+
+
 def test_box_bounds():
     assert box_bounds(1) == (1, 1)
     assert box_bounds(100) == (4, 10)

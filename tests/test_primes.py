@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwastat.errors import TooLarge
 from iwastat.primes import (
     factorize,
     icbrt,
@@ -88,6 +89,24 @@ def test_is_prime_strong_pseudoprimes():
     for n in PSI:
         assert not is_prime(n), n
     assert is_prime(41) and is_prime(43)
+
+
+# psi_13 = 1287836182261 * 2575672364521 passes every witness up to 41
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_raises_past_psi_13():
+    assert 1287836182261 * 2575672364521 == PSI_13
+    with pytest.raises(TooLarge):
+        is_prime(PSI_13)
+    with pytest.raises(TooLarge):
+        factorize(2 * PSI_13)
+    # past psi_13 a witness still exposes a composite, but a prime such as
+    # 2^89 - 1 cannot be proven by the witnesses
+    assert not is_prime(59**17) and not is_prime((2**61 - 1) * (2**89 - 1))
+    assert factorize(59**17) == {59: 17}
+    with pytest.raises(TooLarge):
+        is_prime(2**89 - 1)
 
 
 def test_is_prime_agrees_with_sympy():

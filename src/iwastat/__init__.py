@@ -30,8 +30,6 @@ from .enumeration import (
     brumer_estimate,
     count_Ip,
     empirical_densities,
-    enumerate_curves,
-    iter_curves,
     lattice_class_count,
     lattice_density,
     lifting_count,
@@ -106,8 +104,8 @@ __all__ = [
     "brumer_estimate", "chi_ordinary_valuation",
     "chi_supersingular_valuation", "classify_reduction", "count_Ip",
     "count_points", "d_of_p", "disc0_of", "dp_census", "dp_table",
-    "empirical_densities", "enumerate_curves", "g0_valuation",
-    "is_minimal_pair", "is_trivial_shape", "iter_curves",
+    "empirical_densities", "g0_valuation",
+    "is_minimal_pair", "is_trivial_shape",
     "iwasawa_invariants", "kodaira_tamagawa", "lattice_class_count",
     "lattice_density", "lifting_count", "lifting_count_bruteforce",
     "local_reduction_raw", "parse_records", "sadek_bounds",

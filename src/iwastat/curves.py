@@ -452,29 +452,38 @@ def dp_table(p_max: int, p_min: int = 5) -> dict[int, dict]:
     return {p: {"p": p, **{mode.value: d_of_p(p, mode) for mode in DpMode}} for p in ps}
 
 
-def anomalous_residue_table(p: int) -> np.ndarray:
-    """p x p boolean table: entry [a, b] is True when (a, b) mod p is
-    nonsingular and its point count is divisible by p.  Used by the
-    height-box sweeps to test anomalicity by residue lookup.
+def anomalous_residue_table(p: int, rows=None) -> np.ndarray:
+    """Boolean table of the anomalous residue pairs mod p: entry [i, b] is
+    True when (a, b) with a = rows[i] is nonsingular mod p and its point
+    count is divisible by p.  rows are residues mod p, distinct; by default
+    every residue, which makes the table p x p with a = i.  Used by the
+    height-box sweeps, which ask only for the rows A mod p their box meets.
 
     The point count is constant on the isomorphism orbits
     {(u^4 a, u^6 b) : u in F_p^*}, so one representative per orbit is
-    counted and its verdict written to the whole orbit: about 2p point
-    counts of O(p) each instead of p full O(p^2) rows.
+    counted and its verdict written to the orbit's entries in the asked
+    rows: about 2p point counts of O(p) each instead of p full O(p^2) rows,
+    and memory for the asked rows only.
     """
     import numpy as np
     _require_odd_prime(p)
+    rows = range(p) if rows is None else list(rows)
+    index = np.full(p, -1, dtype=np.int64)  # residue -> its row, or -1
+    index[rows] = np.arange(len(rows))
     u = np.arange(1, p, dtype=np.int64)
     u2 = u * u % p
     u4 = u2 * u2 % p
     u6 = u4 * u2 % p
-    seen = np.zeros((p, p), dtype=bool)
-    tab = np.zeros((p, p), dtype=bool)
-    for a in range(p):
-        for b in np.flatnonzero(~seen[a]).tolist():
-            if seen[a, b]:
+    seen = np.zeros((len(rows), p), dtype=bool)
+    tab = np.zeros((len(rows), p), dtype=bool)
+    for i, a in enumerate(rows):
+        at = index[u4 * a % p]
+        keep = at >= 0
+        at, w = at[keep], u6[keep]
+        for b in np.flatnonzero(~seen[i]).tolist():
+            if seen[i, b]:
                 continue  # reached from an earlier pair of this row
-            orbit = (u4 * a % p, u6 * b % p)
+            orbit = (at, w * b % p)
             seen[orbit] = True
             if (4 * a**3 + 27 * b * b) % p != 0 and (_affine_count(a, b, p) + 1) % p == 0:
                 tab[orbit] = True

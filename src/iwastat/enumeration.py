@@ -2,28 +2,39 @@
 
 The height-X box is |A| <= floor(X^(1/3)), |B| <= floor(X^(1/2)); a pair
 belongs to the curve family when disc0 = 4A^3 + 27B^2 is nonzero and no
-prime q has q^4 | A and q^6 | B. Sweeps are vectorized one A-row at a time.
-The e2 and I_p loci are not scanned row by row: for each row A and prime
-l >= 5 the B with l^p | disc0 are the 0 or 2 residue classes of the
-Hensel-lifted square roots of -4A^3/27 mod l^p, so those stages cost
-O(hits). A full X = 10^8 report takes well under a second on one core; a
-worker count > 1 partitions the A-range and merges pure counts. numpy is
-imported by the functions that build arrays, so the closed-form bounds
-(bound_dp2, bound_dp3, sadek_bounds) run without it.
+prime q has q^4 | A and q^6 | B. The sweep counts each row A by residue
+classes of B and never walks the B of a row:
+
+- the family is a Moebius sum over the squarefree d built from the q with
+  q^4 | A of the multiples of d^6, less the singular points A = -3k^2,
+  B = +-2k^3;
+- good_at_p leaves out the 0-2 classes of B mod p with p | disc0, and e3
+  adds up the anomalous classes of the row A mod p;
+- the strict skips come from the classes of B mod 2^k and 3^k with
+  l^k | disc0, the square roots of -4A^3/27 in Z_l, level by level until a
+  class holds at most one B, whose valuation is then taken exactly;
+- the e2 and I_p loci at a prime l >= 5 are the 0 or 2 classes of the
+  Hensel-lifted square roots of -4A^3/27 mod l^p, and their few hits are
+  tested one by one.
+
+A row costs O(classes + hits) in time and memory. A worker count > 1
+partitions the A-range and merges pure counts. numpy is imported by the
+functions that build arrays, so the closed-form bounds (bound_dp2,
+bound_dp3, sadek_bounds) run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .curves import (
     DpMode,
     _require_census_prime,
     anomalous_residue_table,
     d_of_p,
-    is_minimal_pair,
     minimal_mask,
 )
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
@@ -37,8 +48,6 @@ __all__ = [
     "total_weq",
     "zeta10",
     "brumer_estimate",
-    "enumerate_curves",
-    "iter_curves",
     "count_Ip",
     "sadek_bounds",
     "lifting_count",
@@ -50,7 +59,10 @@ __all__ = [
     "empirical_densities",
 ]
 
-# 4|A|^3 + 27B^2 <= 31X must stay far inside int64 for the numpy sweeps
+# The class counts are exact in Python ints at any height; the cap bounds the
+# run time. The e2 and I_p hits are tested one by one and grow like X^(5/6):
+# the whole box at p = 5 holds ~2.7e5 of them at X = 10^10 and ~1e7 at 10^12
+# (20-30 s on one core), so 10^15 would take hours.
 _X_CAP = 10 ** 15
 
 
@@ -58,7 +70,7 @@ def box_bounds(X: int) -> Tuple[int, int]:
     if X < 1:
         raise OutOfRange(f"height {X} is below 1")
     if X > _X_CAP:
-        raise TooLarge(f"height {X} exceeds the int64-safe cap {_X_CAP}")
+        raise TooLarge(f"height {X} exceeds the cap {_X_CAP}")
     return icbrt(X), isqrt(X)
 
 
@@ -79,37 +91,13 @@ def brumer_estimate(X: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration
+# the family
 
 
 def _minimality_primes(amax: int, bmax: int) -> List[int]:
     """Every prime q that can make a nonsingular pair of the box non-minimal:
     q^4 <= amax (A != 0) or q^6 <= bmax (A = 0)."""
     return primes_up_to(max(iroot(amax, 4), iroot(bmax, 6)))
-
-
-def iter_curves(X: int) -> Iterator[Tuple[int, int]]:
-    """Every minimal nonsingular pair in the box, A ascending then B."""
-    amax, bmax = box_bounds(X)
-    for A in range(-amax, amax + 1):
-        for B in range(-bmax, bmax + 1):
-            if 4 * A ** 3 + 27 * B ** 2 != 0 and is_minimal_pair(A, B):
-                yield A, B
-
-
-def enumerate_curves(X: int, visitor: Optional[Callable[[int, int], None]] = None) -> int:
-    """Count of the curve family up to height X; visits each pair in order.
-
-    The visitor, when given, is called per pair; accumulation across
-    parallel sweeps elsewhere assumes commutative-monoid state, but this
-    entry point itself is strictly sequential and deterministic.
-    """
-    count = 0
-    for A, B in iter_curves(X):
-        if visitor is not None:
-            visitor(A, B)
-        count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +256,7 @@ def lattice_density(kappa: Tuple[int, int], p: int, X: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the one-pass empirical sweep
+# the sweep: each row counted by residue classes
 
 
 @dataclass
@@ -296,10 +284,10 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
     table[v] is True when the p-part of c_l cannot be certified trivial
     from v alone; the model Delta adds v_2(16) = 4 at l = 2. Every
     residue mod 12 has a multiple of p in [p, 12p], so every v >= 12p is
-    uncertifiable and capping v at 12p is exact. Also returns the
-    prefilter exponent, the least v >= 1 with a True verdict; v_2(disc0)
-    = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when B is
-    even), so at l = 2 the search starts at 2 to keep the filter sparse.
+    uncertifiable and capping v at 12p is exact. Also returns minv, the
+    least v >= 1 with a True verdict, where the strict walk starts;
+    v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
+    B is even), so at l = 2 the search starts at 2.
     """
     import numpy as np
     shift = 4 if l == 2 else 0
@@ -309,18 +297,88 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
     return start + int(np.argmax(table[start:])), table
 
 
-def _capped_valuation(d: np.ndarray, l: int, cap: int) -> np.ndarray:
-    """v_l of each nonzero entry of d, capped at cap."""
-    import numpy as np
-    v = np.zeros(len(d), dtype=np.int64)
-    idx = np.arange(len(d))
-    for _ in range(cap):
-        keep = d % l == 0
-        idx, d = idx[keep], d[keep] // l
-        if idx.size == 0:
-            break
-        v[idx] += 1
-    return v
+def _divisor_weights(qs: List[int]) -> List[Tuple[int, int]]:
+    """(mu(d), d^6) for every squarefree d whose primes all lie in qs."""
+    out = [(1, 1)]
+    for q in qs:
+        out += [(-mu, d6 * q ** 6) for mu, d6 in out]
+    return out
+
+
+def _crt(r1: int, m1: int, r2: int, m2: int) -> Optional[Tuple[int, int]]:
+    """The class of the B with B = r1 mod m1 and B = r2 mod m2, as
+    (residue, lcm(m1, m2)); None when the two classes do not meet."""
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    m = m2 // g
+    return r1 + m1 * ((r2 - r1) // g * pow(m1 // g, -1, m) % m), m1 * m
+
+
+class _Row:
+    """Counts over one row A of the box by residue classes.
+
+    count(r, m) is the number of B in [-bmax, bmax] with B = r mod m for
+    which (A, B) is in the family: a Moebius sum over the squarefree d built
+    from the primes q with q^4 | A of the multiples of d^6 in the class (B = 0
+    is a multiple of every d^6, so no d is dropped), less the singular points
+    A = -3k^2, B = +-2k^3 that pass the minimality test.
+    """
+
+    def __init__(self, A: int, bmax: int, qs: List[int]):
+        self.A, self.bmax = A, bmax
+        self.qs = [q for q in qs if A % q ** 4 == 0]
+        self.weights = _divisor_weights(self.qs)
+        self.a3x4 = 4 * A ** 3
+        self.singular = []
+        k = isqrt(max(-A, 0) // 3)
+        if 3 * k * k == -A:
+            self.singular = [b for b in {2 * k ** 3, -2 * k ** 3}
+                             if abs(b) <= bmax and minimal_mask(A, b, self.qs)]
+
+    def count(self, r: int, m: int) -> int:
+        n = _axis_class_count(self.bmax, r, m)
+        for mu, d6 in self.weights[1:]:
+            c = _crt(r, m, 0, d6)
+            if c is not None:
+                n += mu * _axis_class_count(self.bmax, *c)
+        if self.singular:
+            n -= sum(1 for b in self.singular if (b - r) % m == 0)
+        return n
+
+    def disc0(self, b: int) -> Optional[int]:
+        """4A^3 + 27b^2 when (A, b) is in the family, else None."""
+        d = self.a3x4 + 27 * b * b
+        if d == 0 or self.qs and not minimal_mask(self.A, b, self.qs):
+            return None
+        return d
+
+
+@lru_cache(maxsize=1024)
+def _root_table(l: int) -> Tuple[Optional[int], ...]:
+    """For each a mod a prime l >= 5, a square root of -4a^3/27 mod l, or
+    None where it is a non-residue: one sqrt_mod per residue, not per row."""
+    inv27 = pow(27, -1, l)
+    return tuple(sqrt_mod(-4 * a ** 3 * inv27, l) for a in range(l))
+
+
+def _hensel_sqrt(c: int, r: int, l: int, M: int) -> int:
+    """The root of B^2 = c mod M = l^k lifted from the root r mod l, for an
+    odd prime l and a unit c. Each Newton step doubles the precision of r
+    and of y = 1 / (2r), so no step inverts anything."""
+    m, y = l, pow(2 * r, -1, l)
+    while m < M:
+        m = min(m * m, M)
+        r = (r - (r * r - c) * y) % m
+        y = y * (2 - 2 * r * y) % m
+    return r
+
+
+@lru_cache(maxsize=1024)
+def _locus_modulus(l: int, p: int) -> Tuple[int, int]:
+    """l^p and -4/27 mod l^p."""
+    M = l ** p
+    return M, -4 * pow(27, -1, M) % M
 
 
 def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
@@ -332,27 +390,153 @@ def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
     (Hensel: the derivative 2B is a unit), so the B fill 0 or 2 residue
     classes. The moduli stay Python ints, so no l^p overflows.
     """
-    M = l ** p
-    c = -4 * A ** 3 * pow(27, -1, M) % M
-    r = sqrt_mod(c, l)
+    r = _root_table(l)[A % l]
     if r is None:
         return []
-    m = l
-    while m < M:  # Newton steps double the precision
-        m = min(m * m, M)
-        r = (r - (r * r - c) * pow(2 * r, -1, m)) % m
+    M, k = _locus_modulus(l, p)
+    r = _hensel_sqrt(k * A ** 3 % M, r, l, M)
     hits = []
     for s in (r, M - r):
         hits.extend(range(-bmax + (s + bmax) % M, bmax + 1, M))
     return hits
 
 
+class _StrictLadder:
+    """The strict-mode skip at one l in {2, 3}: B is skipped when
+    v = v_l(disc0) >= minv and table[min(v, cap)] (see _strict_skip_table).
+
+    For a row A the B with l^k | disc0 are the B with B^2 = C mod l^n:
+    C = -4A^3/27 and n = k at l = 2; at l = 3, C = -4(A/3)^3 and n = k - 3
+    when 3 | A (k <= 3 then admits every B), and no B at all when 3 does not
+    divide A. Write C = l^v u with u a unit and m = n - v. While m <= 0 the
+    solutions are the one class B = 0 mod l^ceil(n/2). Past that there are
+    none when v is odd; else B = l^(v/2) B' with B'^2 = u mod l^m:
+    - at l = 3, B' = +-rho mod 3^m for the square roots rho of u in Z_3,
+      or no B' when u = 2 mod 3;
+    - at l = 2, every odd B' when m = 1, or m = 2 and u = 1 mod 4;
+      B' = +-rho mod 2^(m-1) when m >= 3 and u = 1 mod 8; else none.
+    """
+
+    def __init__(self, l: int, p: int, maxdisc: int, bmax: int):
+        minv, table = _strict_skip_table(l, p)
+        self.l, self.minv, self.table = l, minv, table.tolist()
+        self.cap = len(self.table) - 1
+        self.vmax = 0  # no nonzero |disc0| <= maxdisc has l^(vmax + 1) | disc0
+        while l ** (self.vmax + 1) <= maxdisc:
+            self.vmax += 1
+        self.bmax = bmax
+        self.prec = (2 * bmax).bit_length() + 3  # digits of rho the walk reads
+
+    def skips(self, v: int) -> bool:
+        return v >= self.minv and self.table[min(v, self.cap)]
+
+    def _square_roots(self, A: int):
+        """(n offset, v, u, rho) for row A, or None when no k >= 4 is met at
+        l = 3; v is None for C = 0 and rho is None when u is no square."""
+        l = self.l
+        if l == 3:
+            if A % 3:
+                return None
+            C, off = -4 * (A // 3) ** 3, 3
+        else:
+            C, off = -4 * A ** 3, 0  # 27 is a 2-adic unit: fold it into u
+        if C == 0:
+            return off, None, 0, None
+        v = valuation(C, l)
+        M = l ** self.prec
+        u = C // l ** v * (pow(27, -1, M) if l == 2 else 1) % M
+        rho = None
+        if l == 2 and u % 8 == 1:
+            rho = 1
+            for j in range(3, self.prec):  # rho^2 = u mod 2^j -> mod 2^(j+1)
+                if (rho * rho - u) >> j & 1:
+                    rho += 1 << (j - 1)
+        elif l == 3 and u % 3 == 1:
+            rho = _hensel_sqrt(u, 1, 3, M)
+        return off, v, u, rho
+
+    def _classes(self, roots, k: int) -> List[Tuple[int, int]]:
+        """The classes (r, m) of the B with l^k | disc0 in the row."""
+        l = self.l
+        if roots is None:
+            return []
+        off, v, u, rho = roots
+        n = k - off
+        if n <= 0:
+            return [(0, 1)]
+        if v is None or n <= v:
+            return [(0, l ** -(-n // 2))]
+        if v % 2:
+            return []
+        h, m = v // 2, n - v
+        if l == 2 and m <= 2:
+            return [(1 << h, 2 << h)] if m == 1 or u % 4 == 1 else []
+        if rho is None:
+            return []
+        M = l ** (n - h - (l == 2))
+        return [(l ** h * rho % M, M), (-(l ** h) * rho % M, M)]
+
+    def row(self, A: int, row: _Row):
+        """The row's skipped set as shallow classes and listed points.
+
+        Walks k = minv, minv + 1, ... until no class is left, k passes vmax,
+        or every class is wider than the box (at most one B each): that k is
+        kend. Returns (terms, kend, listed): sum c * count(r, m) over the
+        terms (c, r, m) counts the family B with minv <= v < kend and
+        skips(v), and listed holds the family B with v >= kend.
+        """
+        roots = self._square_roots(A)
+        terms, prev, k = [], False, self.minv
+        while True:
+            classes = self._classes(roots, k) if k <= self.vmax else []
+            stop = not classes or all(m > 2 * self.bmax for _, m in classes)
+            cur = not stop and self.skips(k)
+            if cur != prev:
+                terms += [(cur - prev, r, m) for r, m in classes]
+            if stop:
+                break
+            prev, k = cur, k + 1
+        listed = []
+        for r, m in classes:
+            b = -self.bmax + (r + self.bmax) % m
+            if b <= self.bmax and row.disc0(b) is not None:
+                listed.append(b)
+        return terms, k, listed
+
+
+def _skipped_in_row(A: int, row: _Row, ladders: List[_StrictLadder]) -> int:
+    """Family B of the row that strict mode skips at l = 2 or 3.
+
+    |U2 u U3| = |U2| + |U3| - |U2 n U3| over the shallow classes (the 2- and
+    3-classes meet by CRT), then each listed point's shallow verdict is
+    swapped for the one read off its exact valuations.
+    """
+    walks = [ladder.row(A, row) for ladder in ladders]
+    (terms2, _, _), (terms3, _, _) = walks
+    n = sum(c * row.count(r, m) for c, r, m in terms2 + terms3)
+    for c2, r2, m2 in terms2:
+        for c3, r3, m3 in terms3:
+            n -= c2 * c3 * row.count(*_crt(r2, m2, r3, m3))
+    for b in {b for _, _, listed in walks for b in listed}:
+        d = row.disc0(b)
+        vs = [valuation(d, ladder.l) for ladder in ladders]
+        shallow = any(v < kend and ladder.skips(v)
+                      for ladder, (_, kend, _), v in zip(ladders, walks, vs))
+        n += any(ladder.skips(v) for ladder, v in zip(ladders, vs)) - shallow
+    return n
+
+
 def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _SweepCounts:
-    import numpy as np
+    """The family counts over the rows a_lo <= A < a_hi of the height-X box.
+
+    Each row is counted by residue classes (see _Row), never B by B:
+    total and good_at_p from the 0-2 classes of B mod p with p | disc0, e3
+    from the anomalous classes of the row A mod p, the strict skips from the
+    classes of B mod 2^k and 3^k (_StrictLadder), and the e2 and I_p loci
+    from the Hensel-lifted classes of _power_locus, whose few hits are
+    tested one by one.
+    """
     amax, bmax = box_bounds(X)
-    B = np.arange(-bmax, bmax + 1, dtype=np.int64)
-    Bsq27 = 27 * B * B
-    Bmodp = B % p
     qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
     e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
@@ -362,50 +546,44 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     ip_primes = set(ip_primes or [])
     ip_set = {l for l in ip_primes if l >= 5 and l ** p <= maxdisc}
     locus_primes = sorted(e2_set | ip_set)
-    anom = anomalous_residue_table(p) if want_e3 else None
-    strict_filters = []
-    if strict:
-        for l in (2, 3):
-            minv, table = _strict_skip_table(l, p)
-            if l ** minv <= maxdisc:  # else no disc0 in the box reaches it
-                strict_filters.append((l, minv, table))
+    anom = {}
+    if want_e3:
+        residues = sorted({A % p for A in range(a_lo, min(a_hi, a_lo + p))})
+        table = anomalous_residue_table(p, residues)
+        anom = {a: [int(b) for b in table[i].nonzero()[0]] for i, a in enumerate(residues)}
+    ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
+    p_roots = _root_table(p)
 
     out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes)})
     for A in range(a_lo, a_hi):
-        disc = 4 * A ** 3 + Bsq27
-        ok = minimal_mask(A, B, qs, disc != 0)
-        n_ok = int(np.count_nonzero(ok))
+        row = _Row(A, bmax, qs)
+        n_ok = row.count(0, 1)
         if n_ok == 0:
             continue
         out.total += n_ok
-        good = ok & (disc % p != 0)
-        out.good_at_p += int(np.count_nonzero(good))
+        a = A % p
+        r = p_roots[a] if a else 0
+        bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
+        out.good_at_p += n_ok - sum(row.count(b, p) for b in bad)
         if want_e3:
-            out.e3 += int(np.count_nonzero(good & anom[A % p][Bmodp]))
-
-        skip_mask = None
+            out.e3 += sum(row.count(b, p) for b in anom[a])
         if strict:
-            skip_mask = np.zeros(len(B), dtype=bool)
-            for l, minv, table in strict_filters:
-                hit = np.flatnonzero(ok & (disc % l ** minv == 0))
-                v = minv + _capped_valuation(disc[hit] // l ** minv, l, len(table) - 1 - minv)
-                skip_mask[hit[table[v]]] = True
-            out.skipped += int(np.count_nonzero(skip_mask))
+            out.skipped += _skipped_in_row(A, row, ladders)
 
         e2_hits = set()
         for l in locus_primes:
             if A % l == 0:
                 continue  # outside the I_p locus; l | disc0 is additive, c_l <= 4 < p
             for b in _power_locus(A, l, p, bmax):
-                i = b + bmax
-                if not ok[i]:
+                d = row.disc0(b)
+                if d is None:
                     continue
-                v = valuation(4 * A ** 3 + 27 * b * b, l)
+                v = valuation(d, l)
                 if v == p and l in ip_set:
                     out.ip_counts[l] += 1
                 if (v % p == 0 and l in e2_set and legendre(864 * b, l) == 1
-                        and not (strict and skip_mask[i])):
-                    e2_hits.add(i)
+                        and not any(ladder.skips(valuation(d, ladder.l)) for ladder in ladders)):
+                    e2_hits.add(b)
         out.e2 += len(e2_hits)
     return out
 

@@ -166,17 +166,22 @@ isqrt = math.isqrt
 
 
 def iroot(n: int, k: int) -> int:
-    """floor(n**(1/k)) for n >= 0, exact in integers."""
+    """floor(n**(1/k)) for n >= 0 and k >= 1, exact in integers.
+
+    Integer Newton from 2^ceil(bits(n) / k), which is above the root: every
+    step stays at or above floor(n^(1/k)) and falls until it stops there.
+    No float is formed, so any size of n works.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def icbrt(n: int) -> int:

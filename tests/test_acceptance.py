@@ -29,12 +29,12 @@ from iwastat.enumeration import (
     bound_dp2,
     count_Ip,
     empirical_densities,
-    enumerate_curves,
     lifting_count_bruteforce,
     sadek_bounds,
     zeta10,
 )
 from iwastat.prime_scan import Conclusion, CurveRecord, scan_primes
+from oracles import enumerate_curves
 
 HEIGHT_BIG = 10**8
 REPORT_PATH = Path(__file__).resolve().parent.parent / "dp_discrepancy_report.json"

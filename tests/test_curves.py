@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ def row_histogram_table(p):
 def test_anomalous_residue_table_matches_row_histogram():
     for p in [3] + CENSUS_PRIMES:
         assert np.array_equal(anomalous_residue_table(p), row_histogram_table(p)), p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 499])
+def test_anomalous_rows_match_the_full_table(p):
+    full = anomalous_residue_table(p)
+    sample = random.Random(p).sample(range(p), min(p, 7))
+    for rows in ([0], [p - 1, 1], sample, sorted({a % p for a in range(-100, 101)})):
+        part = anomalous_residue_table(p, rows)
+        assert part.shape == (len(rows), p) and part.dtype == np.bool_
+        assert np.array_equal(part, full[rows]), (p, rows)
+
+
+def test_anomalous_rows_of_a_small_box_stay_small():
+    # the height-100 box meets 9 rows; the full table would be p x p bytes
+    p = 4999
+    rows = sorted({a % p for a in range(-4, 5)})
+    curves._chi_table(p)  # cached across calls; not part of the table
+    tracemalloc.start()
+    try:
+        tab = anomalous_residue_table(p, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.shape == (9, p)
+    assert peak < p * p, peak
 
 
 def test_hurwitz_class_numbers_known():

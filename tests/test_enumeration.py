@@ -15,8 +15,6 @@ from iwastat.enumeration import (
     brumer_estimate,
     count_Ip,
     empirical_densities,
-    enumerate_curves,
-    iter_curves,
     lattice_class_count,
     lattice_density,
     lifting_count,
@@ -28,6 +26,7 @@ from iwastat.enumeration import (
 from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
 from iwastat.primes import iroot, primes_up_to, valuation
+from oracles import enumerate_curves, iter_curves
 
 
 def brute_family(X):

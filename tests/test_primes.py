@@ -59,6 +59,24 @@ def test_iroot_bracket_property():
         assert r**k <= n < (r + 1) ** k
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 12])
+@pytest.mark.parametrize("n", [2**1024 + 1, 2**4000, 10**103 + 1])
+def test_iroot_past_the_float_range(n, k):
+    # a float guess overflows past 2^1024, and at 10^103 + 1 it lands far
+    # enough off that a unit-step correction never finishes
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+    if n == 2**4000 and 4000 % k == 0:
+        assert r == 2 ** (4000 // k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**4096 - 1), st.integers(min_value=1, max_value=40))
+def test_iroot_brackets_the_root(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
 def test_primes_up_to_and_range():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert prime_range(10, 30) == [11, 13, 17, 19, 23, 29]

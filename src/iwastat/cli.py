@@ -112,6 +112,10 @@ def _cmd_scan(args) -> int:
             return 1
     workers = args.workers if args.workers is not None else default_workers()
     jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
+    # every record's scan builds numpy arrays (frobenius_traces): loaded
+    # here, before fan_out forks its pool, numpy is shared by the workers,
+    # where each would otherwise import it again
+    import numpy  # noqa: F401
     entries = []
     status = 1 if errors else 0
     for code, text in fan_out(_scan_record, jobs, workers):

@@ -33,13 +33,17 @@ of F_p-isomorphism classes is the unweighted count of those forms.  This is
 O(p) per prime.  dp_census, the O(p^3) sweep over F_p^2, is kept as the
 brute-force oracle the tests check the formula against.
 
-numpy is imported inside the functions that build arrays, not at module
-level, so a command that needs no array (the census, the bounds) never
-loads it.
+The anomalous residue table (anomalous_residue_table) is a handful of
+cyclic correlations, each one big-integer product, in pure Python. numpy is
+imported inside the functions that build arrays, not at module level, so a
+command that needs no array (the census, the bounds, the height sweep)
+never loads it.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -52,7 +56,7 @@ from .errors import (
     OutOfRange,
     SingularCurve,
 )
-from .primes import is_prime, iroot, legendre, primes_up_to
+from .primes import factorize, is_prime, iroot, legendre, primes_up_to
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
@@ -86,11 +90,15 @@ def is_minimal_pair(A: int, B: int) -> bool:
 
     Such a q has q^12 | gcd(A^3, B^2), so only the primes up to the twelfth
     root of that gcd are tried. A == 0 is divisible by every q^4, so it
-    demands a sixth-power-free B (the gcd is B^2); symmetrically B == 0
-    demands a fourth-power-free A (the gcd is |A|^3).
+    demands a sixth-power-free B; symmetrically B == 0 demands a
+    fourth-power-free A. There the gcd is the other coefficient's power and
+    bounds nothing, so the q are the prime factors of that coefficient
+    (factorize raises TooLarge past its proven range).
     """
     if A == 0 and B == 0:
         return False
+    if A == 0 or B == 0:
+        return minimal_mask(A, B, factorize(A or B))
     return minimal_mask(A, B, primes_up_to(iroot(gcd(A**3, B**2), 12)))
 
 
@@ -452,39 +460,93 @@ def dp_table(p_max: int, p_min: int = 5) -> dict[int, dict]:
     return {p: {"p": p, **{mode.value: d_of_p(p, mode) for mode in DpMode}} for p in ps}
 
 
-def anomalous_residue_table(p: int, rows=None) -> np.ndarray:
-    """Boolean table of the anomalous residue pairs mod p: entry [i, b] is
-    True when (a, b) with a = rows[i] is nonsingular mod p and its point
-    count is divisible by p.  rows are residues mod p, distinct; by default
-    every residue, which makes the table p x p with a = i.  Used by the
-    height-box sweeps, which ask only for the rows A mod p their box meets.
+def _pack(values, fmt: str) -> int:
+    """The int whose slot i, fmt's item width wide, holds values[i]."""
+    slots = array(fmt, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
 
-    The point count is constant on the isomorphism orbits
-    {(u^4 a, u^6 b) : u in F_p^*}, so one representative per orbit is
-    counted and its verdict written to the orbit's entries in the asked
-    rows: about 2p point counts of O(p) each instead of p full O(p^2) rows,
-    and memory for the asked rows only.
+
+def _unpack(n: int, fmt: str, size: int) -> array:
+    """The size slots of n < 2^(size * slot width), the inverse of _pack."""
+    slots = array(fmt)
+    slots.frombytes(n.to_bytes(size * slots.itemsize, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+@lru_cache(maxsize=16)
+def _character_poly(p: int) -> tuple[str, int]:
+    """(fmt, G): G packs g[t] = 1 + chi(-t) for t in 0..2p-1, the table
+    mod p written twice, one fmt slot per t. A slot of a product H * G with
+    sum h = p holds at most 2p, so 16-bit slots suffice while 2p < 2^16 and
+    32-bit ones above."""
+    fmt = "H" if 2 * p < 1 << 16 else "I"
+    square = bytearray(p)
+    for x in range(1, p // 2 + 1):
+        square[x * x % p] = 1
+    g = [1] + [2 * square[-t % p] for t in range(1, p)]
+    return fmt, _pack(g + g, fmt)
+
+
+def _anomalous_row(a: int, p: int) -> tuple[int, ...]:
+    """The sorted b in 0..p-1 with (a, b) nonsingular mod p and p | #E(F_p).
+
+    With h[v] = #{x : x^3 + a x = v mod p}, the affine count at b is
+    sum_v h[v] (1 + chi(v + b)), a cyclic correlation of h with
+    g[t] = 1 + chi(-t). Written as one product H * G of packed ints
+    (Kronecker substitution, see _character_poly), its slot p + (-b mod p)
+    is #E(F_p) - 1 at b.
     """
-    import numpy as np
+    fmt, G = _character_poly(p)
+    h = [0] * p
+    for x in range(p):
+        h[(x * x * x + a * x) % p] += 1
+    counts = _unpack(_pack(h, fmt) * G, fmt, 3 * p)[p:2 * p]
+    # every x meets every b once: sum_b (#E - 1) = p^2
+    assert sum(counts) == p * p, f"point counts of row a={a} mod {p} do not sum to p^2"
+    a3x4, out = 4 * a ** 3, []
+    for b in range(p):
+        n = counts[-b % p] + 1
+        if (a3x4 + 27 * b * b) % p:
+            assert (p + 1 - n) ** 2 <= 4 * p, f"Hasse bound violated at ({a}, {b}) mod {p}"
+            if n % p == 0:
+                out.append(b)
+    return tuple(out)
+
+
+def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
+    """The anomalous residue pairs mod p, row by row: entry i is the sorted
+    tuple of the b in 0..p-1 for which (a, b) with a = rows[i] is
+    nonsingular mod p and its point count is divisible by p. rows are
+    residues mod p, distinct; by default every residue, entry a for row a.
+    Used by the height-box sweeps, which ask only for the rows A mod p their
+    box meets.
+
+    Each row computed is one cyclic correlation, done as one big-integer
+    product (_anomalous_row). The point count is constant on the
+    isomorphism orbits {(u^4 a, u^6 b) : u in F_p^*}, so row u^4 a0 is
+    {u^6 b : b in row a0}: one row is computed for a = 0 and one for each
+    coset of the fourth powers in F_p^* that the asked rows meet, at most
+    five in all, in pure Python.
+    """
     _require_odd_prime(p)
-    rows = range(p) if rows is None else list(rows)
-    index = np.full(p, -1, dtype=np.int64)  # residue -> its row, or -1
-    index[rows] = np.arange(len(rows))
-    u = np.arange(1, p, dtype=np.int64)
-    u2 = u * u % p
-    u4 = u2 * u2 % p
-    u6 = u4 * u2 % p
-    seen = np.zeros((len(rows), p), dtype=bool)
-    tab = np.zeros((len(rows), p), dtype=bool)
-    for i, a in enumerate(rows):
-        at = index[u4 * a % p]
-        keep = at >= 0
-        at, w = at[keep], u6[keep]
-        for b in np.flatnonzero(~seen[i]).tolist():
-            if seen[i, b]:
-                continue  # reached from an earlier pair of this row
-            orbit = (at, w * b % p)
-            seen[orbit] = True
-            if (4 * a**3 + 27 * b * b) % p != 0 and (_affine_count(a, b, p) + 1) % p == 0:
-                tab[orbit] = True
-    return tab
+    rows = range(p) if rows is None else rows
+    # a -> a^((p-1)/d), d = gcd(4, p - 1), has the fourth powers as kernel,
+    # so its value names the coset of a (and is 0 at a = 0)
+    e = (p - 1) // gcd(4, p - 1)
+    fourth = {}  # u^4 -> u, over F_p^*
+    for u in range(1, p):
+        fourth.setdefault(u ** 4 % p, u)
+    computed = {}  # coset -> (1 / a0, row a0) for the first a0 asked in it
+    out = []
+    for a in rows:
+        coset = pow(a, e, p)
+        if coset not in computed:
+            computed[coset] = (pow(a, -1, p) if a else 0), _anomalous_row(a, p)
+        inv, row = computed[coset]
+        u6 = pow(fourth[a * inv % p], 6, p) if a else 1  # a = u^4 a0
+        out.append(row if u6 == 1 else tuple(sorted(u6 * b % p for b in row)))
+    return out

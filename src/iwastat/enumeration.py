@@ -18,9 +18,9 @@ classes of B and never walks the B of a row:
   tested one by one.
 
 A row costs O(classes + hits) in time and memory. A worker count > 1
-partitions the A-range and merges pure counts. numpy is imported by the
-functions that build arrays, so the closed-form bounds (bound_dp2,
-bound_dp3, sadek_bounds) run without it.
+partitions the A-range and merges pure counts. The sweep, count_Ip and the
+closed-form bounds build no array and never load numpy; only the test
+oracle lifting_count_bruteforce imports it.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class _SweepCounts:
             self.ip_counts[l] = self.ip_counts.get(l, 0) + n
 
 
-def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
+def _strict_skip_table(l: int, p: int) -> Tuple[int, List[bool]]:
     """Strict-mode verdicts at l in {2, 3}, indexed by v = v_l(disc0).
 
     table[v] is True when the p-part of c_l cannot be certified trivial
@@ -289,12 +289,9 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, np.ndarray]:
     v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
     B is even), so at l = 2 the search starts at 2.
     """
-    import numpy as np
     shift = 4 if l == 2 else 0
-    cap = 12 * p
-    table = np.array([not _p_part_certifiably_trivial(v + shift, p) for v in range(cap + 1)])
-    start = 2 if l == 2 else 1
-    return start + int(np.argmax(table[start:])), table
+    table = [not _p_part_certifiably_trivial(v + shift, p) for v in range(12 * p + 1)]
+    return table.index(True, 2 if l == 2 else 1), table
 
 
 def _divisor_weights(qs: List[int]) -> List[Tuple[int, int]]:
@@ -419,7 +416,7 @@ class _StrictLadder:
 
     def __init__(self, l: int, p: int, maxdisc: int, bmax: int):
         minv, table = _strict_skip_table(l, p)
-        self.l, self.minv, self.table = l, minv, table.tolist()
+        self.l, self.minv, self.table = l, minv, table
         self.cap = len(self.table) - 1
         self.vmax = 0  # no nonzero |disc0| <= maxdisc has l^(vmax + 1) | disc0
         while l ** (self.vmax + 1) <= maxdisc:
@@ -549,8 +546,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     anom = {}
     if want_e3:
         residues = sorted({A % p for A in range(a_lo, min(a_hi, a_lo + p))})
-        table = anomalous_residue_table(p, residues)
-        anom = {a: [int(b) for b in table[i].nonzero()[0]] for i, a in enumerate(residues)}
+        anom = dict(zip(residues, anomalous_residue_table(p, residues)))
     ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
     p_roots = _root_table(p)
 
@@ -590,7 +586,6 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
 
 def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
            workers=None) -> _SweepCounts:
-    import numpy as np
     amax, _ = box_bounds(X)
     for l in ip_primes or []:
         if not is_prime(l):
@@ -599,9 +594,9 @@ def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
         workers = default_workers()
     if workers <= 1 or amax < 64:
         return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)
-    edges = np.linspace(-amax, amax + 1, workers + 1).astype(int)
+    edges = [-amax + i * (2 * amax + 1) // workers for i in range(workers + 1)]
     jobs = [
-        (X, p, int(edges[i]), int(edges[i + 1]), ip_primes, want_e2, want_e3, strict)
+        (X, p, edges[i], edges[i + 1], ip_primes, want_e2, want_e3, strict)
         for i in range(workers)
     ]
     merged = _SweepCounts(ip_counts={l: 0 for l in (ip_primes or [])})

@@ -5,8 +5,9 @@ unset or empty means one worker. A value that is not an integer raises
 InvalidSetting, which the CLI reports with exit code 1.
 
 concurrent.futures is imported on the first parallel call of fan_out, so a
-serial run never loads the process pool. That call also loads numpy before
-the pool forks, so the workers share it.
+serial run never loads the process pool. fan_out loads nothing else: a
+caller whose jobs need a module in every worker (the scan's numpy) imports
+it before the call, so the forked workers share it.
 """
 
 import os
@@ -30,10 +31,6 @@ def fan_out(fn, jobs, workers: int) -> list:
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
-    # every job the package fans out (sweep chunks, scan records) builds
-    # numpy arrays: numpy loaded before the pool forks is shared by the
-    # workers, where each would otherwise import it again
-    import numpy  # noqa: F401
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(workers, len(jobs))

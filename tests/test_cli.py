@@ -308,3 +308,38 @@ def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["", "0 0 0"]
+
+
+def test_sweep_commands_leave_numpy_to_the_scan(tmp_path):
+    # a fresh interpreter: the sweep commands (serial, strict, ip-count and a
+    # 2-worker fan-out) never import numpy in the main process; scan with
+    # --workers 2 has it loaded by the time the pool forks
+    (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import iwastat.cli
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["enumerate", "--height", "1000000", "--prime", "499"],
+                ["enumerate", "--height", "1000000", "--prime", "7", "--strict"],
+                ["ip-count", "--l", "7", "--p", "5", "--height", "100000000"],
+                ["enumerate", "--height", "1000000", "--prime", "5", "--workers", "2"],
+            ):
+                codes.append(iwastat.cli.main(argv))
+        print(*codes, "numpy" in sys.modules)
+        fan_out, seen = iwastat.cli.fan_out, []
+        def recording(*args):
+            seen.append("numpy" in sys.modules)
+            return fan_out(*args)
+        iwastat.cli.fan_out = recording
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = iwastat.cli.main(["scan", "recs.csv", "--workers", "2"])
+        print(code, *seen)
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["0 0 0 0 False", "0 True"]

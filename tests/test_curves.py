@@ -24,6 +24,7 @@ from iwastat.curves import (
     trace_frobenius,
 )
 from iwastat.curves import _affine_count, _reduced_forms, _sum_blocks
+from iwastat.enumeration import empirical_densities
 from iwastat.errors import (
     BadReductionAt,
     InvalidPrime,
@@ -31,6 +32,7 @@ from iwastat.errors import (
     SingularCurve,
 )
 from iwastat.primes import primes_up_to
+from oracles import anomalous_bool_table, iter_curves
 
 CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
 
@@ -139,6 +141,26 @@ def test_minimal_pair_sieves_only_to_the_gcd_bound(monkeypatch):
     assert max(bounds) == 97
 
 
+def test_minimal_pair_with_a_zero_coefficient_factors_instead_of_sieving(monkeypatch):
+    # with B = 0 (or A = 0) the gcd bound is the other coefficient itself:
+    # the q come from its prime factors, so no sieve grows with |A| or |B|
+    bounds = []
+
+    def recording(n):
+        bounds.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(curves, "primes_up_to", recording)
+    n = 10**28 + 1  # 73 * 137 * 7841 * 127522001020150503761
+    assert CurveQ(n, 0).height == n**3
+    assert CurveQ(0, n).height == n**2
+    with pytest.raises(NonMinimalModel):
+        CurveQ(7841**4 * n, 0)
+    with pytest.raises(NonMinimalModel):
+        CurveQ(0, -(73**6) * n)
+    assert max(bounds, default=0) <= 1
+
+
 def test_classify_reduction_cases():
     r = classify_reduction((0, 1), 5)
     assert r.reduction_class is ReductionClass.GOOD_SUPERSINGULAR
@@ -225,8 +247,9 @@ def test_dp_table_matches_census():
 
 def test_anomalous_residue_table():
     for p in (5, 7):
-        tab = anomalous_residue_table(p)
-        assert tab.shape == (p, p) and tab.dtype == np.bool_
+        rows = anomalous_residue_table(p)
+        assert len(rows) == p
+        tab = anomalous_bool_table(rows, p)
         for a in range(p):
             for b in range(p):
                 if (4 * a**3 + 27 * b * b) % p == 0:
@@ -250,32 +273,85 @@ def row_histogram_table(p):
 
 def test_anomalous_residue_table_matches_row_histogram():
     for p in [3] + CENSUS_PRIMES:
-        assert np.array_equal(anomalous_residue_table(p), row_histogram_table(p)), p
+        rows = anomalous_residue_table(p)
+        assert len(rows) == p
+        assert np.array_equal(anomalous_bool_table(rows, p), row_histogram_table(p)), p
+
+
+def row_histogram(a, p):
+    # the same histogram for one row, 256 x at a time, so that p near 3000
+    # needs no p x p array
+    xs = np.arange(p, dtype=np.int64)
+    fx = (xs ** 3 + a * xs) % p
+    n_row = np.ones(p, dtype=np.int64)  # the point at infinity
+    for lo in range(0, p, 256):
+        b_of = (xs[:, None] ** 2 - fx[None, lo:lo + 256]) % p
+        n_row += np.bincount(b_of.ravel(), minlength=p)
+    return (n_row % p == 0) & ((4 * a**3 + 27 * xs * xs) % p != 0)
+
+
+_ODD_PRIMES = [p for p in primes_up_to(2999) if p >= 3]
+
+
+@st.composite
+def prime_and_rows(draw):
+    # p = 1 mod 4 has four cosets of the fourth powers in F_p^*, p = 3 mod 4
+    # two; up to six rows, so two nonzero rows often share a coset
+    r = draw(st.sampled_from([1, 3]))
+    p = draw(st.sampled_from([q for q in _ODD_PRIMES if q % 4 == r]))
+    rows = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6, unique=True))
+    return p, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_and_rows())
+def test_anomalous_rows_match_row_histograms(case):
+    p, rows = case
+    tab = anomalous_bool_table(anomalous_residue_table(p, rows), p)
+    assert np.array_equal(tab, np.array([row_histogram(a, p) for a in rows])), (p, rows)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 499])
 def test_anomalous_rows_match_the_full_table(p):
-    full = anomalous_residue_table(p)
+    full = anomalous_bool_table(anomalous_residue_table(p), p)
     sample = random.Random(p).sample(range(p), min(p, 7))
     for rows in ([0], [p - 1, 1], sample, sorted({a % p for a in range(-100, 101)})):
         part = anomalous_residue_table(p, rows)
-        assert part.shape == (len(rows), p) and part.dtype == np.bool_
-        assert np.array_equal(part, full[rows]), (p, rows)
+        assert len(part) == len(rows)
+        assert np.array_equal(anomalous_bool_table(part, p), full[rows]), (p, rows)
 
 
 def test_anomalous_rows_of_a_small_box_stay_small():
     # the height-100 box meets 9 rows; the full table would be p x p bytes
     p = 4999
     rows = sorted({a % p for a in range(-4, 5)})
-    curves._chi_table(p)  # cached across calls; not part of the table
     tracemalloc.start()
     try:
         tab = anomalous_residue_table(p, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tab.shape == (9, p)
+    assert len(tab) == 9
+    anomalous_bool_table(tab, p)  # each row sorted inside [0, p)
     assert peak < p * p, peak
+
+
+def test_anomalous_rows_of_a_small_box_correlate_at_most_five_rows(monkeypatch):
+    # the 9 rows of the height-100 box at p = 4999 meet every coset of the
+    # fourth powers; a = 0 and one row per coset are computed, the rest mapped
+    calls = []
+    row = curves._anomalous_row
+
+    def counting(a, p):
+        calls.append(a)
+        return row(a, p)
+
+    monkeypatch.setattr(curves, "_anomalous_row", counting)
+    p = 4999
+    e3 = empirical_densities(p, 100).e3
+    assert 1 <= len(calls) <= 5, calls
+    assert e3 == sum(1 for A, B in iter_curves(100)
+                     if disc0_of(A, B) % p and count_points(A, B, p) % p == 0)
 
 
 def test_hurwitz_class_numbers_known():

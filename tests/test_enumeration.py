@@ -104,6 +104,14 @@ def test_is_minimal_pair_matches_brute_force_at_large_A(pair):
         assert is_minimal_pair(A, B) == brute_minimal(A, B)
 
 
+def test_is_minimal_pair_with_a_zero_coefficient_matches_brute_force():
+    ks = [k for k in range(-12, 13) if k] + [10**9 + 7, -(2**31 - 1)]
+    for q in range(2, 102):
+        for k in ks:
+            for A, B in ((q**4 * k, 0), (0, q**6 * k)):
+                assert is_minimal_pair(A, B) == brute_minimal(A, B), (A, B)
+
+
 def test_box_bounds():
     assert box_bounds(1) == (1, 1)
     assert box_bounds(100) == (4, 10)

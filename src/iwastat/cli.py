@@ -4,28 +4,44 @@ Commands: scan, enumerate, bounds, dp, invariants, ip-count. Exit codes:
 0 success, 1 input error (bad flags, files, math inputs), 2 internal error
 (any other exception is a bug). IWASTAT_THREADS sets the default worker
 count; --workers wins when given.
+
+Importing this module loads only argparse, json, sys and iwastat.errors.
+Each handler imports the modules its command runs, so `dp` loads the census
+and not the sweep, and `scan` never loads the sweep.
 """
 
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .charpoly import CharPoly, iwasawa_invariants, truncated_chi_valuation, vanishing_order
-from .curves import DpMode, d_of_p
-from .enumeration import bound_dp3, bound_dp2, count_Ip, empirical_densities, sadek_bounds
 from .errors import IwastatError, ParseError
-# perfbench/tracing.py times scan_result_dict by rebinding it at this module,
-# so the name stays importable here
-from .io import (  # noqa: F401
-    density_report_dict,
-    parse_records,
-    scan_entry_text,
-    scan_json_text,
-    scan_result_dict,
-    write_density_report,
-)
-from .parallel import default_workers, fan_out
-from .prime_scan import scan_primes
+
+# Names a caller may rebind on this module: perfbench/tracing.py times
+# parse_records, scan_result_dict, scan_primes and empirical_densities this
+# way, and the tests replace scan_primes and fan_out. Each is bound on first
+# access (__getattr__) and the handlers call it through _cli, so a rebinding
+# is what runs, in the forked scan workers too.
+_REBINDABLE = {
+    "parse_records": "io",
+    "scan_result_dict": "io",
+    "scan_primes": "prime_scan",
+    "empirical_densities": "enumeration",
+    "fan_out": "parallel",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _REBINDABLE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,8 +108,10 @@ def _scan_record(rec, max_prime, allow_23):
     """(exit code, text) for one record: 0 and its JSON entry, 1 and a
     message when a typed error stops its scan, or 2 and a message when a
     bug does, so that one record does not sink the batch."""
+    from .io import scan_entry_text
+
     try:
-        results = scan_primes(rec, max_prime, allow_23=allow_23)
+        results = _cli.scan_primes(rec, max_prime, allow_23=allow_23)
     except IwastatError as e:
         return 1, f"record {rec.label}: {e}"
     except Exception as e:
@@ -102,7 +120,10 @@ def _scan_record(rec, max_prime, allow_23):
 
 
 def _cmd_scan(args) -> int:
-    records, errors = parse_records(args.records)
+    from .io import scan_json_text
+    from .parallel import default_workers
+
+    records, errors = _cli.parse_records(args.records)
     for lineno, msg in errors:
         print(f"row {lineno}: {msg}", file=sys.stderr)
     if args.label is not None:
@@ -118,7 +139,7 @@ def _cmd_scan(args) -> int:
     import numpy  # noqa: F401
     entries = []
     status = 1 if errors else 0
-    for code, text in fan_out(_scan_record, jobs, workers):
+    for code, text in _cli.fan_out(_scan_record, jobs, workers):
         if code:
             print(text, file=sys.stderr)
             status = max(status, code)
@@ -134,8 +155,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rep = empirical_densities(args.prime, args.height, strict=args.strict,
-                              workers=args.workers)
+    from .io import density_report_dict, write_density_report
+
+    rep = _cli.empirical_densities(args.prime, args.height, strict=args.strict,
+                                   workers=args.workers)
     if args.out:
         write_density_report(rep, args.out)
     else:
@@ -144,6 +167,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .curves import DpMode, d_of_p
+    from .enumeration import bound_dp2, bound_dp3
+
     # every value is computed before the first line is printed, so a bad
     # prime leaves stdout empty
     p = args.prime
@@ -156,11 +182,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dp(args) -> int:
+    from .curves import d_of_p
+
     print(d_of_p(args.prime, args.mode))
     return 0
 
 
 def _cmd_invariants(args) -> int:
+    from .charpoly import CharPoly, iwasawa_invariants, truncated_chi_valuation, vanishing_order
+
     try:
         coeffs = [int(tok) for tok in args.poly.split(",")]
     except ValueError:
@@ -175,6 +205,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ip_count(args) -> int:
+    from .enumeration import count_Ip, sadek_bounds
+
     n = count_Ip(args.l, args.p, args.height, workers=args.workers)
     lo, up = sadek_bounds(args.l, args.p, args.height) if args.height >= 4096 else (None, None)
     print(f"count = {n}")

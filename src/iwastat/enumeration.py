@@ -18,9 +18,8 @@ classes of B and never walks the B of a row:
   tested one by one.
 
 A row costs O(classes + hits) in time and memory. A worker count > 1
-partitions the A-range and merges pure counts. The sweep, count_Ip and the
-closed-form bounds build no array and never load numpy; only the test
-oracle lifting_count_bruteforce imports it.
+partitions the A-range and merges pure counts. Nothing here builds an
+array, so the module never loads numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .curves import (
     minimal_mask,
 )
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
-from .local_data import _p_part_certifiably_trivial
 from .parallel import default_workers, fan_out
 from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
 
@@ -51,7 +49,6 @@ __all__ = [
     "count_Ip",
     "sadek_bounds",
     "lifting_count",
-    "lifting_count_bruteforce",
     "bound_dp2",
     "bound_dp3",
     "lattice_class_count",
@@ -64,6 +61,13 @@ __all__ = [
 # the whole box at p = 5 holds ~2.7e5 of them at X = 10^10 and ~1e7 at 10^12
 # (20-30 s on one core), so 10^15 would take hours.
 _X_CAP = 10 ** 15
+
+# A worker pool costs tens of ms to start. Run as `enumerate --prime 5`,
+# serial against two workers on 2 vCPUs, the pool lost at X = 3e8 (amax 669;
+# 0.280 s against 0.298 s, 3 wins in 11) and won at 4e8 (amax 737; 0.321 s
+# against 0.296 s, 7 in 11), so a smaller box is swept in this process
+# whatever the worker count.
+_MIN_PARALLEL_AMAX = 700
 
 
 def box_bounds(X: int) -> Tuple[int, int]:
@@ -143,7 +147,7 @@ def lifting_count(l: int, p: int) -> int:
     l^p (l-1)^2 for primes l >= 5. At l = 2, 3 the unit locus is empty at
     every exponent (B odd gives disc0 = 1 mod 2; 3 prime to A gives
     disc0 = A != 0 mod 3), so the count is 0 there, not the closed form.
-    lifting_count_bruteforce is the oracle.
+    The brute-force count in tests/oracles.py is its oracle.
     """
     if l in (2, 3):
         return 0
@@ -174,45 +178,6 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
         + X ** (1 / 2) / (5 * l ** (p + 1) * Lk ** 6 * lk ** 5)
     )
     return lower, upper
-
-
-def lifting_count_bruteforce(l: int, p: int, exclusion: str = "componentwise") -> int:
-    """Count residue pairs (A, B) mod l^(p+1) with v_l(disc0) = p exactly.
-
-    exclusion picks which pairs are admitted: "componentwise" keeps
-    l coprime to A and to B (the literal locus definition); "pair" keeps
-    everything except A = B = 0 mod l. The closed-form prediction for the
-    count is l^p (l-1)^2, which brute force confirms for l >= 5 and
-    refutes at l in {2, 3} (both conventions). The 2^32 guard on the
-    number of pairs limits the check to l^(p+1) <= 2^16, so to small
-    exponents: (5, 2), (7, 2), (5, 3), (7, 3) and (11, 2) all fit. At
-    l = 2 and 3 the componentwise count is 0 at every exponent (B odd
-    gives disc0 = 1 mod 2; 3 prime to A gives disc0 = A != 0 mod 3), and
-    the pair count is 64, 8748 and 256 at (l, p) = (2, 5), (3, 5) and
-    (2, 7), against the closed form's 32, 972 and 128. The componentwise
-    count is the oracle for lifting_count.
-    """
-    import numpy as np
-    if exclusion not in ("componentwise", "pair"):
-        raise OutOfRange(f"exclusion must be 'componentwise' or 'pair', got {exclusion!r}")
-    modulus = l ** (p + 1)
-    if modulus * modulus > 2 ** 32:
-        raise TooLarge(f"l^(2(p+1)) = {modulus * modulus} exceeds the 2^32 guard")
-    B = np.arange(modulus, dtype=np.int64)
-    B_ok_comp = (B % l) != 0
-    Bsq27 = (27 * B * B) % modulus
-    count = 0
-    for A in range(modulus):
-        a_unit = A % l != 0
-        if exclusion == "componentwise":
-            if not a_unit:
-                continue
-            keep = B_ok_comp
-        else:
-            keep = B_ok_comp | np.bool_(a_unit)  # broadcast: pair not (0,0) mod l
-        disc = (4 * A ** 3 + Bsq27) % modulus
-        count += int(np.count_nonzero(keep & (disc % l ** p == 0) & (disc % modulus != 0)))
-    return count
 
 
 def bound_dp2(p: int, tol: float = 1e-8) -> float:
@@ -289,6 +254,8 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, List[bool]]:
     v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
     B is even), so at l = 2 the search starts at 2.
     """
+    from .local_data import _p_part_certifiably_trivial
+
     shift = 4 if l == 2 else 0
     table = [not _p_part_certifiably_trivial(v + shift, p) for v in range(12 * p + 1)]
     return table.index(True, 2 if l == 2 else 1), table
@@ -592,7 +559,7 @@ def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
             raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
     if workers is None:
         workers = default_workers()
-    if workers <= 1 or amax < 64:
+    if workers <= 1 or amax < _MIN_PARALLEL_AMAX:
         return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)
     edges = [-amax + i * (2 * amax + 1) // workers for i in range(workers + 1)]
     jobs = [

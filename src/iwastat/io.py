@@ -5,7 +5,13 @@ Ingest schema (header names exact, lower-case):
 label, a, b, rank are required. reg_excess holds "p:v" pairs separated by
 semicolons, e.g. "5:0;7:1". Unknown columns are ignored with a warning;
 malformed rows are rejected with a per-row error, never silently fixed.
+
+Importing the module loads neither iwastat.enumeration nor
+iwastat.prime_scan: `enumerate` needs only the density-report writers
+here, and the record reader and scan writers import prime_scan when called.
 """
+
+from __future__ import annotations
 
 import csv
 import json
@@ -13,12 +19,14 @@ import warnings
 from dataclasses import asdict, fields
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .curves import CurveQ
-from .enumeration import DensityReport
 from .errors import HeaderMismatch, IwastatError, ParseError, UnknownColumnWarning
-from .prime_scan import CurveRecord, PrimeScanResult
+
+if TYPE_CHECKING:
+    from .enumeration import DensityReport
+    from .prime_scan import CurveRecord, PrimeScanResult
 
 __all__ = [
     "REQUIRED_COLUMNS",
@@ -30,7 +38,6 @@ __all__ = [
     "scan_result_dict",
     "scan_entry_text",
     "scan_json_text",
-    "write_scan_results",
 ]
 
 REQUIRED_COLUMNS = ["label", "a", "b", "rank"]
@@ -78,6 +85,8 @@ def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
 
 
 def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
+    from .prime_scan import CurveRecord
+
     header = reader.fieldnames
     if header is None:
         raise HeaderMismatch("empty file, header row required")
@@ -161,10 +170,17 @@ def scan_result_dict(res: PrimeScanResult) -> dict:
     }
 
 
-# every field of a result but p, in declaration order: the key of a row's text
-_row_key = attrgetter(*(f.name for f in fields(PrimeScanResult) if f.name != "p"))
 _ROW_INDENT = " " * 6
 _P_KEY = '"p": '
+
+
+@lru_cache(maxsize=1)
+def _row_key():
+    """The getter of every field of a result but p, in declaration order:
+    the key of a row's text."""
+    from .prime_scan import PrimeScanResult
+
+    return attrgetter(*(f.name for f in fields(PrimeScanResult) if f.name != "p"))
 
 
 @lru_cache(maxsize=256)
@@ -172,6 +188,8 @@ def _row_template(key) -> Tuple[str, str]:
     """The text of a result row in the scan JSON, cut where the value of p
     goes. Rows with equal keys differ only in p, so a scan renders a few
     dozen distinct rows with the json encoder and splices p into them."""
+    from .prime_scan import PrimeScanResult
+
     text = json.dumps(scan_result_dict(PrimeScanResult(-1, *key)), indent=2, sort_keys=True)
     text = _ROW_INDENT + text.replace("\n", "\n" + _ROW_INDENT)
     head, mark, tail = text.partition(_P_KEY + "-1")
@@ -187,9 +205,10 @@ def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
     head = '  {\n    "label": ' + json.dumps(label) + ',\n    "results": '
     if not results:
         return head + "[]\n  }"
+    row_key = _row_key()
     rows = []
     for res in results:
-        row_head, row_tail = _row_template(_row_key(res))
+        row_head, row_tail = _row_template(row_key(res))
         rows.append(row_head + str(res.p) + row_tail)
     return head + "[\n" + ",\n".join(rows) + "\n    ]\n  }"
 
@@ -199,10 +218,3 @@ def scan_json_text(entries: List[str]) -> str:
     json.dumps(payload, indent=2, sort_keys=True) of the payload list,
     without the pure-Python encoder that indent=2 falls back to."""
     return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
-
-
-def write_scan_results(results: List[PrimeScanResult], path, label: str = "") -> None:
-    payload = {"label": label, "results": [scan_result_dict(r) for r in results]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -6,8 +6,9 @@ valuations. Tate's algorithm (Silverman, Advanced Topics in the Arithmetic
 of Elliptic Curves, IV.9) classifies the fibre at every prime l, rescaling
 by l whenever the model turns out to be non-minimal at l. It finds the
 singular point of the reduction in closed form at l >= 5 (by search at
-l in {2, 3}); its only O(l) step, the search for the roots of a cubic
-over F_l, runs only for fibres past IV (I0*, I_n*, IV*, III*, II*).
+l in {2, 3}), and the roots of the cubic of the fibres past IV (I0*,
+I_n*, IV*, III*, II*) from polynomial gcds over F_l, so no step searches
+F_l and each takes O(log l) operations.
 """
 
 import math
@@ -140,32 +141,68 @@ def _singular_point(a, l):
     return x, -(a1 * x + a3) * inv2 % l
 
 
-def _poly_roots_mod(coeffs, l):
-    """Roots in F_l with multiplicities for sum(coeffs[i] * T^i).
+def _trim(f, l):
+    """f mod l without its zero leading coefficients (constant term first)."""
+    f = [c % l for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
-    Returns a dict root -> multiplicity, by repeated synthetic division.
-    Sound for splitting off every rational root; over a prime field any
-    repeated factor of a cubic is linear, so multiplicities found this way
-    settle separability questions for the callers here.
+
+def _poly_rem(f, g, l):
+    """f mod g over F_l; g is trimmed and nonzero."""
+    f = _trim(f, l)
+    inv = pow(g[-1], -1, l)
+    while len(f) >= len(g):
+        q, shift = f[-1] * inv % l, len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] = (f[shift + i] - q * c) % l
+        f = _trim(f, l)
+    return f
+
+
+def _poly_gcd(f, g, l):
+    """The monic gcd of f and g over F_l, not both zero."""
+    f, g = _trim(f, l), _trim(g, l)
+    while g:
+        f, g = g, _poly_rem(f, g, l)
+    inv = pow(f[-1], -1, l)
+    return [c * inv % l for c in f]
+
+
+def _frobenius_mod(P, l):
+    """T^l mod P over F_l, by square and multiply: O(log l) products mod P."""
+    r = [1]
+    for bit in bin(l)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, a in enumerate(r):
+            for j, b in enumerate(r):
+                sq[i + j] += a * b
+        r = _poly_rem([0] + sq if bit == "1" else sq, P, l)
+    return r
+
+
+def _cubic_roots(c0, c1, c2, l):
+    """(n, r, m) for P = T^3 + c2 T^2 + c1 T + c0 over F_l: n distinct
+    roots in F_l, and the repeated root r of multiplicity m, or r = None and
+    m = 1 when P is separable. O(log l) steps, with no search over F_l.
+
+    A separable P has deg gcd(P, T^l - T) roots. A repeated factor of a
+    cubic over F_l is linear, so gcd(P, P') = (T - r)^k: its T^(k-1)
+    coefficient is -k r, and where l | k (k = 2 at l = 2, or P' = 0 and
+    k = 3 at l = 3) its constant term is (-r)^k = -r, since r^l = r.
     """
-    cs = [c % l for c in coeffs]
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    roots = {}
-    for t in range(l):
-        while len(cs) > 1:
-            # evaluate and divide by (T - t) in one Horner pass
-            q = []
-            acc = 0
-            for c in reversed(cs):
-                acc = (acc * t + c) % l
-                q.append(acc)
-            if acc != 0:
-                break
-            q.pop()
-            cs = [c % l for c in reversed(q)]
-            roots[t] = roots.get(t, 0) + 1
-    return roots
+    P = _trim([c0, c1, c2, 1], l)
+    g = _poly_gcd(P, [c1, 2 * c2, 3], l)
+    k = len(g) - 1
+    if k == 0:
+        t = _frobenius_mod(P, l) + [0, 0]
+        t[1] -= 1
+        return len(_poly_gcd(P, t, l)) - 1, None, 1
+    r = -g[0] % l if k % l == 0 else -g[k - 1] * pow(k, -1, l) % l
+    if P == _trim([-r ** 3, 3 * r * r, -3 * r, 1], l):
+        return 1, r, 3
+    return 2, r, 2
 
 
 def _quad_distinct_rational(qa, qb, qc, l):
@@ -259,14 +296,10 @@ def _tate(A, B, l) -> KodairaData:
         assert a3 % l ** 2 == 0 and a4 % l ** 2 == 0 and a6 % l ** 3 == 0
 
         # cubic P(T) = T^3 + a_{2,1} T^2 + a_{4,2} T + a_{6,3} over F_l
-        roots = _poly_roots_mod([a6 // l ** 3, a4 // l ** 2, a2 // l, 1], l)
-        mult = {r: m for r, m in roots.items() if m >= 2}
-        if not mult:
-            # any repeated factor of a cubic over F_l is linear, so no
-            # repeated rational root means P is separable: I0*
-            return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + len(roots))
-        assert len(mult) == 1, (a, l, roots)
-        (t0, m0), = mult.items()
+        n_roots, t0, m0 = _cubic_roots(a6 // l ** 3, a4 // l ** 2, a2 // l, l)
+        if t0 is None:
+            # P separable: I0*
+            return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + n_roots)
 
         if m0 == 2:
             # double root: shift it to 0 and walk the I_n* ladder
@@ -320,8 +353,7 @@ def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
     """KodairaData of curve at a bad prime l, by Tate's algorithm.
 
     It runs at every l; at l >= 5 the minimal pair is l-minimal, so one
-    round settles it, and its O(l) root search runs only for fibres past
-    IV (I0*, I_n*, IV*, III*, II*). A good l >= 5 raises GoodReductionAt.
+    round settles it. A good l >= 5 raises GoodReductionAt.
     l in {2, 3} runs it only when allow_23 is set; the default path
     expects callers to supply ingested Tamagawa overrides instead and
     raises UnknownLocalData. A non-prime l raises InvalidPrime.

@@ -184,6 +184,14 @@ _BAD_PRIME = (ReductionClass.BAD, False, None, None, None,
               Conclusion.BAD_PRIME, False, Reason.BAD_PRIME, None, None, None)
 
 
+@lru_cache(maxsize=4096)
+def _result(p: int, key: tuple) -> PrimeScanResult:
+    """The result at p with every other field from key (_verdict or
+    _BAD_PRIME). Results are frozen, so records that meet the same verdict
+    at p share one, and its checks run once."""
+    return PrimeScanResult(p, *key)
+
+
 @lru_cache(maxsize=64)
 def _scan_range(p_min: int, p_max: int) -> tuple:
     return tuple(prime_range(p_min, p_max + 1))
@@ -199,8 +207,8 @@ def scan_primes(
 
     Every a_p comes from one frobenius_traces pass, the record's Tamagawa
     table is read once, at the first prime that needs it (not where the Sha
-    order is missing or divisible by p), and each distinct verdict is
-    decided once.
+    order is missing or divisible by p), each distinct verdict is decided
+    once and each distinct result is built once.
     """
     if p_min < 5:
         raise InvalidPrime(
@@ -213,11 +221,11 @@ def scan_primes(
     results = []
     for p, a_p in zip(primes, frobenius_traces(curve.A, curve.B, primes)):
         if curve.disc0 % p == 0:
-            results.append(PrimeScanResult(p, *_BAD_PRIME))
+            results.append(_result(p, _BAD_PRIME))
             continue
         # Hasse puts |a_p| < p, so p | a_p (supersingular) means a_p = 0,
         # and p | N_p = p + 1 - a_p (anomalous) means a_p = 1 mod p
-        results.append(PrimeScanResult(p, *_verdict(
+        results.append(_result(p, _verdict(
             rank, a_p != 0, (a_p - 1) % p == 0,
             _divisor_hit(record, p, tau_p), in_pi.get(p),
         )))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwastat import enumeration
 from iwastat.curves import classify_reduction, d_of_p, disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
     DensityReport,
@@ -18,7 +19,6 @@ from iwastat.enumeration import (
     lattice_class_count,
     lattice_density,
     lifting_count,
-    lifting_count_bruteforce,
     sadek_bounds,
     total_weq,
     zeta10,
@@ -26,7 +26,7 @@ from iwastat.enumeration import (
 from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
 from iwastat.primes import iroot, primes_up_to, valuation
-from oracles import enumerate_curves, iter_curves
+from oracles import enumerate_curves, iter_curves, lifting_count_bruteforce
 
 
 def brute_family(X):
@@ -155,10 +155,24 @@ def test_strict_mode_drops_uncertified():
     assert r.total == 401782  # strictness only affects the bad-fiber census
 
 
-def test_workers_agree_with_serial():
-    a = empirical_densities(5, 10**5)
-    b = empirical_densities(5, 10**5, workers=2)
-    assert a == b
+@pytest.mark.parametrize("strict", [False, True])
+def test_workers_agree_with_serial(monkeypatch, strict):
+    # a box this small is swept serially whatever the worker count; the
+    # threshold at 0 sends it through the pool
+    fanned = []
+    real = enumeration.fan_out
+
+    def recording(fn, jobs, workers):
+        fanned.append((len(jobs), workers))
+        return real(fn, jobs, workers)
+
+    monkeypatch.setattr(enumeration, "fan_out", recording)
+    a = empirical_densities(5, 10**5, strict=strict)
+    assert a == empirical_densities(5, 10**5, strict=strict, workers=2) and not fanned
+    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_AMAX", 0)
+    assert a == empirical_densities(5, 10**5, strict=strict, workers=2)
+    assert count_Ip(7, 5, 10**8, workers=2) == count_Ip(7, 5, 10**8)
+    assert fanned == [(2, 2), (2, 2)]
 
 
 def test_counts_cross_checked_against_local_theory():

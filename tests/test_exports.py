@@ -5,7 +5,12 @@ A deletion that leaves its name in an __all__ list breaks
 """
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -22,3 +27,21 @@ def test_all_names_are_bound(name):
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names unbound {missing}"
 
+
+def test_star_import_and_dir_cover_the_package_all():
+    # a fresh interpreter: the package binds its names on first access, and
+    # dir() and * must see all of them before any is touched
+    script = textwrap.dedent("""
+        import iwastat
+        listed = set(dir(iwastat))
+        namespace = {}
+        exec("from iwastat import *", namespace)
+        print(sorted(set(iwastat.__all__) - listed), sorted(set(iwastat.__all__) - set(namespace)))
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "[]"]
+    with pytest.raises(AttributeError):
+        iwastat.no_such_name

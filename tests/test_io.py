@@ -13,9 +13,9 @@ from iwastat.io import (
     scan_result_dict,
     write_density_report,
     write_records,
-    write_scan_results,
 )
 from iwastat.prime_scan import CurveRecord, scan_primes
+from oracles import write_scan_results
 
 HEADER = "label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess"
 

@@ -11,9 +11,11 @@ from iwastat.errors import (
     SingularCurve,
     UnknownLocalData,
 )
+from iwastat import local_data
 from iwastat.local_data import (
     KodairaData,
     KodairaSymbol,
+    _cubic_roots,
     _shift,
     _singular_point,
     bad_primes,
@@ -22,6 +24,7 @@ from iwastat.local_data import (
     tamagawa_p_part,
 )
 from iwastat.primes import legendre, valuation
+from oracles import poly_roots_mod
 
 
 def test_bad_primes_always_include_two():
@@ -242,6 +245,40 @@ def test_singular_point_is_singular(l):
         assert (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % l == 0, (a, l)
         assert (2 * y + a1 * x + a3) % l == 0, (a, l)
         assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % l == 0, (a, l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13])
+def test_cubic_roots_match_the_search_on_every_cubic(l):
+    for c0 in range(l):
+        for c1 in range(l):
+            for c2 in range(l):
+                roots = poly_roots_mod([c0, c1, c2, 1], l)
+                repeated = [(r, m) for r, m in roots.items() if m >= 2]
+                want = (len(roots), *(repeated[0] if repeated else (None, 1)))
+                assert _cubic_roots(c0, c1, c2, l) == want, (c0, c1, c2, l)
+
+
+def test_cubic_roots_take_log_steps_at_a_large_prime(monkeypatch):
+    # (3 l^2, 5 l^3) is I0* at l with Tate's cubic T^3 + 3T + 5, which is
+    # irreducible mod l = 100000007 (sympy's factorization agrees); a search
+    # over F_l would take ~10^8 steps, the gcds take O(log l) remainders
+    l = 100000007
+    calls = []
+    real = local_data._poly_rem
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(local_data, "_poly_rem", counting)
+    data = kodaira_tamagawa((3 * l ** 2, 5 * l ** 3), l)
+    assert (data.symbol, data.tamagawa) == (KodairaSymbol.I0_STAR, 1)
+    assert 0 < len(calls) <= 2 * l.bit_length() + 10
+    calls.clear()
+    assert _cubic_roots(-6, 11, -6, l) == (3, None, 1)  # (T - 1)(T - 2)(T - 3)
+    assert _cubic_roots(-2, 5, -4, l) == (2, 1, 2)      # (T - 1)^2 (T - 2)
+    assert _cubic_roots(-1, 3, -3, l) == (1, 1, 3)      # (T - 1)^3
+    assert 0 < len(calls) <= 2 * l.bit_length() + 10
 
 
 def test_scaling_invariance():

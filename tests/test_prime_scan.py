@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -226,13 +227,36 @@ def test_scan_factors_disc0_at_most_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_scan_builds_each_distinct_result_once(monkeypatch):
+    # records that meet the same verdict at p share one frozen result, so its
+    # checks run once per distinct (p, verdict), not once per record
+    from iwastat import prime_scan
+
+    built = []
+    real = PrimeScanResult.__post_init__
+
+    def counting(self):
+        built.append((self.p, self.conclusion, self.reason))
+        real(self)
+
+    monkeypatch.setattr(PrimeScanResult, "__post_init__", counting)
+    prime_scan._result.cache_clear()
+    records = [CurveRecord((a, b), rank=r, sha_order=1)
+               for a, b, r in ((-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-2, 1, 0), (-1, 1, 1))]
+    scans = [scan_primes(rec, 300) for rec in records * 2]
+    distinct = {dataclasses.astuple(res) for scan in scans for res in scan}
+    assert sum(map(len, scans)) == 2 * len(records) * 60
+    assert len(built) == len(distinct) < sum(map(len, scans)) // 2
+    assert scans[:len(records)] == scans[len(records):]
+
+
 def test_input_checks_survive_python_O(tmp_path):
     # input validation must not rely on assert, which python -O strips
     script = textwrap.dedent("""
-        from iwastat.enumeration import lifting_count_bruteforce
         from iwastat.errors import InvalidPrime, OutOfRange, SingularCurve
         from iwastat.local_data import bad_primes, tamagawa_p_part
         from iwastat.prime_scan import CurveRecord, scan_primes
+        from oracles import lifting_count_bruteforce
 
         def raises(exc, fn, *args, **kwargs):
             try:
@@ -251,7 +275,8 @@ def test_input_checks_survive_python_O(tmp_path):
         print("ok")
     """)
     src = pathlib.Path(iwastat.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    path = os.pathsep.join([str(src), str(pathlib.Path(__file__).resolve().parent)])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-O", "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr

@@ -8,6 +8,7 @@ here, so `iwastat.CurveQ`, `from iwastat import CurveQ` and
 modules it uses.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -54,14 +55,24 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name):
-    try:
-        module = _MODULE_OF[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _bind_on_access(module_name, module_of):
+    """A PEP 562 __getattr__ for the module module_name: each name in
+    module_of is read from the iwastat module module_of[name], imported on
+    first access, and then kept as an attribute of module_name."""
+
+    def __getattr__(name):
+        try:
+            source = module_of[name]
+        except KeyError:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}") from None
+        value = getattr(import_module(f"{__name__}.{source}"), name)
+        setattr(sys.modules[module_name], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _bind_on_access(__name__, _MODULE_OF)
 
 
 def __dir__():

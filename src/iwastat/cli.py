@@ -13,8 +13,8 @@ and not the sweep, and `scan` never loads the sweep.
 import argparse
 import json
 import sys
-from importlib import import_module
 
+from . import _bind_on_access
 from .errors import IwastatError, ParseError
 
 # Names a caller may rebind on this module: perfbench/tracing.py times
@@ -29,17 +29,7 @@ _REBINDABLE = {
     "empirical_densities": "enumeration",
     "fan_out": "parallel",
 }
-
-
-def __getattr__(name):
-    try:
-        module = _REBINDABLE[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = _bind_on_access(__name__, _REBINDABLE)
 
 _cli = sys.modules[__name__]
 

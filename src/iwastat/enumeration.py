@@ -62,12 +62,19 @@ __all__ = [
 # (20-30 s on one core), so 10^15 would take hours.
 _X_CAP = 10 ** 15
 
-# A worker pool costs tens of ms to start. Run as `enumerate --prime 5`,
-# serial against two workers on 2 vCPUs, the pool lost at X = 3e8 (amax 669;
-# 0.280 s against 0.298 s, 3 wins in 11) and won at 4e8 (amax 737; 0.321 s
-# against 0.296 s, 7 in 11), so a smaller box is swept in this process
-# whatever the worker count.
-_MIN_PARALLEL_AMAX = 700
+# A worker pool costs tens of ms to start, so the sweep fans out only when
+# its serial work, estimated from the box and the mode, passes the pool's
+# break-even. The estimate per row, timed in-process on a 2-vCPU Xeon VM
+# (Python 3.11): ~8 us for the row's classes, ~3 us for each e2 or I_p
+# locus prime l and ~50 us for the strict ladders, plus ~1.3 us for each
+# locus hit tested one by one (about (2 bmax + 1) / l^p a row). There,
+# serial against two workers at 23 points in six modes (`enumerate
+# --prime 5` and 7, each with and without --strict, `--prime 13 --strict`
+# and `ip-count --l 7 --p 5`), ordered by the estimate, the pool lost or
+# tied below ~150 ms and won from there on but for two near-ties at ~160
+# and ~180 ms (runs in BENCH_13.json).
+_ROW_US, _LOCUS_US, _STRICT_US, _HIT_US = 8, 3, 50, 1.3
+_MIN_PARALLEL_US = 150_000
 
 
 def box_bounds(X: int) -> Tuple[int, int]:
@@ -490,6 +497,18 @@ def _skipped_in_row(A: int, row: _Row, ladders: List[_StrictLadder]) -> int:
     return n
 
 
+def _locus_primes(p, maxdisc, ip_primes, want_e2):
+    """The primes whose l^p-locus the sweep solves: (e2 primes, I_p primes).
+
+    Primes with l^p beyond the largest possible |disc0| can never hit the
+    locus; at l = 2, 3 the unit locus is empty (B odd makes disc0 odd,
+    3 prime to A makes disc0 = A mod 3), so only l >= 5 is solved.
+    """
+    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
+    ip_set = {l for l in ip_primes or [] if l >= 5 and l ** p <= maxdisc}
+    return e2_set, ip_set
+
+
 def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _SweepCounts:
     """The family counts over the rows a_lo <= A < a_hi of the height-X box.
 
@@ -503,12 +522,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     amax, bmax = box_bounds(X)
     qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
-    # primes with l^p beyond the largest possible |disc0| can never hit the
-    # locus; at l = 2, 3 the unit locus is empty (B odd makes disc0 odd,
-    # 3 prime to A makes disc0 = A mod 3), so only l >= 5 is solved
-    ip_primes = set(ip_primes or [])
-    ip_set = {l for l in ip_primes if l >= 5 and l ** p <= maxdisc}
+    e2_set, ip_set = _locus_primes(p, maxdisc, ip_primes, want_e2)
     locus_primes = sorted(e2_set | ip_set)
     anom = {}
     if want_e3:
@@ -517,7 +531,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
     p_roots = _root_table(p)
 
-    out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes)})
+    out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes or [])})
     for A in range(a_lo, a_hi):
         row = _Row(A, bmax, qs)
         n_ok = row.count(0, 1)
@@ -551,15 +565,23 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     return out
 
 
+def _serial_cost_us(amax, bmax, p, locus, strict) -> float:
+    """The sweep's estimated serial run time in us (see _MIN_PARALLEL_US)."""
+    rows = 2 * amax + 1
+    hits = rows * sum((2 * bmax + 1) / l ** p for l in locus)
+    return rows * (_ROW_US + _LOCUS_US * len(locus) + _STRICT_US * strict) + _HIT_US * hits
+
+
 def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
            workers=None) -> _SweepCounts:
-    amax, _ = box_bounds(X)
+    amax, bmax = box_bounds(X)
     for l in ip_primes or []:
         if not is_prime(l):
             raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
     if workers is None:
         workers = default_workers()
-    if workers <= 1 or amax < _MIN_PARALLEL_AMAX:
+    e2_set, ip_set = _locus_primes(p, 4 * amax ** 3 + 27 * bmax ** 2, ip_primes, want_e2)
+    if workers <= 1 or _serial_cost_us(amax, bmax, p, e2_set | ip_set, strict) < _MIN_PARALLEL_US:
         return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)
     edges = [-amax + i * (2 * amax + 1) // workers for i in range(workers + 1)]
     jobs = [

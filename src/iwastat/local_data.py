@@ -182,27 +182,29 @@ def _frobenius_mod(P, l):
     return r
 
 
-def _cubic_roots(c0, c1, c2, l):
-    """(n, r, m) for P = T^3 + c2 T^2 + c1 T + c0 over F_l: n distinct
-    roots in F_l, and the repeated root r of multiplicity m, or r = None and
-    m = 1 when P is separable. O(log l) steps, with no search over F_l.
+def _repeated_root(P, l):
+    """(r, m) for the repeated root r, of multiplicity m, of the monic cubic
+    P over F_l (constant term first, trimmed), or None when P is separable.
 
-    A separable P has deg gcd(P, T^l - T) roots. A repeated factor of a
-    cubic over F_l is linear, so gcd(P, P') = (T - r)^k: its T^(k-1)
-    coefficient is -k r, and where l | k (k = 2 at l = 2, or P' = 0 and
-    k = 3 at l = 3) its constant term is (-r)^k = -r, since r^l = r.
+    A repeated factor of a cubic over F_l is linear, so gcd(P, P') =
+    (T - r)^k: its T^(k-1) coefficient is -k r, and where l | k (k = 2 at
+    l = 2, or P' = 0 and k = 3 at l = 3) its constant term is (-r)^k = -r,
+    since r^l = r.
     """
-    P = _trim([c0, c1, c2, 1], l)
-    g = _poly_gcd(P, [c1, 2 * c2, 3], l)
+    g = _poly_gcd(P, [P[1], 2 * P[2], 3], l)
     k = len(g) - 1
     if k == 0:
-        t = _frobenius_mod(P, l) + [0, 0]
-        t[1] -= 1
-        return len(_poly_gcd(P, t, l)) - 1, None, 1
+        return None
     r = -g[0] % l if k % l == 0 else -g[k - 1] * pow(k, -1, l) % l
-    if P == _trim([-r ** 3, 3 * r * r, -3 * r, 1], l):
-        return 1, r, 3
-    return 2, r, 2
+    return r, 3 if P == _trim([-r ** 3, 3 * r * r, -3 * r, 1], l) else 2
+
+
+def _root_count(P, l):
+    """The number of roots in F_l of the separable P: deg gcd(P, T^l - T),
+    in O(log l) remainders mod P, with no search over F_l."""
+    t = _frobenius_mod(P, l) + [0, 0]
+    t[1] -= 1
+    return len(_poly_gcd(P, t, l)) - 1
 
 
 def _quad_distinct_rational(qa, qb, qc, l):
@@ -296,10 +298,12 @@ def _tate(A, B, l) -> KodairaData:
         assert a3 % l ** 2 == 0 and a4 % l ** 2 == 0 and a6 % l ** 3 == 0
 
         # cubic P(T) = T^3 + a_{2,1} T^2 + a_{4,2} T + a_{6,3} over F_l
-        n_roots, t0, m0 = _cubic_roots(a6 // l ** 3, a4 // l ** 2, a2 // l, l)
-        if t0 is None:
+        P = _trim([a6 // l ** 3, a4 // l ** 2, a2 // l, 1], l)
+        repeated = _repeated_root(P, l)
+        if repeated is None:
             # P separable: I0*
-            return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + n_roots)
+            return KodairaData(l, KodairaSymbol.I0_STAR, 0, 1 + _root_count(P, l))
+        t0, m0 = repeated
 
         if m0 == 2:
             # double root: shift it to 0 and walk the I_n* ladder

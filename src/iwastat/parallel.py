@@ -9,9 +9,8 @@ serial run never loads the process pool. fan_out loads nothing else: a
 caller whose jobs need a module in every worker (the scan's numpy) imports
 it before the call, so the forked workers share it. The CLI loads this
 module only for the commands that can fan out (scan, enumerate, ip-count),
-and the sweep fans out only for a box with at least
-enumeration._MIN_PARALLEL_AMAX rows a side, where the pool pays for its
-start-up.
+and the sweep fans out only when its estimated serial work passes
+enumeration._MIN_PARALLEL_US, where the pool pays for its start-up.
 """
 
 import os

@@ -169,10 +169,33 @@ def test_workers_agree_with_serial(monkeypatch, strict):
     monkeypatch.setattr(enumeration, "fan_out", recording)
     a = empirical_densities(5, 10**5, strict=strict)
     assert a == empirical_densities(5, 10**5, strict=strict, workers=2) and not fanned
-    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_AMAX", 0)
+    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_US", 0)
     assert a == empirical_densities(5, 10**5, strict=strict, workers=2)
     assert count_Ip(7, 5, 10**8, workers=2) == count_Ip(7, 5, 10**8)
     assert fanned == [(2, 2), (2, 2)]
+
+
+def _fans_out(p, X, strict=False, ip_primes=None):
+    amax, bmax = box_bounds(X)
+    maxdisc = 4 * amax**3 + 27 * bmax**2
+    if ip_primes is None:  # the enumerate command: e2 and every I_p prime
+        ip_primes, want_e2 = [], True
+    else:  # the ip-count command
+        want_e2 = False
+    locus = set().union(*enumeration._locus_primes(p, maxdisc, ip_primes, want_e2))
+    cost = enumeration._serial_cost_us(amax, bmax, p, locus, strict)
+    return cost >= enumeration._MIN_PARALLEL_US
+
+
+def test_pool_threshold_matches_the_timed_crossovers():
+    # serial against two workers, each mode was timed on both sides of its
+    # break-even; the estimate must put every side where it was measured
+    assert not _fans_out(5, 3 * 10**8) and _fans_out(5, 4 * 10**8)
+    assert not _fans_out(7, 2 * 10**9) and _fans_out(7, 2 * 10**10)
+    assert not _fans_out(5, 10**8, strict=True) and _fans_out(5, 4 * 10**8, strict=True)
+    assert not _fans_out(7, 7 * 10**8, strict=True) and _fans_out(7, 10**9, strict=True)
+    assert not _fans_out(13, 15 * 10**8, strict=True)
+    assert not _fans_out(5, 10**10, ip_primes=[7]) and _fans_out(5, 3 * 10**10, ip_primes=[7])
 
 
 def test_counts_cross_checked_against_local_theory():

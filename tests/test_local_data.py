@@ -15,7 +15,8 @@ from iwastat import local_data
 from iwastat.local_data import (
     KodairaData,
     KodairaSymbol,
-    _cubic_roots,
+    _repeated_root,
+    _root_count,
     _shift,
     _singular_point,
     bad_primes,
@@ -254,8 +255,11 @@ def test_cubic_roots_match_the_search_on_every_cubic(l):
             for c2 in range(l):
                 roots = poly_roots_mod([c0, c1, c2, 1], l)
                 repeated = [(r, m) for r, m in roots.items() if m >= 2]
-                want = (len(roots), *(repeated[0] if repeated else (None, 1)))
-                assert _cubic_roots(c0, c1, c2, l) == want, (c0, c1, c2, l)
+                P = local_data._trim([c0, c1, c2, 1], l)
+                got = _repeated_root(P, l)
+                assert got == (repeated[0] if repeated else None), (c0, c1, c2, l)
+                if got is None:
+                    assert _root_count(P, l) == len(roots), (c0, c1, c2, l)
 
 
 def test_cubic_roots_take_log_steps_at_a_large_prime(monkeypatch):
@@ -275,9 +279,10 @@ def test_cubic_roots_take_log_steps_at_a_large_prime(monkeypatch):
     assert (data.symbol, data.tamagawa) == (KodairaSymbol.I0_STAR, 1)
     assert 0 < len(calls) <= 2 * l.bit_length() + 10
     calls.clear()
-    assert _cubic_roots(-6, 11, -6, l) == (3, None, 1)  # (T - 1)(T - 2)(T - 3)
-    assert _cubic_roots(-2, 5, -4, l) == (2, 1, 2)      # (T - 1)^2 (T - 2)
-    assert _cubic_roots(-1, 3, -3, l) == (1, 1, 3)      # (T - 1)^3
+    split = local_data._trim([-6, 11, -6, 1], l)  # (T - 1)(T - 2)(T - 3)
+    assert _repeated_root(split, l) is None and _root_count(split, l) == 3
+    assert _repeated_root(local_data._trim([-2, 5, -4, 1], l), l) == (1, 2)  # (T - 1)^2 (T - 2)
+    assert _repeated_root(local_data._trim([-1, 3, -3, 1], l), l) == (1, 3)  # (T - 1)^3
     assert 0 < len(calls) <= 2 * l.bit_length() + 10
 
 

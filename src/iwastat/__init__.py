@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "enumeration": (
         "DensityReport", "bound_dp2", "bound_dp3", "brumer_estimate", "count_Ip",
-        "empirical_densities", "lattice_class_count", "lattice_density", "lifting_count",
-        "sadek_bounds", "total_weq", "zeta10",
+        "empirical_densities", "lifting_count", "sadek_bounds", "total_weq", "zeta10",
     ),
     "errors": (
         "BadReductionAt", "EqualPrimes", "GoodReductionAt", "HeaderMismatch", "InvalidPrime",

@@ -30,8 +30,9 @@ t, the number of nonsingular (a, b) in F_p^2 with trace t is
 where H is the Hurwitz class number (reduced forms weighted 1/2, 1/3 for
 the forms of a(x^2 + y^2), a(x^2 + xy + y^2), 1 otherwise), and the number
 of F_p-isomorphism classes is the unweighted count of those forms.  This is
-O(p) per prime.  dp_census, the O(p^3) sweep over F_p^2, is kept as the
-brute-force oracle the tests check the formula against.
+O(p) per prime.  dp_census assembles those counts with the pairs of the
+anomalous residue table; the O(p^3) sweep over F_p^2 that the tests check
+both against is the oracle dp_census_bruteforce in tests/oracles.py.
 
 The anomalous residue table (anomalous_residue_table) is a handful of
 cyclic correlations, each one big-integer product, in pure Python. numpy is
@@ -56,11 +57,11 @@ from .errors import (
     OutOfRange,
     SingularCurve,
 )
-from .primes import factorize, is_prime, iroot, legendre, primes_up_to
+from .primes import factorize, is_prime, iroot, primes_up_to
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
-    "legendre", "count_points", "trace_frobenius", "frobenius_traces",
+    "disc0_of", "count_points", "trace_frobenius", "frobenius_traces",
     "classify_reduction",
     "minimal_mask", "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
     "anomalous_residue_table",
@@ -85,21 +86,30 @@ def minimal_mask(A: int, B, qs, ok=True):
     return ok
 
 
+# is_minimal_pair sieves for the q while their bound is at most this (~4 ms
+# on a 2-vCPU Xeon VM, Python 3.11). Past it the sieve's time and memory grow
+# with the bound without limit, so the q come from factorize(gcd(A, B)), whose
+# cost depends on the factors of the gcd instead.
+_SIEVE_LIMIT = 1 << 16
+
+
 def is_minimal_pair(A: int, B: int) -> bool:
     """True unless some prime q has q^4 | A and q^6 | B.
 
-    Such a q has q^12 | gcd(A^3, B^2), so only the primes up to the twelfth
-    root of that gcd are tried. A == 0 is divisible by every q^4, so it
-    demands a sixth-power-free B; symmetrically B == 0 demands a
-    fourth-power-free A. There the gcd is the other coefficient's power and
-    bounds nothing, so the q are the prime factors of that coefficient
-    (factorize raises TooLarge past its proven range).
+    Such a q divides gcd(A, B) and has q^12 | gcd(A^3, B^2), so the q tried
+    are the primes up to the twelfth root of that gcd while the root is at
+    most _SIEVE_LIMIT, and the prime factors of gcd(A, B) past it (factorize
+    raises TooLarge past its proven range). A == 0 is divisible by every
+    q^4, so it demands a sixth-power-free B; symmetrically B == 0 demands a
+    fourth-power-free A. There gcd(A, B) is the other coefficient, which is
+    always factored.
     """
     if A == 0 and B == 0:
         return False
-    if A == 0 or B == 0:
-        return minimal_mask(A, B, factorize(A or B))
-    return minimal_mask(A, B, primes_up_to(iroot(gcd(A**3, B**2), 12)))
+    bound = iroot(gcd(A**3, B**2), 12)
+    if A and B and bound <= _SIEVE_LIMIT:
+        return minimal_mask(A, B, primes_up_to(bound))
+    return minimal_mask(A, B, factorize(gcd(A, B)))
 
 
 @dataclass(frozen=True)
@@ -318,8 +328,9 @@ class DpMode(str, Enum):
     module docstring): TraceOnePairs = (p-1)/2 * H(4p - 1), TraceOneClasses
     = the unweighted number of reduced forms of discriminant 1 - 4p, and
     LiteralPairs sums the pair count over every t = 1 mod p with t^2 < 4p,
-    which adds t = -4 at p = 5.  dp_census computes all three by brute force
-    and serves as the oracle.
+    which adds t = -4 at p = 5.  dp_census returns all three with the
+    literal pairs; the brute-force oracle is dp_census_bruteforce in
+    tests/oracles.py.
     """
 
     LITERAL_PAIRS = "LiteralPairs"
@@ -343,59 +354,6 @@ def _coerce_mode(mode) -> DpMode:
         return alias[str(mode)]
     except KeyError:
         raise OutOfRange(f"unknown census mode {mode!r}") from None
-
-
-def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:
-    """Affine point counts for all b at fixed a, via the histogram of
-    b = y^2 - x^3 - a x over (x, y) in F_p^2."""
-    import numpy as np
-    fx = (xs * xs % p * xs + a * xs) % p
-    b_of = (ys2[:, None] - fx[None, :]) % p
-    return np.bincount(b_of.ravel(), minlength=p)
-
-
-def dp_census(p: int) -> dict:
-    """All three census counts at p in one O(p^3) sweep over F_p^2.
-
-    The brute-force oracle for d_of_p and dp_table; no shipped path calls it.
-
-    Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
-    "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
-    """
-    import numpy as np
-    _require_census_prime(p)
-    xs = np.arange(p, dtype=np.int64)
-    ys2 = (xs * xs) % p
-    bs = np.arange(p, dtype=np.int64)
-    literal = 0
-    trace_one: list[tuple[int, int]] = []
-    literal_pairs: list[tuple[int, int]] = []
-    for a in range(p):
-        n_row = _affine_counts_row(a, p, xs, ys2) + 1
-        nonsing = (4 * a**3 + 27 * bs * bs) % p != 0
-        lit_mask = (n_row % p == 0) & nonsing
-        literal += int(lit_mask.sum())
-        for b in np.flatnonzero(lit_mask):
-            literal_pairs.append((a, int(b)))
-        for b in np.flatnonzero((n_row == p) & nonsing):
-            trace_one.append((a, int(b)))
-    # orbit count under (a, b) -> (u^4 a, u^6 b)
-    seen: set[tuple[int, int]] = set()
-    classes = 0
-    for (a, b) in trace_one:
-        if (a, b) in seen:
-            continue
-        classes += 1
-        for u in range(1, p):
-            seen.add((pow(u, 4, p) * a % p, pow(u, 6, p) * b % p))
-    assert literal >= len(trace_one) >= classes
-    return {
-        "p": p,
-        DpMode.LITERAL_PAIRS.value: literal,
-        DpMode.TRACE_ONE_PAIRS.value: len(trace_one),
-        DpMode.TRACE_ONE_CLASSES.value: classes,
-        "literal_pairs": literal_pairs,
-    }
 
 
 def _require_census_prime(p: int) -> None:
@@ -550,3 +508,21 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
         u6 = pow(fourth[a * inv % p], 6, p) if a else 1  # a = u^4 a0
         out.append(row if u6 == 1 else tuple(sorted(u6 * b % p for b in row)))
     return out
+
+
+def dp_census(p: int) -> dict:
+    """All three census counts at p, with the literal pairs listed.
+
+    The counts are d_of_p's, from class numbers; the pairs are the rows of
+    anomalous_residue_table, a ascending, then b. The O(p^3) sweep over
+    F_p^2 they are checked against is the test oracle dp_census_bruteforce
+    in tests/oracles.py.
+
+    Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
+    "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
+    """
+    counts = {mode.value: d_of_p(p, mode) for mode in DpMode}
+    pairs = [(a, b) for a, row in enumerate(anomalous_residue_table(p)) for b in row]
+    # the rows and the class numbers count the same literal pairs
+    assert len(pairs) == counts[DpMode.LITERAL_PAIRS.value], f"census mismatch at p={p}"
+    return {"p": p, **counts, "literal_pairs": pairs}

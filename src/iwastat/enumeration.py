@@ -51,8 +51,6 @@ __all__ = [
     "lifting_count",
     "bound_dp2",
     "bound_dp3",
-    "lattice_class_count",
-    "lattice_density",
     "empirical_densities",
 ]
 
@@ -214,17 +212,6 @@ def _axis_class_count(M: int, a: int, p: int) -> int:
     # integers in [-M, M] congruent to a mod p
     a %= p
     return (M - a) // p + (M + a) // p + 1
-
-
-def lattice_class_count(kappa: Tuple[int, int], p: int, X: int) -> int:
-    amax, bmax = box_bounds(X)
-    return _axis_class_count(amax, kappa[0], p) * _axis_class_count(bmax, kappa[1], p)
-
-
-def lattice_density(kappa: Tuple[int, int], p: int, X: int) -> float:
-    """Fraction of the unconstrained box in one residue class mod p;
-    tends to 1/p^2 as X grows."""
-    return lattice_class_count(kappa, p, X) / total_weq(X)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ valuations. Tate's algorithm (Silverman, Advanced Topics in the Arithmetic
 of Elliptic Curves, IV.9) classifies the fibre at every prime l, rescaling
 by l whenever the model turns out to be non-minimal at l. It finds the
 singular point of the reduction in closed form at l >= 5 (by search at
-l in {2, 3}), and the roots of the cubic of the fibres past IV (I0*,
-I_n*, IV*, III*, II*) from polynomial gcds over F_l, so no step searches
-F_l and each takes O(log l) operations.
+l in {2, 3}), and the roots of the quadratics of IV, I_n* and IV* and of
+the cubic of the fibres past IV (I0*, I_n*, IV*, III*, II*) from
+polynomial gcds over F_l, so no step searches F_l and each takes
+O(log l) operations.
 """
 
 import math
@@ -183,15 +184,16 @@ def _frobenius_mod(P, l):
 
 
 def _repeated_root(P, l):
-    """(r, m) for the repeated root r, of multiplicity m, of the monic cubic
-    P over F_l (constant term first, trimmed), or None when P is separable.
+    """(r, m) for the repeated root r, of multiplicity m, of the monic
+    quadratic or cubic P over F_l (constant term first, trimmed), or None
+    when P is separable.
 
-    A repeated factor of a cubic over F_l is linear, so gcd(P, P') =
-    (T - r)^k: its T^(k-1) coefficient is -k r, and where l | k (k = 2 at
-    l = 2, or P' = 0 and k = 3 at l = 3) its constant term is (-r)^k = -r,
-    since r^l = r.
+    A repeated factor of a quadratic or cubic over F_l is linear, so
+    gcd(P, P') = (T - r)^k: its T^(k-1) coefficient is -k r, and where l | k
+    (k = 2 at l = 2, or P' = 0 and k = 3 at l = 3) its constant term is
+    (-r)^k = -r, since r^l = r.
     """
-    g = _poly_gcd(P, [P[1], 2 * P[2], 3], l)
+    g = _poly_gcd(P, [i * c for i, c in enumerate(P)][1:], l)
     k = len(g) - 1
     if k == 0:
         return None
@@ -200,31 +202,11 @@ def _repeated_root(P, l):
 
 
 def _root_count(P, l):
-    """The number of roots in F_l of the separable P: deg gcd(P, T^l - T),
-    in O(log l) remainders mod P, with no search over F_l."""
+    """The number of roots in F_l of the separable monic P: deg gcd(P,
+    T^l - T), in O(log l) remainders mod P, with no search over F_l."""
     t = _frobenius_mod(P, l) + [0, 0]
     t[1] -= 1
     return len(_poly_gcd(P, t, l)) - 1
-
-
-def _quad_distinct_rational(qa, qb, qc, l):
-    """(distinct, rational, double_root) for qa X^2 + qb X + qc over F_l.
-
-    rational means: distinct roots both lying in F_l. double_root is the
-    repeated root when not distinct, else None. qa must be nonzero mod l.
-    """
-    qa, qb, qc = qa % l, qb % l, qc % l
-    assert qa != 0
-    if l == 2:
-        # derivative is qb; inseparable iff qb = 0
-        if qb == 0:
-            return False, False, qc * qa % l  # X^2 = qc/qa, sqrt is identity on F_2
-        # qa X^2 + qb X + qc = X^2 + X + qc (all odd coeffs act as 1)
-        return True, qc == 0, None
-    disc = (qb * qb - 4 * qa * qc) % l
-    if disc == 0:
-        return False, False, -qb * pow(2 * qa, -1, l) % l
-    return True, legendre(disc, l) == 1, None
 
 
 def local_reduction_raw(A, B, l):
@@ -277,9 +259,9 @@ def _tate(A, B, l) -> KodairaData:
             return KodairaData(l, KodairaSymbol.III, 0, 2)
         b6 = a3 * a3 + 4 * a6
         if b6 % l ** 3:
-            distinct, rational, _ = _quad_distinct_rational(1, a3 // l, -(a6 // l ** 2), l)
-            assert distinct, "IV requires a separable tangent quadratic"
-            return KodairaData(l, KodairaSymbol.IV, 0, 3 if rational else 1)
+            Q = _trim([-(a6 // l ** 2), a3 // l, 1], l)
+            assert _repeated_root(Q, l) is None, "IV requires a separable tangent quadratic"
+            return KodairaData(l, KodairaSymbol.IV, 0, 1 + _root_count(Q, l))
 
         # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
         if l == 2:
@@ -313,23 +295,20 @@ def _tate(A, B, l) -> KodairaData:
             k = 1
             while True:
                 # stage n = 2k - 1: quadratic in y
-                distinct, rational, y1 = _quad_distinct_rational(
-                    1, a3 // l ** (k + 1), -(a6 // l ** (2 * k + 2)), l
-                )
-                if distinct:
-                    n = 2 * k - 1
-                    return KodairaData(l, KodairaSymbol.In_STAR, n, 4 if rational else 2)
-                a = _shift(a, 0, 0, y1 * l ** (k + 1))
+                Q = _trim([-(a6 // l ** (2 * k + 2)), a3 // l ** (k + 1), 1], l)
+                repeated = _repeated_root(Q, l)
+                if repeated is None:
+                    return KodairaData(l, KodairaSymbol.In_STAR, 2 * k - 1, 2 + _root_count(Q, l))
+                a = _shift(a, 0, 0, repeated[0] * l ** (k + 1))
                 a1, a2, a3, a4, a6 = a
                 assert a3 % l ** (k + 2) == 0 and a6 % l ** (2 * k + 3) == 0
-                # stage n = 2k: quadratic in x
-                distinct, rational, x1 = _quad_distinct_rational(
-                    a2 // l, a4 // l ** (k + 2), a6 // l ** (2 * k + 3), l
-                )
-                if distinct:
-                    n = 2 * k
-                    return KodairaData(l, KodairaSymbol.In_STAR, n, 4 if rational else 2)
-                a = _shift(a, x1 * l ** (k + 1), 0, 0)
+                # stage n = 2k: quadratic in x, made monic
+                inv = pow(a2 // l, -1, l)
+                Q = _trim([a6 // l ** (2 * k + 3) * inv, a4 // l ** (k + 2) * inv, 1], l)
+                repeated = _repeated_root(Q, l)
+                if repeated is None:
+                    return KodairaData(l, KodairaSymbol.In_STAR, 2 * k, 2 + _root_count(Q, l))
+                a = _shift(a, repeated[0] * l ** (k + 1), 0, 0)
                 a1, a2, a3, a4, a6 = a
                 k += 1
                 assert a4 % l ** (k + 2) == 0 and a6 % l ** (2 * k + 2) == 0
@@ -338,10 +317,11 @@ def _tate(A, B, l) -> KodairaData:
         a = _shift(a, l * t0, 0, 0)
         a1, a2, a3, a4, a6 = a
         assert a2 % l ** 2 == 0 and a4 % l ** 3 == 0 and a6 % l ** 4 == 0
-        distinct, rational, y1 = _quad_distinct_rational(1, a3 // l ** 2, -(a6 // l ** 4), l)
-        if distinct:
-            return KodairaData(l, KodairaSymbol.IV_STAR, 0, 3 if rational else 1)
-        a = _shift(a, 0, 0, y1 * l ** 2)
+        Q = _trim([-(a6 // l ** 4), a3 // l ** 2, 1], l)
+        repeated = _repeated_root(Q, l)
+        if repeated is None:
+            return KodairaData(l, KodairaSymbol.IV_STAR, 0, 1 + _root_count(Q, l))
+        a = _shift(a, 0, 0, repeated[0] * l ** 2)
         a1, a2, a3, a4, a6 = a
         assert a3 % l ** 3 == 0 and a6 % l ** 5 == 0
         if a4 % l ** 4:

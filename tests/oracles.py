@@ -3,7 +3,10 @@
 iter_curves and enumerate_curves walk the height box pair by pair with the
 scalar minimality predicate. The package counts the same family by residue
 classes (iwastat.enumeration), and these walks are what it is checked
-against on small boxes. anomalous_bool_table turns the rows of
+against on small boxes; lattice_class_count and lattice_density count one
+residue class of the whole box. dp_census_bruteforce computes the mod-p
+census by an O(p^3) sweep over F_p^2, against which the class-number census
+and its dp_census assembly are checked. anomalous_bool_table turns the rows of
 anomalous_residue_table into the p-column bool table that the brute-force
 point-count oracles produce. lifting_count_bruteforce counts the residue
 pairs of the I_p locus that iwastat.enumeration.lifting_count gives in
@@ -18,8 +21,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from iwastat.curves import is_minimal_pair
-from iwastat.enumeration import box_bounds
+from iwastat.curves import DpMode, _require_census_prime, is_minimal_pair
+from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict
 
@@ -41,6 +44,67 @@ def enumerate_curves(X: int, visitor: Optional[Callable[[int, int], None]] = Non
             visitor(A, B)
         count += 1
     return count
+
+
+def lattice_class_count(kappa: Tuple[int, int], p: int, X: int) -> int:
+    amax, bmax = box_bounds(X)
+    return _axis_class_count(amax, kappa[0], p) * _axis_class_count(bmax, kappa[1], p)
+
+
+def lattice_density(kappa: Tuple[int, int], p: int, X: int) -> float:
+    """Fraction of the unconstrained box in one residue class mod p;
+    tends to 1/p^2 as X grows."""
+    return lattice_class_count(kappa, p, X) / total_weq(X)
+
+
+def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:
+    """Affine point counts for all b at fixed a, via the histogram of
+    b = y^2 - x^3 - a x over (x, y) in F_p^2."""
+    fx = (xs * xs % p * xs + a * xs) % p
+    b_of = (ys2[:, None] - fx[None, :]) % p
+    return np.bincount(b_of.ravel(), minlength=p)
+
+
+def dp_census_bruteforce(p: int) -> dict:
+    """All three census counts at p in one O(p^3) sweep over F_p^2, in the
+    dict iwastat.curves.dp_census returns.
+
+    Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
+    "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
+    """
+    _require_census_prime(p)
+    xs = np.arange(p, dtype=np.int64)
+    ys2 = (xs * xs) % p
+    bs = np.arange(p, dtype=np.int64)
+    literal = 0
+    trace_one: List[Tuple[int, int]] = []
+    literal_pairs: List[Tuple[int, int]] = []
+    for a in range(p):
+        n_row = _affine_counts_row(a, p, xs, ys2) + 1
+        nonsing = (4 * a**3 + 27 * bs * bs) % p != 0
+        lit_mask = (n_row % p == 0) & nonsing
+        literal += int(lit_mask.sum())
+        for b in np.flatnonzero(lit_mask):
+            literal_pairs.append((a, int(b)))
+        for b in np.flatnonzero((n_row == p) & nonsing):
+            trace_one.append((a, int(b)))
+    # orbit count under (a, b) -> (u^4 a, u^6 b)
+    seen = set()
+    classes = 0
+    for (a, b) in trace_one:
+        if (a, b) in seen:
+            continue
+        classes += 1
+        for u in range(1, p):
+            seen.add((pow(u, 4, p) * a % p, pow(u, 6, p) * b % p))
+    assert literal >= len(trace_one) >= classes
+    return {
+        "p": p,
+        DpMode.LITERAL_PAIRS.value: literal,
+        DpMode.TRACE_ONE_PAIRS.value: len(trace_one),
+        DpMode.TRACE_ONE_CLASSES.value: classes,
+        "literal_pairs": literal_pairs,
+    }
 
 
 def anomalous_bool_table(rows, p: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from iwastat.errors import (
     SingularCurve,
 )
 from iwastat.primes import primes_up_to
-from oracles import anomalous_bool_table, iter_curves
+from oracles import anomalous_bool_table, dp_census_bruteforce, iter_curves
 
 CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
 
@@ -161,6 +161,23 @@ def test_minimal_pair_with_a_zero_coefficient_factors_instead_of_sieving(monkeyp
     assert max(bounds, default=0) <= 1
 
 
+def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):
+    # each shared (10^4, 10^6) multiplies the gcd bound by 10: (10^28, 10^42)
+    # would sieve to 10^7, and a shared prime P gives a bound of P^(5/6); the
+    # q come from the prime factors of gcd(A, B) instead
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(curves, "primes_up_to", no_sieve)
+    with pytest.raises(NonMinimalModel):
+        CurveQ(10**28, 10**42)
+    P = 1000000007
+    assert CurveQ(P**4, 7 * P**5).height == P**12
+    assert not is_minimal_pair(P**4, 7 * P**6)
+    assert is_minimal_pair(2**4 * 3 * P**3, 2**5 * 5 * P**6)
+    assert not is_minimal_pair(2**4 * 3 * P**3, 2**6 * 5 * P**5)
+
+
 def test_classify_reduction_cases():
     r = classify_reduction((0, 1), 5)
     assert r.reduction_class is ReductionClass.GOOD_SUPERSINGULAR
@@ -240,7 +257,7 @@ def test_dp_table_matches_census():
     t = dp_table(20)
     assert sorted(t) == [5, 7, 11, 13, 17, 19]
     for p, row in t.items():
-        c = dp_census(p)
+        c = dp_census_bruteforce(p)
         for mode in DpMode:
             assert row[mode.value] == c[mode.value]
 
@@ -365,16 +382,17 @@ def test_hurwitz_class_numbers_known():
 
 def test_class_number_census_matches_bruteforce():
     for p in CENSUS_PRIMES:
-        c = dp_census(p)
+        c = dp_census_bruteforce(p)
         for mode in DpMode:
             assert d_of_p(p, mode) == c[mode.value], (p, mode)
+        assert dp_census(p) == c, p
 
 
 def test_census_does_not_run_the_oracle(monkeypatch):
     import iwastat.curves as curves
 
     def oracle_called(p):
-        raise AssertionError("dp_census is a test oracle only")
+        raise AssertionError("d_of_p and dp_table must not go through dp_census")
 
     monkeypatch.setattr(curves, "dp_census", oracle_called)
     assert d_of_p(5) == 3

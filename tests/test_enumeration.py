@@ -16,8 +16,6 @@ from iwastat.enumeration import (
     brumer_estimate,
     count_Ip,
     empirical_densities,
-    lattice_class_count,
-    lattice_density,
     lifting_count,
     sadek_bounds,
     total_weq,
@@ -26,7 +24,13 @@ from iwastat.enumeration import (
 from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
 from iwastat.primes import iroot, primes_up_to, valuation
-from oracles import enumerate_curves, iter_curves, lifting_count_bruteforce
+from oracles import (
+    enumerate_curves,
+    iter_curves,
+    lattice_class_count,
+    lattice_density,
+    lifting_count_bruteforce,
+)
 
 
 def brute_family(X):

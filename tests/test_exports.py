@@ -1,7 +1,9 @@
-"""Every name a module lists in __all__ must be bound in it.
+"""Every name a module lists in __all__ must be bound in it, and every name
+the package re-exports from a module must be in that module's __all__.
 
 A deletion that leaves its name in an __all__ list breaks
-`from iwastat.<module> import *` and misleads readers; this catches it.
+`from iwastat.<module> import *` and misleads readers; this catches it, and
+a package export its module does not list as public.
 """
 
 import importlib
@@ -26,6 +28,14 @@ def test_all_names_are_bound(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names unbound {missing}"
+
+
+@pytest.mark.parametrize("module", sorted(iwastat._EXPORTS))
+def test_package_exports_are_public_in_their_module(module):
+    mod = importlib.import_module(f"iwastat.{module}")
+    if hasattr(mod, "__all__"):
+        unlisted = sorted(set(iwastat._EXPORTS[module]) - set(mod.__all__))
+        assert not unlisted, f"iwastat.{module}.__all__ omits the package exports {unlisted}"
 
 
 def test_star_import_and_dir_cover_the_package_all():

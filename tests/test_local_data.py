@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iwastat.curves import CurveQ, disc0_of, is_minimal_pair
 from iwastat.errors import (
@@ -262,6 +264,20 @@ def test_cubic_roots_match_the_search_on_every_cubic(l):
                     assert _root_count(P, l) == len(roots), (c0, c1, c2, l)
 
 
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13])
+def test_quadratic_roots_match_the_search_on_every_quadratic(l):
+    # the monic quadratics of the IV, I_n* and IV* stages take the cubic's code
+    for c0 in range(l):
+        for c1 in range(l):
+            roots = poly_roots_mod([c0, c1, 1], l)
+            repeated = [(r, m) for r, m in roots.items() if m >= 2]
+            P = local_data._trim([c0, c1, 1], l)
+            got = _repeated_root(P, l)
+            assert got == (repeated[0] if repeated else None), (c0, c1, l)
+            if got is None:
+                assert _root_count(P, l) == len(roots), (c0, c1, l)
+
+
 def test_cubic_roots_take_log_steps_at_a_large_prime(monkeypatch):
     # (3 l^2, 5 l^3) is I0* at l with Tate's cubic T^3 + 3T + 5, which is
     # irreducible mod l = 100000007 (sympy's factorization agrees); a search
@@ -300,6 +316,17 @@ def test_scaling_invariance():
         b = local_reduction_raw(l**4 * A, l**6 * B, l)
         assert (a.symbol, a.n, a.tamagawa, a.split) == (b.symbol, b.n, b.tamagawa, b.split)
         done += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(l=st.sampled_from([2, 3, 5, 7, 11, 13]), i=st.integers(0, 5), j=st.integers(0, 7),
+       a=st.integers(-60, 60), b=st.integers(-60, 60), u=st.integers(1, 30))
+def test_local_reduction_is_invariant_under_rescaling(l, i, j, a, b, u):
+    # (u^4 A, u^6 B) is another model of the same curve, whether or not l
+    # divides u; the factors l^i and l^j reach the additive fibres
+    A, B = a * l ** i, b * l ** j
+    assume(disc0_of(A, B) != 0)
+    assert local_reduction_raw(u ** 4 * A, u ** 6 * B, l) == local_reduction_raw(A, B, l)
 
 
 def test_kodaira_data_consistency_asserts():

@@ -13,11 +13,19 @@ Point counts mod p use the quadratic-character sum
 
 one chi table per prime, O(p) per curve.  No Schoof-style point counting;
 the primes handled here are desk scale.  count_points evaluates the sum for
-one curve at one prime and stays the single-curve API and test oracle;
-frobenius_traces evaluates it for one curve at every prime of a scan in one
-numpy pass.  The pass runs over a layout of the prime list (the x ranges,
-x^3 mod p and the chi tables, concatenated, in blocks of at most 2^16 x
-values) that is built once per prime list and reused for every curve.
+one curve at one prime and stays the single-curve API and test oracle.
+
+frobenius_traces gives a_p for one curve at every prime of a scan.  Up to
+_ROW_PRIME_BOUND it reads each a_p from the point-count rows of its prime
+(_PointCountRows): the affine counts of every b for a = 0 and for one
+representative a0 of each coset of the fourth powers, each row one cyclic
+correlation done as one big-integer product, and the orbit map that sends
+(a, b) to (a0, b u^-6) by the isomorphism (a, b) ~ (u^4 a, u^6 b).  The
+rows are built once per prime and shared by every curve and by the
+anomalous residue table.  Past the bound it evaluates the sum in one numpy
+pass over a layout of the prime list (the x ranges, x^3 mod p and the chi
+tables, concatenated, in blocks of at most 2^16 x values) that is built
+once per prime list and reused for every curve.
 
 The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
 from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
@@ -34,11 +42,10 @@ O(p) per prime.  dp_census assembles those counts with the pairs of the
 anomalous residue table; the O(p^3) sweep over F_p^2 that the tests check
 both against is the oracle dp_census_bruteforce in tests/oracles.py.
 
-The anomalous residue table (anomalous_residue_table) is a handful of
-cyclic correlations, each one big-integer product, in pure Python. numpy is
-imported inside the functions that build arrays, not at module level, so a
-command that needs no array (the census, the bounds, the height sweep)
-never loads it.
+The anomalous residue table (anomalous_residue_table) reads the same
+rows.  numpy is imported inside the functions that build arrays, not at
+module level, so a command that needs no array (the census, the bounds, the
+height sweep, a scan up to _ROW_PRIME_BOUND) never loads it.
 """
 
 from __future__ import annotations
@@ -209,6 +216,17 @@ def trace_frobenius(A: int, B: int, p: int) -> int:
     return p + 1 - count_points(A, B, p)
 
 
+# frobenius_traces reads a_p from the point-count rows, in pure Python, when
+# no prime of the list is above this bound, and runs the numpy pass when one
+# is. The rows pay their build once per prime, the numpy pass pays
+# `import numpy` once per process and is ~10x faster per element. In fresh
+# interpreters on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), building
+# the orbit map and every coset row of each prime up to 601 took a median
+# 80-106 ms against 87-108 ms for `import numpy` (two sets of nine
+# interleaved runs); up to 641 it took 119 ms against 108 ms.
+_ROW_PRIME_BOUND = 600
+
+
 # elements per block of the batched character sum: a long prime list is cut
 # into blocks of at most this many x values (a larger prime gets a block of
 # its own), so memory stays bounded whatever the largest prime
@@ -257,9 +275,12 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     primes is a tuple of distinct primes >= 5, as a sieve gives them; their
     primality is not tested.  A and B may be any integers: they are reduced
     mod each p as Python ints.  Where p divides disc0 the value is that of
-    the singular cubic (0 or +-1).  One numpy pass per block of primes
-    replaces a count_points call per prime.
+    the singular cubic (0 or +-1).  Up to _ROW_PRIME_BOUND every a_p is read
+    from the point-count rows of its prime; past it one numpy pass per
+    block of primes replaces a count_points call per prime.
     """
+    if max(primes, default=0) <= _ROW_PRIME_BOUND:
+        return [_point_count_rows(p).trace(A, B) for p in primes]
     import numpy as np
     traces = []
     for run in _sum_blocks(primes, _BLOCK_ELEMENTS):
@@ -435,7 +456,6 @@ def _unpack(n: int, fmt: str, size: int) -> array:
     return slots
 
 
-@lru_cache(maxsize=16)
 def _character_poly(p: int) -> tuple[str, int]:
     """(fmt, G): G packs g[t] = 1 + chi(-t) for t in 0..2p-1, the table
     mod p written twice, one fmt slot per t. A slot of a product H * G with
@@ -449,30 +469,97 @@ def _character_poly(p: int) -> tuple[str, int]:
     return fmt, _pack(g + g, fmt)
 
 
-def _anomalous_row(a: int, p: int) -> tuple[int, ...]:
-    """The sorted b in 0..p-1 with (a, b) nonsingular mod p and p | #E(F_p).
+def _count_row(a: int, p: int, poly: tuple[str, int]) -> array:
+    """row[b] = #{(x, y) in F_p^2 : y^2 = x^3 + a x + b} for b in 0..p-1,
+    the affine point count; poly is _character_poly(p).
 
-    With h[v] = #{x : x^3 + a x = v mod p}, the affine count at b is
+    With h[v] = #{x : x^3 + a x = v mod p}, the count at b is
     sum_v h[v] (1 + chi(v + b)), a cyclic correlation of h with
     g[t] = 1 + chi(-t). Written as one product H * G of packed ints
     (Kronecker substitution, see _character_poly), its slot p + (-b mod p)
-    is #E(F_p) - 1 at b.
+    is the count at b.
     """
-    fmt, G = _character_poly(p)
+    fmt, G = poly
     h = [0] * p
     for x in range(p):
         h[(x * x * x + a * x) % p] += 1
-    counts = _unpack(_pack(h, fmt) * G, fmt, 3 * p)[p:2 * p]
-    # every x meets every b once: sum_b (#E - 1) = p^2
-    assert sum(counts) == p * p, f"point counts of row a={a} mod {p} do not sum to p^2"
-    a3x4, out = 4 * a ** 3, []
-    for b in range(p):
-        n = counts[-b % p] + 1
-        if (a3x4 + 27 * b * b) % p:
-            assert (p + 1 - n) ** 2 <= 4 * p, f"Hasse bound violated at ({a}, {b}) mod {p}"
-            if n % p == 0:
-                out.append(b)
-    return tuple(out)
+    slots = _unpack(_pack(h, fmt) * G, fmt, 3 * p)
+    row = slots[p:p + 1] + slots[2 * p - 1:p:-1]
+    # every x meets every b once: sum_b row[b] = p^2
+    assert sum(row) == p * p, f"point counts of row a={a} mod {p} do not sum to p^2"
+    # Hasse, |p - row[b]| <= 2 sqrt(p); a singular b has |p - row[b]| <= 1
+    assert (p - min(row)) ** 2 <= 4 * p and (max(row) - p) ** 2 <= 4 * p, \
+        f"Hasse bound violated in row a={a} mod {p}"
+    return row
+
+
+def _primitive_root(p: int) -> int:
+    qs = factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+class _PointCountRows:
+    """The affine point count of every (a, b) mod p, read from at most five
+    rows.
+
+    (a, b) and (u^4 a, u^6 b) are isomorphic over F_p for u in F_p^*, so
+    with g a primitive root and a = u^4 g^r (r < gcd(4, p - 1)) the count
+    at (a, b) is the count at (g^r, b u^-6). The orbit map sends a to its
+    row, coset[a] (0 for a = 0, 1 + r for the coset of g^r), and to
+    scale[a] = u^-6 (1 at a = 0), so count(a, b) = row[b scale[a] mod p]
+    of that row and a_p(a, b) = p - count(a, b). Each row is one
+    _count_row, built on first use; the orbit map is built with the table.
+    frobenius_traces and anomalous_residue_table both read these rows.
+    """
+
+    __slots__ = ("p", "reps", "coset", "scale", "rows", "_poly")
+
+    def __init__(self, p: int):
+        d = gcd(4, p - 1)
+        g = _primitive_root(p)
+        reps = tuple(enumerate((pow(g, r, p) for r in range(d)), 1))
+        coset, scale = bytearray(p), array("I", [1]) * p
+        # u = g^t, t < (p - 1)/d, makes u^4 run over the fourth powers once
+        g4, g6 = pow(g, 4, p), pow(g, -6, p)
+        u4 = s = 1
+        for _ in range((p - 1) // d):
+            for i, a0 in reps:
+                a = u4 * a0 % p
+                coset[a] = i
+                scale[a] = s
+            u4 = u4 * g4 % p
+            s = s * g6 % p
+        self.p, self.coset, self.scale = p, coset, scale
+        self.reps = (0,) + tuple(a0 for _, a0 in reps)
+        self.rows = [None] * (d + 1)
+        self._poly = None
+
+    def row(self, i: int) -> array:
+        """The counts of row i, the row of a = reps[i]."""
+        row = self.rows[i]
+        if row is None:
+            if self._poly is None:
+                self._poly = _character_poly(self.p)
+            row = self.rows[i] = _count_row(self.reps[i], self.p, self._poly)
+        return row
+
+    def trace(self, A: int, B: int) -> int:
+        """a_p of y^2 = x^3 + A x + B; that of the singular cubic (0 or
+        +-1) where p divides disc0."""
+        p = self.p
+        a = A % p
+        row = self.rows[self.coset[a]] or self.row(self.coset[a])
+        return p - row[B % p * self.scale[a] % p]
+
+
+# room for every prime up to _ROW_PRIME_BOUND, so that a scan builds the
+# rows of each prime once
+@lru_cache(maxsize=128)
+def _point_count_rows(p: int) -> _PointCountRows:
+    return _PointCountRows(p)
 
 
 def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
@@ -483,30 +570,29 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
     Used by the height-box sweeps, which ask only for the rows A mod p their
     box meets.
 
-    Each row computed is one cyclic correlation, done as one big-integer
-    product (_anomalous_row). The point count is constant on the
-    isomorphism orbits {(u^4 a, u^6 b) : u in F_p^*}, so row u^4 a0 is
-    {u^6 b : b in row a0}: one row is computed for a = 0 and one for each
-    coset of the fourth powers in F_p^* that the asked rows meet, at most
-    five in all, in pure Python.
+    The rows come from the point-count rows of p (_PointCountRows): a = 0
+    and one representative of each coset of the fourth powers in F_p^* that
+    the asked rows meet, at most five rows in all, each one big-integer
+    product in pure Python. A row a with count(a, b) = count(a0, b s) has
+    the anomalous b of its representative a0 times s^-1.
     """
     _require_odd_prime(p)
-    rows = range(p) if rows is None else rows
-    # a -> a^((p-1)/d), d = gcd(4, p - 1), has the fourth powers as kernel,
-    # so its value names the coset of a (and is 0 at a = 0)
-    e = (p - 1) // gcd(4, p - 1)
-    fourth = {}  # u^4 -> u, over F_p^*
-    for u in range(1, p):
-        fourth.setdefault(u ** 4 % p, u)
-    computed = {}  # coset -> (1 / a0, row a0) for the first a0 asked in it
+    counts = _point_count_rows(p)
+    anomalous = {}  # row index -> the sorted anomalous b of its representative
     out = []
-    for a in rows:
-        coset = pow(a, e, p)
-        if coset not in computed:
-            computed[coset] = (pow(a, -1, p) if a else 0), _anomalous_row(a, p)
-        inv, row = computed[coset]
-        u6 = pow(fourth[a * inv % p], 6, p) if a else 1  # a = u^4 a0
-        out.append(row if u6 == 1 else tuple(sorted(u6 * b % p for b in row)))
+    for a in (range(p) if rows is None else rows):
+        i = counts.coset[a]
+        if i not in anomalous:
+            row, a3x4 = counts.row(i), 4 * counts.reps[i] ** 3
+            # p | #E(F_p) = count + 1, on the nonsingular b
+            anomalous[i] = tuple(b for b, n in enumerate(row)
+                                 if n % p == p - 1 and (a3x4 + 27 * b * b) % p)
+        s = counts.scale[a]
+        bs = anomalous[i]
+        if s != 1:
+            inv = pow(s, -1, p)
+            bs = tuple(sorted(b * inv % p for b in bs))
+        out.append(bs)
     return out
 
 

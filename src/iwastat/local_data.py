@@ -20,7 +20,7 @@ from typing import Optional
 
 from .curves import CurveQ, disc0_of
 from .errors import GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, UnknownLocalData
-from .primes import factorize, is_prime, legendre, valuation
+from .primes import factorize, is_prime, legendre, primes_up_to, valuation
 
 __all__ = [
     "KodairaSymbol",
@@ -368,44 +368,57 @@ def _p_part_certifiably_trivial(v_delta, p):
 
 @lru_cache(maxsize=256)
 def _tamagawa_table(curve, overrides, allow_23):
-    """(product of the known c_l, ((l, v_l(Delta)), ...) for the other bad l).
+    """(product of the override c_l, {p: ((l, computable), ...)}).
 
     One factorization of disc0 gives every bad l and v_l(Delta) (plus 4 at
     l = 2, from the 16 in Delta). c_l is known from the override items (a
-    sorted tuple) or from Tate's algorithm: at l >= 5 always, at l in
-    {2, 3} when allow_23 is set. The other l, ascending, carry v_l(Delta)
-    for the certificate.
+    sorted tuple). Every other bad l is listed, ascending, under each prime
+    p >= 5 whose p-part of c_l the v_l(Delta) certificate cannot clear (all
+    of them divide a fibre index, so p <= v_l(Delta)). There Tate's
+    algorithm may compute c_l (computable) at l >= 5 always and at l in
+    {2, 3} when allow_23 is set.
     """
     given = dict(overrides)
     v_delta = factorize(curve.disc0)
     v_delta[2] = v_delta.get(2, 0) + 4
-    product, uncertified = 1, []
+    product, blocked = 1, {}
     for l in sorted(v_delta):
         if l in given:
             product *= given[l]
-        elif l >= 5 or allow_23:
-            product *= _tate(curve.A, curve.B, l).tamagawa
-        else:
-            uncertified.append((l, v_delta[l]))
-    return product, tuple(uncertified)
+            continue
+        for p in primes_up_to(v_delta[l]):
+            if p >= 5 and not _p_part_certifiably_trivial(v_delta[l], p):
+                blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
+    return product, {p: tuple(ls) for p, ls in blocked.items()}
+
+
+@lru_cache(maxsize=1024)
+def _tamagawa_number(curve, l):
+    return _tate(curve.A, curve.B, l).tamagawa
 
 
 def _p_parts(curve, overrides, allow_23):
-    """p -> tau_p (p >= 5) for one curve and override dict; the Tamagawa
-    table is worked out once, at the first call."""
+    """p -> tau_p (p >= 5 prime) for one curve and override dict; the
+    Tamagawa table is worked out once, at the first call.
+
+    A bad l without an override adds to tau_p only at the p its v_l(Delta)
+    certificate cannot clear; only there is c_l computed (each once, by
+    Tate's algorithm), or UnknownLocalData raised where it may not be.
+    """
     table = None
 
     def tau_p(p):
         nonlocal table
         if table is None:
             table = _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23)
-        product, uncertified = table
-        for l, v_delta in uncertified:
-            if not _p_part_certifiably_trivial(v_delta, p):
+        product, blocked = table
+        for l, computable in blocked.get(p, ()):
+            if not computable:
                 raise UnknownLocalData(
                     f"cannot certify the {p}-part of c_{l}; supply an override "
                     f"or pass allow_23=True"
                 )
+            product *= _tamagawa_number(curve, l)
         return p ** valuation(product, p)
 
     return tau_p

@@ -205,7 +205,7 @@ def scan_primes(
 ) -> List[PrimeScanResult]:
     """Classify every prime in [p_min, p_max] for the record, ordered by p.
 
-    Every a_p comes from one frobenius_traces pass, the record's Tamagawa
+    Every a_p comes from one frobenius_traces call, the record's Tamagawa
     table is read once, at the first prime that needs it (not where the Sha
     order is missing or divisible by p), each distinct verdict is decided
     once and each distinct result is built once.

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -211,6 +212,39 @@ def test_scan_workers_match_serial(capsys, tmp_path):
     assert [r["label"] for r in json.loads(outs[0])] == list("abcdefgh")
 
 
+def test_scan_rows_match_the_numpy_pass(capsys, tmp_path, monkeypatch):
+    # a scan to the row bound reads every a_p from the point-count rows, a
+    # scan to the next prime past it runs the numpy pass; cut the one row
+    # past the bound from each of its entries and the two print the same
+    # bytes. The records meet every coset of the fourth powers and primes
+    # dividing disc0 (7 | disc0 of (1, 5), 23 of (-1, 1), 5 of (28, -86));
+    # "big" has no Sha order, so its disc0 is never factored.
+    from iwastat import curves
+    from iwastat.primes import prime_range
+
+    bound = curves._ROW_PRIME_BOUND
+    past = next(p for p in prime_range(bound + 1, 2 * bound))
+    rows = [f"r{a}_{b},{a},{b},{(a + b) % 2},1,1,,,"
+            for a in range(-7, 8) for b in range(-7, 8, 3)
+            if 4 * a ** 3 + 27 * b * b and not (a == 0 and b == 0)]
+    rows += ["d,28,-86,0,1,1,,,", "big,123456789012345,-98765432109876543,1,,1,,,"]
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    numpy_runs = []
+    real = curves._sum_blocks
+    monkeypatch.setattr(curves, "_sum_blocks", lambda *a: numpy_runs.append(a) or real(*a))
+    runs = []
+    for m in (bound, past):
+        runs.append(run(capsys, "scan", str(path), "--max-prime", str(m), "--allow-23"))
+        # every record: no numpy pass to the bound, one past it
+        assert len(numpy_runs) == (m == past) * len(rows)
+    (code, out, err), (past_code, past_out, past_err) = runs
+    assert (code, err) == (past_code, past_err) == (0, "")
+    cut = re.sub(r',\n      \{[^{}]*"p": %d,[^{}]*\}\n    \]' % past, "\n    ]", past_out)
+    assert cut.count('"p": ') == past_out.count('"p": ') - len(rows)
+    assert cut == out
+
+
 def test_scan_record_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     # the typed record errors keep their messages and exit code 1
     path = tmp_path / "recs.csv"
@@ -312,12 +346,14 @@ def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
 
 def test_sweep_commands_leave_numpy_to_the_scan(tmp_path):
     # a fresh interpreter: the sweep commands (serial, strict, ip-count and a
-    # 2-worker fan-out) never import numpy in the main process; scan with
-    # --workers 2 has it loaded by the time the pool forks
+    # 2-worker fan-out) and a 2-worker scan up to the row bound never import
+    # numpy, in the main process or in the scan's workers; a scan past the
+    # bound has it loaded by the time the pool forks
     (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
     script = textwrap.dedent("""
         import contextlib, io, sys
         import iwastat.cli
+        from iwastat.curves import _ROW_PRIME_BOUND
         codes = []
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (
@@ -328,18 +364,30 @@ def test_sweep_commands_leave_numpy_to_the_scan(tmp_path):
             ):
                 codes.append(iwastat.cli.main(argv))
         print(*codes, "numpy" in sys.modules)
+
+        def in_worker(fn, *job):
+            return fn(*job), "numpy" in sys.modules
+
         fan_out, seen = iwastat.cli.fan_out, []
-        def recording(*args):
+        def recording(fn, jobs, workers):
             seen.append("numpy" in sys.modules)
-            return fan_out(*args)
+            out = fan_out(in_worker, [(fn, *job) for job in jobs], workers)
+            seen.append(any(loaded for _, loaded in out))
+            return [result for result, _ in out]
         iwastat.cli.fan_out = recording
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = iwastat.cli.main(["scan", "recs.csv", "--workers", "2"])
-        print(code, *seen)
+        for max_prime in ("500", str(_ROW_PRIME_BOUND), str(_ROW_PRIME_BOUND + 1)):
+            seen.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = iwastat.cli.main(["scan", "recs.csv", "--workers", "2",
+                                         "--max-prime", max_prime])
+            print(code, *seen, "numpy" in sys.modules)
     """)
     src = pathlib.Path(iwastat.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["0 0 0 0 False", "0 True"]
+    # scan lines: numpy loaded when the pool forks, in a worker, after the scan
+    assert out.stdout.splitlines() == [
+        "0 0 0 0 False", "0 False False False", "0 False False False", "0 True True True",
+    ]

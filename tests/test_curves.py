@@ -357,13 +357,14 @@ def test_anomalous_rows_of_a_small_box_correlate_at_most_five_rows(monkeypatch):
     # the 9 rows of the height-100 box at p = 4999 meet every coset of the
     # fourth powers; a = 0 and one row per coset are computed, the rest mapped
     calls = []
-    row = curves._anomalous_row
+    row = curves._count_row
 
-    def counting(a, p):
+    def counting(a, p, poly):
         calls.append(a)
-        return row(a, p)
+        return row(a, p, poly)
 
-    monkeypatch.setattr(curves, "_anomalous_row", counting)
+    monkeypatch.setattr(curves, "_count_row", counting)
+    curves._point_count_rows.cache_clear()
     p = 4999
     e3 = empirical_densities(p, 100).e3
     assert 1 <= len(calls) <= 5, calls
@@ -409,21 +410,69 @@ COEFF = st.one_of(st.integers(-10**4, 10**4), st.integers(-2**80, 2**80),
 @given(A=COEFF, B=COEFF,
        lo=st.integers(0, len(SCAN_PRIMES) - 1), budget=st.sampled_from([60, 97, 250, 1 << 16]))
 def test_frobenius_traces_match_count_points(A, B, lo, budget):
-    # small budgets cut the prime list into blocks, a prime above the
-    # budget (61.. at 60, 101.. at 97) standing alone
+    # the primes are within the row bound; with the bound set to 0 the same
+    # list goes through the numpy pass, where small budgets cut it into
+    # blocks, a prime above the budget (61.. at 60, 101.. at 97) alone
     primes = SCAN_PRIMES[lo:]
-    old = curves._BLOCK_ELEMENTS
-    curves._BLOCK_ELEMENTS = budget
+    traces = frobenius_traces(A, B, primes)
+    old = curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND
+    curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND = budget, 0
     try:
-        traces = frobenius_traces(A, B, primes)
+        assert frobenius_traces(A, B, primes) == traces
     finally:
-        curves._BLOCK_ELEMENTS = old
+        curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND = old
     assert len(traces) == len(primes)
     for p, a_p in zip(primes, traces):
         if (4 * A**3 + 27 * B**2) % p:
             assert a_p == trace_frobenius(A, B, p), (A, B, p)
         else:
             assert a_p == p - _affine_count(A % p, B % p, p) and abs(a_p) <= 1
+
+
+ROW_PRIMES = tuple(p for p in primes_up_to(curves._ROW_PRIME_BOUND) if p >= 5)
+
+
+@st.composite
+def pair_at_prime(draw):
+    # a prime up to the row bound and a pair that is often 0 mod p in A or
+    # B, or singular mod p (A = -3k^2, B = 2k^3 mod p makes p | disc0)
+    p = draw(st.sampled_from(ROW_PRIMES))
+    k = draw(st.integers(0, p - 1))
+    A, B = draw(st.one_of(
+        st.tuples(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70)),
+        st.tuples(st.just(0), st.integers(0, p - 1)),
+        st.tuples(st.integers(0, p - 1), st.just(0)),
+        st.just((-3 * k * k, 2 * k ** 3)),
+    ))
+    m = draw(st.integers(-3, 3))
+    return p, A + m * p, B - m * p
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_at_prime())
+def test_point_count_rows_match_count_points(case):
+    p, A, B = case
+    a_p = frobenius_traces(A, B, (p,))[0]
+    if (4 * A**3 + 27 * B**2) % p:
+        assert a_p == trace_frobenius(A, B, p), (A, B, p)
+    else:
+        # the singular cubic, as the numpy character sum gives it
+        assert a_p == p - _affine_count(A % p, B % p, p), (A, B, p)
+
+
+def test_point_count_rows_of_a_scan_stay_cached():
+    # a scan to the bound meets every prime up to it; none may be evicted
+    assert curves._point_count_rows.cache_info().maxsize >= len(ROW_PRIMES)
+
+
+def test_point_count_rows_cover_every_pair_at_small_primes():
+    for p in (3, 5, 7, 11, 13):
+        rows = curves._point_count_rows(p)
+        for a in range(p):
+            for b in range(p):
+                assert p - rows.trace(a, b) == _affine_count(a, b, p), (a, b, p)
+        # a = 0 and one row per coset of the fourth powers
+        assert len(rows.rows) == 1 + math.gcd(4, p - 1)
 
 
 def test_frobenius_traces_blocks():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iwastat.curves import CurveQ, disc0_of, is_minimal_pair
@@ -385,6 +385,81 @@ def test_tamagawa_p_part_multiplies_the_p_parts():
     assert tamagawa_p_part((-17, 425), 5, overrides={2: 5}) == 25
     assert tamagawa_p_part((-17, 425), 5, overrides={2: 50}) == 125
     assert tamagawa_p_part((-17, 425), 7, overrides={2: 5}) == 1
+
+
+def eager_tamagawa_p_part(curve, p, overrides, allow_23):
+    # oracle: the p-part of the product of every known c_l, each c_l from
+    # its override or Tate's algorithm, after every l that has neither has
+    # passed the v_l(Delta) certificate
+    v = {l: valuation(-16 * curve.disc0, l) for l in bad_primes(curve)}
+    product = 1
+    for l in sorted(v):
+        if l in overrides:
+            product *= overrides[l]
+        elif l >= 5 or allow_23:
+            product *= local_reduction_raw(curve.A, curve.B, l).tamagawa
+        elif not local_data._p_part_certifiably_trivial(v[l], p):
+            raise UnknownLocalData(f"c_{l}")
+    return p ** valuation(product, p)
+
+
+@st.composite
+def curve_and_prime(draw):
+    # p, and a curve with I_n fibres, split or not, at l: B = 2u^3 + l^e t
+    # next to the cusp A = -3u^2 makes disc0 = 27 l^e t (4u^3 + l^e t), so
+    # v_l(Delta) >= e. Half the time e is p k + d, d in {0, +-6}, where the
+    # certificate cannot clear c_l (at l = 2 the minimal model of an odd u
+    # has v_2(Delta) = e + 6 - 12, split for u = 3 mod 8). l^e < 2^40 keeps
+    # disc0 quick to factor. A quarter are small random pairs.
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    if draw(st.integers(0, 3)) == 0:
+        A, B = draw(st.integers(-10**4, 10**4)), draw(st.integers(-10**4, 10**4))
+    else:
+        l = draw(st.sampled_from([2, 2, 3, 5, 7, 11, 13]))
+        emax = int(40 / math.log2(l))
+        near = st.builds(lambda k, d: p * k + d, st.integers(1, 3), st.sampled_from([0, 6, -6]))
+        e = draw(st.one_of(st.integers(1, emax), near.filter(lambda e: 1 <= e <= emax)))
+        u = draw(st.one_of(st.integers(-40, 40), st.integers(-5, 5).map(lambda k: 8 * k + 3)))
+        t = draw(st.integers(-40, 40))
+        A, B = -3 * u * u, 2 * u ** 3 + l ** e * t
+    assume(disc0_of(A, B) != 0 and is_minimal_pair(A, B))
+    return CurveQ(A, B), p
+
+
+@settings(max_examples=300, deadline=None)
+# split I11 at 2 (u = 11, t = 9, e = 17): c_2 = 11 only from Tate's algorithm
+@example(case=(CurveQ(-363, 1182310), 11), given_at=set(), values=[1] * 6, allow_23=True)
+@given(case=curve_and_prime(),
+       given_at=st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])),
+       values=st.lists(st.integers(1, 60), min_size=6, max_size=6),
+       allow_23=st.booleans())
+def test_lazy_p_part_matches_the_eager_product(case, given_at, values, allow_23):
+    curve, p = case
+    for overrides in ({}, dict(zip(sorted(given_at), values))):
+        try:
+            want = eager_tamagawa_p_part(curve, p, overrides, allow_23)
+        except UnknownLocalData:
+            with pytest.raises(UnknownLocalData):
+                tamagawa_p_part(curve, p, overrides=overrides, allow_23=allow_23)
+        else:
+            got = tamagawa_p_part(curve, p, overrides=overrides, allow_23=allow_23)
+            assert got == want, (curve, p, overrides, allow_23)
+
+
+def test_tate_runs_only_where_the_certificate_fails(monkeypatch):
+    # disc0 = 7^5 * 17^2 for (-17, 425): v_7 = 5 and v_17 = 2, so only the
+    # 5-part asks for c_7 (split I5, c_7 = 5); every other p >= 5 is cleared
+    # by the certificates, and c_7 is computed once
+    calls = []
+    tate = local_data._tate
+    monkeypatch.setattr(local_data, "_tate", lambda A, B, l: calls.append(l) or tate(A, B, l))
+    local_data._tamagawa_table.cache_clear()
+    local_data._tamagawa_number.cache_clear()
+    tau_p = local_data._p_parts(CurveQ(-17, 425), {2: 1, 3: 1}, False)
+    assert [tau_p(p) for p in (7, 11, 13, 17, 19)] == [1] * 5
+    assert calls == []
+    assert tau_p(5) == tau_p(5) == tamagawa_p_part((-17, 425), 5) == 5
+    assert calls == [7]
 
 
 def test_local_input_errors_are_typed():

@@ -11,21 +11,20 @@ Point counts mod p use the quadratic-character sum
 
     N_p = 1 + sum_x (1 + chi(x^3 + A x + B)) = p + 1 + sum_x chi(f(x)),
 
-one chi table per prime, O(p) per curve.  No Schoof-style point counting;
-the primes handled here are desk scale.  count_points evaluates the sum for
-one curve at one prime and stays the single-curve API and test oracle.
-
-frobenius_traces gives a_p for one curve at every prime of a scan.  Up to
-_ROW_PRIME_BOUND it reads each a_p from the point-count rows of its prime
-(_PointCountRows): the affine counts of every b for a = 0 and for one
-representative a0 of each coset of the fourth powers, each row one cyclic
-correlation done as one big-integer product, and the orbit map that sends
-(a, b) to (a0, b u^-6) by the isomorphism (a, b) ~ (u^4 a, u^6 b).  The
-rows are built once per prime and shared by every curve and by the
-anomalous residue table.  Past the bound it evaluates the sum in one numpy
-pass over a layout of the prime list (the x ranges, x^3 mod p and the chi
-tables, concatenated, in blocks of at most 2^16 x values) that is built
-once per prime list and reused for every curve.
+O(p) per curve and prime; the primes handled here are desk scale.
+frobenius_traces alone decides how an a_p is counted, at every prime of a
+scan and at the one prime (p = 3 included) of count_points, trace_frobenius
+and classify_reduction.  Up to _ROW_PRIME_BOUND it reads each a_p from the
+point-count rows of its prime (_PointCountRows): the affine counts of every
+b for a = 0 and for one representative a0 of each coset of the fourth
+powers, each row one cyclic correlation done as one big-integer product, and
+the orbit map that sends (a, b) to (a0, b u^-6) by the isomorphism (a, b) ~
+(u^4 a, u^6 b).  The rows are built once per prime and shared by every curve
+and by the anomalous residue table.  Past the bound it evaluates the sum
+with numpy: a run of several primes in one pass over a layout of the run
+(the x ranges, x^3 mod p and the chi tables, concatenated, in blocks of at
+most 2^16 x values) that is built once and reused for every curve, and a
+prime that fills a block alone by a plain sum over its x.
 
 The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
 from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
@@ -45,7 +44,7 @@ both against is the oracle dp_census_bruteforce in tests/oracles.py.
 The anomalous residue table (anomalous_residue_table) reads the same
 rows.  numpy is imported inside the functions that build arrays, not at
 module level, so a command that needs no array (the census, the bounds, the
-height sweep, a scan up to _ROW_PRIME_BOUND) never loads it.
+height sweep, a scan or a single count up to _ROW_PRIME_BOUND) never loads it.
 """
 
 from __future__ import annotations
@@ -77,6 +76,13 @@ __all__ = [
 
 def disc0_of(A: int, B: int) -> int:
     return 4 * A**3 + 27 * B**2
+
+
+def _p_part_certifiably_trivial(v_delta: int, p: int) -> bool:
+    # p >= 5 divides c_l only for split I_n with p | n, and n on the minimal
+    # model is v_l(Delta) - 12k for some k >= 0. If no such candidate is a
+    # positive multiple of p, the p-part is 1 regardless of the fine local type.
+    return all(n % p for n in range(v_delta, 0, -12))
 
 
 def minimal_mask(A: int, B, qs, ok=True):
@@ -199,23 +205,6 @@ def _affine_count(a: int, b: int, p: int) -> int:
     return p + int(chi[f].sum(dtype=np.int64))
 
 
-def count_points(A: int, B: int, p: int) -> int:
-    """#E(F_p) including the point at infinity, for an odd prime of good
-    reduction.  Raises BadReductionAt when p divides disc0."""
-    _require_odd_prime(p)
-    a, b = A % p, B % p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise BadReductionAt(f"p={p} divides disc0")
-    n = _affine_count(a, b, p) + 1
-    t = p + 1 - n
-    assert t * t <= 4 * p, f"Hasse bound violated: a_p={t} at p={p}"
-    return n
-
-
-def trace_frobenius(A: int, B: int, p: int) -> int:
-    return p + 1 - count_points(A, B, p)
-
-
 # frobenius_traces reads a_p from the point-count rows, in pure Python, when
 # no prime of the list is above this bound, and runs the numpy pass when one
 # is. The rows pay their build once per prime, the numpy pass pays
@@ -228,18 +217,19 @@ _ROW_PRIME_BOUND = 600
 
 
 # elements per block of the batched character sum: a long prime list is cut
-# into blocks of at most this many x values (a larger prime gets a block of
-# its own), so memory stays bounded whatever the largest prime
+# into blocks of at most this many x values (a larger prime is a block of its
+# own, summed without a layout), so memory stays bounded whatever the prime
 _BLOCK_ELEMENTS = 1 << 16
 
 
 @lru_cache(maxsize=16)
 def _sum_block(primes: tuple) -> tuple:
-    """A run of primes laid out for the character sum: (sizes, starts, x,
-    x3, mod, base, chi). sizes holds the primes and starts the first element
-    of each prime's segment; x, x3 = x^3 mod p, mod = p and base = the
-    segment start have one entry per x in 0..p-1 of each prime in turn; chi
-    is the primes' chi tables concatenated, so chi_p(t) = chi[base + t]."""
+    """A run of several primes laid out for the character sum: (sizes,
+    starts, x, x3, mod, base, chi). sizes holds the primes and starts the
+    first element of each prime's segment; x, x3 = x^3 mod p, mod = p and
+    base = the segment start have one entry per x in 0..p-1 of each prime in
+    turn; chi is the primes' chi tables concatenated, so chi_p(t) =
+    chi[base + t]."""
     import numpy as np
     # x^3 mod p + a x + b < p^2 fits int32 up to p = 46340, which halves the
     # memory traffic of the per-curve pass
@@ -272,26 +262,31 @@ def _sum_blocks(primes: tuple, budget: int) -> tuple:
 def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     """a_p = p + 1 - #E(F_p) of y^2 = x^3 + A x + B at every p in primes.
 
-    primes is a tuple of distinct primes >= 5, as a sieve gives them; their
-    primality is not tested.  A and B may be any integers: they are reduced
-    mod each p as Python ints.  Where p divides disc0 the value is that of
-    the singular cubic (0 or +-1).  Up to _ROW_PRIME_BOUND every a_p is read
-    from the point-count rows of its prime; past it one numpy pass per
-    block of primes replaces a count_points call per prime.
+    primes is a tuple of distinct primes >= 5, as a sieve gives them, or the
+    one odd prime of count_points; their primality is not tested.  A and B
+    may be any integers: they are reduced mod each p as Python ints.  Where
+    p divides disc0 the value is that of the singular cubic (0 or +-1).  Up
+    to _ROW_PRIME_BOUND every a_p is read from the point-count rows of its
+    prime; past it each block of primes is one numpy pass.
     """
     if max(primes, default=0) <= _ROW_PRIME_BOUND:
         return [_point_count_rows(p).trace(A, B) for p in primes]
     import numpy as np
     traces = []
     for run in _sum_blocks(primes, _BLOCK_ELEMENTS):
-        sizes, starts, x, x3, mod, base, chi = _sum_block(run)
-        f = np.array([A % p for p in run], dtype=x.dtype).repeat(sizes)
-        f *= x
-        f += x3
-        f += np.array([B % p for p in run], dtype=x.dtype).repeat(sizes)
-        np.remainder(f, mod, out=f)
-        f += base
-        ap = -np.add.reduceat(chi.take(f), starts, dtype=np.int64)
+        if len(run) == 1:
+            # a cached layout of one prime would cost ~33 bytes per x
+            sizes = np.array(run)
+            ap = sizes - _affine_count(A % run[0], B % run[0], run[0])
+        else:
+            sizes, starts, x, x3, mod, base, chi = _sum_block(run)
+            f = np.array([A % p for p in run], dtype=x.dtype).repeat(sizes)
+            f *= x
+            f += x3
+            f += np.array([B % p for p in run], dtype=x.dtype).repeat(sizes)
+            np.remainder(f, mod, out=f)
+            f += base
+            ap = -np.add.reduceat(chi.take(f), starts, dtype=np.int64)
         # Hasse, and p >= 5 leaves a_p = 0 as the only multiple of p
         assert np.all(ap * ap <= 4 * sizes), f"Hasse bound violated in {run}"
         assert not np.any((ap % sizes == 0) & (ap != 0)), f"a_p = 0 mod p != 0 in {run}"
@@ -299,8 +294,17 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     return traces
 
 
-def _is_anomalous(n_points: int, p: int) -> bool:
-    return n_points % p == 0
+def count_points(A: int, B: int, p: int) -> int:
+    """#E(F_p) including the point at infinity, for an odd prime of good
+    reduction.  Raises BadReductionAt when p divides disc0."""
+    _require_odd_prime(p)
+    if disc0_of(A % p, B % p) % p == 0:
+        raise BadReductionAt(f"p={p} divides disc0")
+    return p + 1 - frobenius_traces(A, B, (p,))[0]
+
+
+def trace_frobenius(A: int, B: int, p: int) -> int:
+    return p + 1 - count_points(A, B, p)
 
 
 def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
@@ -320,14 +324,10 @@ def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
         return LocalReduction(p, ReductionClass.BAD, None, None, False)
     n = count_points(curve.A, curve.B, p)
     a_p = p + 1 - n
-    if a_p % p == 0:
-        # p >= 5 forces a_p = 0 here by Hasse, |a_p| <= 2 sqrt p < p
-        cls = ReductionClass.GOOD_SUPERSINGULAR
-        if p >= 5:
-            assert a_p == 0
-    else:
-        cls = ReductionClass.GOOD_ORDINARY
-    return LocalReduction(p, cls, n, a_p, _is_anomalous(n, p))
+    # p >= 5 forces a_p = 0 on a multiple of p by Hasse, |a_p| <= 2 sqrt p < p
+    assert a_p % p or a_p == 0 or p == 3
+    cls = ReductionClass.GOOD_ORDINARY if a_p % p else ReductionClass.GOOD_SUPERSINGULAR
+    return LocalReduction(p, cls, n, a_p, n % p == 0)
 
 
 # ---------------------------------------------------------------------------

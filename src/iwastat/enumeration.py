@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .curves import (
     DpMode,
+    _p_part_certifiably_trivial,
     _require_census_prime,
     anomalous_residue_table,
     d_of_p,
@@ -248,8 +249,6 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, List[bool]]:
     v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
     B is even), so at l = 2 the search starts at 2.
     """
-    from .local_data import _p_part_certifiably_trivial
-
     shift = 4 if l == 2 else 0
     table = [not _p_part_certifiably_trivial(v + shift, p) for v in range(12 * p + 1)]
     return table.index(True, 2 if l == 2 else 1), table

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .curves import CurveQ
-from .errors import HeaderMismatch, IwastatError, ParseError, UnknownColumnWarning
+from .errors import HeaderMismatch, IwastatError, OutOfRange, ParseError, UnknownColumnWarning
 
 if TYPE_CHECKING:
     from .enumeration import DensityReport
@@ -121,7 +121,15 @@ def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
 
 
 def write_records(records: List[CurveRecord], path) -> None:
-    """Emit records in the ingest schema; parse(write(records)) round-trips."""
+    """Emit records in the ingest schema; parse(write(records)) round-trips.
+
+    The schema holds Tamagawa overrides at l = 2 and 3 only; a record with
+    one at another l raises OutOfRange before the file is opened."""
+    for r in records:
+        unwritable = sorted(set(r.tamagawa_overrides) - {2, 3})
+        if unwritable:
+            raise OutOfRange(f"record {r.label!r}: the ingest schema has no column "
+                             f"for a Tamagawa override at l={unwritable[0]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(KNOWN_COLUMNS)

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .curves import CurveQ, disc0_of
+from .curves import CurveQ, _p_part_certifiably_trivial, disc0_of
 from .errors import GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, UnknownLocalData
 from .primes import factorize, is_prime, legendre, primes_up_to, valuation
 
@@ -357,13 +357,6 @@ def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
     if l == 3 and curve.disc0 % 3 and data.symbol is not KodairaSymbol.I0:
         raise AssertionError("good reduction at 3 must come back as I0")
     return data
-
-
-def _p_part_certifiably_trivial(v_delta, p):
-    # p >= 5 divides c_l only for split I_n with p | n, and n on the minimal
-    # model is v_l(Delta) - 12k for some k >= 0. If no such candidate is a
-    # positive multiple of p, the p-part is 1 regardless of the fine local type.
-    return all(n % p for n in range(v_delta, 0, -12))
 
 
 @lru_cache(maxsize=256)

@@ -13,7 +13,10 @@ pairs of the I_p locus that iwastat.enumeration.lifting_count gives in
 closed form; poly_roots_mod finds the roots of a polynomial over F_l by
 trying every element, against which the gcd root counts of Tate's
 algorithm are checked; write_scan_results writes one record's scan with
-the json encoder, the reference for the scan JSON writer.
+the json encoder, the reference for the scan JSON writer. trace_by_legendre
+sums the Legendre symbol in pure Python, by Euler's criterion, the a_p
+reference that shares no code with either a_p engine of iwastat.curves (the
+point-count rows and the numpy character sum).
 """
 
 import json
@@ -55,6 +58,18 @@ def lattice_density(kappa: Tuple[int, int], p: int, X: int) -> float:
     """Fraction of the unconstrained box in one residue class mod p;
     tends to 1/p^2 as X grows."""
     return lattice_class_count(kappa, p, X) / total_weq(X)
+
+
+def trace_by_legendre(A: int, B: int, p: int) -> int:
+    """a_p = -sum_x legendre(x^3 + A x + B, p) at an odd prime p; at p | disc0
+    that of the singular cubic."""
+    a, b, half = A % p, B % p, (p - 1) // 2
+    total = 0
+    for x in range(p):
+        v = (x * x * x + a * x + b) % p
+        if v:
+            total += 1 if pow(v, half, p) == 1 else -1
+    return -total
 
 
 def _affine_counts_row(a: int, p: int, xs, ys2) -> np.ndarray:

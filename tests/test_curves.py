@@ -23,7 +23,7 @@ from iwastat.curves import (
     is_minimal_pair,
     trace_frobenius,
 )
-from iwastat.curves import _affine_count, _reduced_forms, _sum_blocks
+from iwastat.curves import _reduced_forms, _sum_block, _sum_blocks
 from iwastat.enumeration import empirical_densities
 from iwastat.errors import (
     BadReductionAt,
@@ -32,7 +32,7 @@ from iwastat.errors import (
     SingularCurve,
 )
 from iwastat.primes import primes_up_to
-from oracles import anomalous_bool_table, dp_census_bruteforce, iter_curves
+from oracles import anomalous_bool_table, dp_census_bruteforce, iter_curves, trace_by_legendre
 
 CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
 
@@ -59,7 +59,7 @@ def test_count_points_known_values():
 
 
 def test_count_points_exhaustive_small_fields():
-    for p in (5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13):
         for a in range(p):
             for b in range(p):
                 if (4 * a**3 + 27 * b * b) % p == 0:
@@ -369,7 +369,7 @@ def test_anomalous_rows_of_a_small_box_correlate_at_most_five_rows(monkeypatch):
     e3 = empirical_densities(p, 100).e3
     assert 1 <= len(calls) <= 5, calls
     assert e3 == sum(1 for A, B in iter_curves(100)
-                     if disc0_of(A, B) % p and count_points(A, B, p) % p == 0)
+                     if disc0_of(A, B) % p and (p + 1 - trace_by_legendre(A, B, p)) % p == 0)
 
 
 def test_hurwitz_class_numbers_known():
@@ -423,10 +423,9 @@ def test_frobenius_traces_match_count_points(A, B, lo, budget):
         curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND = old
     assert len(traces) == len(primes)
     for p, a_p in zip(primes, traces):
-        if (4 * A**3 + 27 * B**2) % p:
-            assert a_p == trace_frobenius(A, B, p), (A, B, p)
-        else:
-            assert a_p == p - _affine_count(A % p, B % p, p) and abs(a_p) <= 1
+        assert a_p == trace_by_legendre(A, B, p), (A, B, p)
+        if (4 * A**3 + 27 * B**2) % p == 0:
+            assert abs(a_p) <= 1
 
 
 ROW_PRIMES = tuple(p for p in primes_up_to(curves._ROW_PRIME_BOUND) if p >= 5)
@@ -452,12 +451,8 @@ def pair_at_prime(draw):
 @given(pair_at_prime())
 def test_point_count_rows_match_count_points(case):
     p, A, B = case
-    a_p = frobenius_traces(A, B, (p,))[0]
-    if (4 * A**3 + 27 * B**2) % p:
-        assert a_p == trace_frobenius(A, B, p), (A, B, p)
-    else:
-        # the singular cubic, as the numpy character sum gives it
-        assert a_p == p - _affine_count(A % p, B % p, p), (A, B, p)
+    # the singular cubic too, where p | disc0
+    assert frobenius_traces(A, B, (p,))[0] == trace_by_legendre(A, B, p), (A, B, p)
 
 
 def test_point_count_rows_of_a_scan_stay_cached():
@@ -470,7 +465,7 @@ def test_point_count_rows_cover_every_pair_at_small_primes():
         rows = curves._point_count_rows(p)
         for a in range(p):
             for b in range(p):
-                assert p - rows.trace(a, b) == _affine_count(a, b, p), (a, b, p)
+                assert rows.trace(a, b) == trace_by_legendre(a, b, p), (a, b, p)
         # a = 0 and one row per coset of the fourth powers
         assert len(rows.rows) == 1 + math.gcd(4, p - 1)
 
@@ -480,7 +475,44 @@ def test_frobenius_traces_blocks():
     assert _sum_blocks((5, 7, 11), 23) == ((5, 7, 11),)
     assert _sum_blocks((), 60) == ()
     assert frobenius_traces(1, 1, ()) == []
-    # above 46340 the pass switches from int32 to int64 arithmetic
-    big = (46337, 46349)
-    for A, B in ((2**70 + 3, -5), (-1, 1)):
-        assert frobenius_traces(A, B, big) == [trace_frobenius(A, B, p) for p in big]
+    # above 46340 a run of several primes switches from int32 to int64
+    # arithmetic; 46337 and 46349 fill a block each, and are summed alone
+    assert _sum_block((5, 46349))[2].dtype == np.int64
+    assert _sum_blocks((46337, 46349), curves._BLOCK_ELEMENTS) == ((46337,), (46349,))
+    # (599, 601) crosses the row bound: one layout of both primes; the last
+    # two pairs are singular cubics at every prime
+    for primes in ((5, 46349), (46337, 46349), (599, 601)):
+        for A, B in ((2**70 + 3, -5), (-1, 1), (0, 0), (-3, 2)):
+            want = [trace_by_legendre(A, B, p) for p in primes]
+            assert frobenius_traces(A, B, primes) == want, (A, B, primes)
+
+
+@pytest.mark.parametrize("A, B", [(-7, 11), (0, 1), (1, 0)])
+def test_single_prime_counts_match_the_legendre_sum(A, B):
+    # below the row bound, across it and one run past it, p = 3 and 5 included
+    for p in primes_up_to(700)[1:]:
+        if disc0_of(A, B) % p == 0:
+            assert classify_reduction((A, B), p, allow_p3=True).reduction_class is ReductionClass.BAD
+            continue
+        a_p = trace_by_legendre(A, B, p)
+        assert trace_frobenius(A, B, p) == a_p, (A, B, p)
+        assert count_points(A, B, p) == p + 1 - a_p, (A, B, p)
+        r = classify_reduction((A, B), p, allow_p3=True)
+        assert (r.a_p, r.n_points, r.anomalous) == (a_p, p + 1 - a_p, (p + 1 - a_p) % p == 0)
+        assert r.reduction_class is (ReductionClass.GOOD_ORDINARY if a_p % p
+                                     else ReductionClass.GOOD_SUPERSINGULAR)
+
+
+@pytest.mark.parametrize("p", [3, 599, 601, 65537])
+def test_counts_at_the_edges_of_each_engine(p):
+    # p = 3 and 599 read the rows, 601 and 65537 (past 2^16) are numpy runs
+    # of one prime; A or B = 0 mod p, and singular cubics at every prime
+    for A, B in ((-7, 11), (p, 2), (3, -p), (2**70 + 3, -5)):
+        if disc0_of(A, B) % p:
+            assert count_points(A, B, p) == p + 1 - trace_by_legendre(A, B, p), (A, B)
+    # (-3 k^2, 2 k^3) is singular over Q; k = 5, shifted by p
+    for A, B in ((0, 0), (-3, 2), (p - 75, 250 - p)):
+        assert frobenius_traces(A, B, (p,)) == [trace_by_legendre(A, B, p)], (A, B)
+        with pytest.raises(BadReductionAt):
+            count_points(A, B, p)
+

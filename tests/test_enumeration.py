@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwastat import enumeration
-from iwastat.curves import classify_reduction, d_of_p, disc0_of, is_minimal_pair, minimal_mask
+from iwastat.curves import d_of_p, disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
     DensityReport,
     bound_dp2,
@@ -30,6 +30,7 @@ from oracles import (
     lattice_class_count,
     lattice_density,
     lifting_count_bruteforce,
+    trace_by_legendre,
 )
 
 
@@ -211,7 +212,7 @@ def test_counts_cross_checked_against_local_theory():
         d0 = disc0_of(A, B)
         if d0 % 5:
             good += 1
-            if classify_reduction((A, B), 5).anomalous:
+            if (6 - trace_by_legendre(A, B, 5)) % 5 == 0:  # 5 | #E(F_5)
                 e3 += 1
         hit = False
         for l in set(

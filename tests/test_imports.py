@@ -21,15 +21,21 @@ from iwastat import cli
 HEADER = "label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess"
 
 
-def _loaded_after(tmp_path, script):
-    """The iwastat submodules a fresh interpreter holds after script."""
-    script += '\nprint(*sorted(m for m in sys.modules if m.startswith("iwastat.")))\n'
+def _modules_after(tmp_path, script):
+    """Every module a fresh interpreter holds after script."""
+    script += "\nprint(*sorted(sys.modules))\n"
     src = pathlib.Path(iwastat.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", "import sys\n" + script], cwd=tmp_path,
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    return {m.removeprefix("iwastat.") for m in out.stdout.split()}
+    return set(out.stdout.split())
+
+
+def _loaded_after(tmp_path, script):
+    """The iwastat submodules a fresh interpreter holds after script."""
+    return {m.removeprefix("iwastat.") for m in _modules_after(tmp_path, script)
+            if m.startswith("iwastat.")}
 
 
 def test_importing_the_package_and_the_cli_loads_no_command_module(tmp_path):
@@ -44,12 +50,16 @@ BUDGETS = [
     (["invariants", "--poly", "25,5", "--prime", "5"], {"cli", "errors", "charpoly", "primes"}, None),
     (["bounds", "--prime", "457"], None, UNUSED_BY_SWEEP),
     (["enumerate", "--height", "1000000", "--prime", "499"], None, UNUSED_BY_SWEEP),
+    (["enumerate", "--height", "1000000", "--prime", "499", "--strict"], None, UNUSED_BY_SWEEP),
     (["ip-count", "--l", "7", "--p", "5", "--height", "100000000"], None, UNUSED_BY_SWEEP),
     (["scan", "recs.csv", "--max-prime", "30"], None, {"enumeration"}),
 ]
 
 
-@pytest.mark.parametrize("argv, only, never", BUDGETS, ids=[b[0][0] for b in BUDGETS])
+BUDGET_IDS = [argv[0] + " --strict" * ("--strict" in argv) for argv, _, _ in BUDGETS]
+
+
+@pytest.mark.parametrize("argv, only, never", BUDGETS, ids=BUDGET_IDS)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never):
     (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
     loaded = _loaded_after(tmp_path, textwrap.dedent(f"""
@@ -62,6 +72,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never
         assert loaded == only
     else:
         assert not loaded & never, loaded & never
+
+
+@pytest.mark.parametrize("call, numpy", [
+    ("classify_reduction((-1, 0), 5)", False),
+    ("trace_frobenius(-7, 11, 599)", False),
+    ("trace_frobenius(-7, 11, 601)", True),
+])
+def test_a_single_prime_loads_numpy_only_past_the_row_bound(tmp_path, call, numpy):
+    # count_points reads the rows up to curves._ROW_PRIME_BOUND = 600
+    loaded = _modules_after(tmp_path, f"from iwastat.curves import *\n{call}")
+    assert ("numpy" in loaded) is numpy
 
 
 def test_rebinding_a_cli_name_is_what_the_command_calls(capsys, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from iwastat.enumeration import empirical_densities
-from iwastat.errors import HeaderMismatch, UnknownColumnWarning
+from iwastat.errors import HeaderMismatch, OutOfRange, UnknownColumnWarning
 from iwastat.io import (
     density_report_dict,
     parse_records,
@@ -85,6 +85,19 @@ def test_round_trip(tmp_path):
     back, errors = parse_records(path)
     assert errors == []
     assert back == recs
+
+
+def test_write_refuses_an_override_the_schema_cannot_hold(tmp_path):
+    # only tamagawa_2 and tamagawa_3 are columns; a c_5 would be dropped and
+    # the file would not parse back to the records
+    recs = [
+        CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={2: 4}, label="ok"),
+        CurveRecord(curve=(0, 5), rank=0, tamagawa_overrides={5: 5, 2: 1}, label="c5"),
+    ]
+    path = tmp_path / "out.csv"
+    with pytest.raises(OutOfRange, match=r"'c5'.*l=5"):
+        write_records(recs, path)
+    assert not path.exists()
 
 
 def test_missing_required_column(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 import iwastat
 from iwastat import local_data
-from iwastat.curves import CurveQ, ReductionClass, classify_reduction
+from iwastat.curves import CurveQ, ReductionClass
 from iwastat.errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, UnknownLocalData
 from iwastat.prime_scan import (
     Conclusion,
@@ -18,6 +18,7 @@ from iwastat.prime_scan import (
     scan_primes,
     sigma_prime_membership,
 )
+from oracles import trace_by_legendre
 
 FULL_TWO_TORSION = CurveRecord(
     curve=(-1, 0), rank=0, sha_order=1, torsion_order=4, label="full2tors"
@@ -83,8 +84,7 @@ def test_inconclusive_set_is_exactly_the_anomalous_set():
     for x in scan_primes(rec, 100):
         if x.conclusion is Conclusion.BAD_PRIME:
             continue
-        r = classify_reduction(rec.curve, x.p)
-        if r.anomalous:
+        if (x.p + 1 - trace_by_legendre(3, 0, x.p)) % x.p == 0:
             anomalous.add(x.p)
             assert x.conclusion is Conclusion.INCONCLUSIVE
         else:

@@ -6,10 +6,10 @@ once per record and the twelve result branches became one ordered gate list.
 They are kept verbatim (the point-count cache argument dropped) as the
 oracle: on seeded records and every prime from 5 to 200, with and without
 the local algorithm at 2 and 3, the scan must give equal results or raise
-the same exception type. The oracle classifies each prime with
-classify_reduction (one count_points call); the scan reads every a_p of a
-record from one batched pass, checked both one prime at a time and over
-the whole range at once.
+the same exception type. The oracle classifies each prime by the pure-Python
+Legendre sum of tests/oracles.py, which shares no code with the package's
+point counts; the scan reads every a_p of a record from one batched pass,
+checked both one prime at a time and over the whole range at once.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from typing import Optional
 import pytest
 
 from iwastat.charpoly import CharPoly, is_trivial_shape
-from iwastat.curves import CurveQ, ReductionClass, classify_reduction, is_minimal_pair
+from iwastat.curves import CurveQ, ReductionClass, is_minimal_pair
 from iwastat.errors import MissingSha, UnknownLocalData
 from iwastat.io import scan_entry_text, scan_json_text, scan_result_dict
 from iwastat.local_data import (
@@ -32,6 +32,7 @@ from iwastat.local_data import (
 )
 from iwastat.primes import prime_range, valuation
 from iwastat.prime_scan import Conclusion, CurveRecord, Reason, scan_primes
+from oracles import trace_by_legendre
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ def old_scan_one(record, p, allow_23):
             p, ReductionClass.BAD, False, None, None, None,
             Conclusion.BAD_PRIME, reason="p divides the discriminant",
         )
-    red = classify_reduction(curve, p)
-    in_sigma = red.anomalous
+    a_p = trace_by_legendre(curve.A, curve.B, p)
+    in_sigma = (p + 1 - a_p) % p == 0
 
     try:
         divisor_hit = old_sigma_prime_membership(record, p, allow_23=allow_23)
@@ -126,9 +127,10 @@ def old_scan_one(record, p, allow_23):
     if record.regulator_valuations is not None and p in record.regulator_valuations:
         in_pi = record.regulator_valuations[p] != 0
 
-    ordinary = red.reduction_class is ReductionClass.GOOD_ORDINARY
+    ordinary = a_p % p != 0
+    reduction_class = ReductionClass.GOOD_ORDINARY if ordinary else ReductionClass.GOOD_SUPERSINGULAR
     kwargs = dict(
-        p=p, reduction_class=red.reduction_class, in_sigma=in_sigma,
+        p=p, reduction_class=reduction_class, in_sigma=in_sigma,
         in_sigma_prime=divisor_hit, in_upsilon=divisor_hit, in_pi=in_pi,
     )
 

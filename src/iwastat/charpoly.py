@@ -44,7 +44,8 @@ class CharPoly:
         object.__setattr__(self, "coeffs", cs)
 
     def __mul__(self, other: "CharPoly") -> "CharPoly":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise InvalidPrime(f"cannot multiply polynomials at p={self.p} and p={other.p}")
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):

@@ -110,7 +110,6 @@ def _scan_record(rec, max_prime, allow_23):
 
 
 def _cmd_scan(args) -> int:
-    from .curves import _ROW_PRIME_BOUND
     from .io import scan_json_text
     from .parallel import default_workers
 
@@ -124,12 +123,6 @@ def _cmd_scan(args) -> int:
             return 1
     workers = args.workers if args.workers is not None else default_workers()
     jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
-    # up to the row bound frobenius_traces reads a_p from point-count rows
-    # in pure Python; past it every record's scan builds numpy arrays, so
-    # numpy is loaded here, before fan_out forks its pool, and shared by the
-    # workers, where each would otherwise import it again
-    if args.max_prime > _ROW_PRIME_BOUND:
-        import numpy  # noqa: F401
     entries = []
     status = 1 if errors else 0
     for code, text in _cli.fan_out(_scan_record, jobs, workers):

@@ -7,24 +7,18 @@ and q^6 | B simultaneously.  Invariant conventions used throughout:
     c4 = -48 A,   c6 = -864 B,   Delta = -16 disc0,
     height H = max(|A|^3, B^2).
 
-Point counts mod p use the quadratic-character sum
-
-    N_p = 1 + sum_x (1 + chi(x^3 + A x + B)) = p + 1 + sum_x chi(f(x)),
-
-O(p) per curve and prime; the primes handled here are desk scale.
 frobenius_traces alone decides how an a_p is counted, at every prime of a
 scan and at the one prime (p = 3 included) of count_points, trace_frobenius
 and classify_reduction.  Up to _ROW_PRIME_BOUND it reads each a_p from the
-point-count rows of its prime (_PointCountRows): the affine counts of every
-b for a = 0 and for one representative a0 of each coset of the fourth
-powers, each row one cyclic correlation done as one big-integer product, and
-the orbit map that sends (a, b) to (a0, b u^-6) by the isomorphism (a, b) ~
-(u^4 a, u^6 b).  The rows are built once per prime and shared by every curve
-and by the anomalous residue table.  Past the bound it evaluates the sum
-with numpy: a run of several primes in one pass over a layout of the run
-(the x ranges, x^3 mod p and the chi tables, concatenated, in blocks of at
-most 2^16 x values) that is built once and reused for every curve, and a
-prime that fills a block alone by a plain sum over its x.
+point-count rows of its prime (_PointCountRows): the affine counts
+N_p(a, b) - 1 = p + sum_x chi(x^3 + a x + b) of every b for a = 0 and for
+one representative a0 of each coset of the fourth powers, each row one
+cyclic correlation done as one big-integer product, and the orbit map that
+sends (a, b) to (a0, b u^-6) by the isomorphism (a, b) ~ (u^4 a, u^6 b).
+The rows are built once per prime and shared by every curve and by the
+anomalous residue table.  Past the bound it finds a_p by point orders in
+the Hasse interval, on the curve or its twist (Shanks-Mestre baby steps and
+giant steps, _trace_by_point_orders), in O(p^(1/4)) group operations.
 
 The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
 from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
@@ -42,9 +36,7 @@ anomalous residue table; the O(p^3) sweep over F_p^2 that the tests check
 both against is the oracle dp_census_bruteforce in tests/oracles.py.
 
 The anomalous residue table (anomalous_residue_table) reads the same
-rows.  numpy is imported inside the functions that build arrays, not at
-module level, so a command that needs no array (the census, the bounds, the
-height sweep, a scan or a single count up to _ROW_PRIME_BOUND) never loads it.
+rows.
 """
 
 from __future__ import annotations
@@ -54,7 +46,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     BadReductionAt,
@@ -63,7 +55,7 @@ from .errors import (
     OutOfRange,
     SingularCurve,
 )
-from .primes import factorize, is_prime, iroot, primes_up_to
+from .primes import factorize, is_prime, iroot, legendre, primes_up_to
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
@@ -181,82 +173,118 @@ class LocalReduction:
         return self.reduction_class is not ReductionClass.BAD
 
 
-@lru_cache(maxsize=512)
-def _chi_table(p: int) -> np.ndarray:
-    """chi[t] in {-1, 0, +1} for t in 0..p-1."""
-    import numpy as np
-    tab = np.full(p, -1, dtype=np.int8)
-    x = np.arange(p, dtype=np.int64)
-    tab[(x * x) % p] = 1
-    tab[0] = 0
-    return tab
-
-
 def _require_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise InvalidPrime(f"{p} is not an odd prime")
 
 
-def _affine_count(a: int, b: int, p: int) -> int:
-    import numpy as np
-    chi = _chi_table(p)
-    x = np.arange(p, dtype=np.int64)
-    f = (x * x % p * x + a * x + b) % p
-    return p + int(chi[f].sum(dtype=np.int64))
-
-
-# frobenius_traces reads a_p from the point-count rows, in pure Python, when
-# no prime of the list is above this bound, and runs the numpy pass when one
-# is. The rows pay their build once per prime, the numpy pass pays
-# `import numpy` once per process and is ~10x faster per element. In fresh
-# interpreters on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), building
-# the orbit map and every coset row of each prime up to 601 took a median
-# 80-106 ms against 87-108 ms for `import numpy` (two sets of nine
-# interleaved runs); up to 641 it took 119 ms against 108 ms.
+# frobenius_traces reads a_p from the point-count rows of primes up to this
+# bound and by point orders past it; both are exact, the bound moves only
+# time. On a 2-vCPU Xeon VM (Python 3.11.7) all rows of one prime took 3.3 ms
+# to build at 601 and 36 ms at 4001 (every prime's up to 600, ~0.1 s), then
+# a curve's a_p is one lookup; point orders took ~50-75 us a curve. So the
+# rows pay off for a scan of more than ~60 records at 601, ~480 at 4001.
 _ROW_PRIME_BOUND = 600
 
 
-# elements per block of the batched character sum: a long prime list is cut
-# into blocks of at most this many x values (a larger prime is a block of its
-# own, summed without a layout), so memory stays bounded whatever the prime
-_BLOCK_ELEMENTS = 1 << 16
+def _ec_add(P, Q, a: int, p: int):
+    """P + Q on Y^2 = X^3 + a X + b over F_p in affine coordinates, with
+    None for the point at infinity; b is implied by the points."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
-@lru_cache(maxsize=16)
-def _sum_block(primes: tuple) -> tuple:
-    """A run of several primes laid out for the character sum: (sizes,
-    starts, x, x3, mod, base, chi). sizes holds the primes and starts the
-    first element of each prime's segment; x, x3 = x^3 mod p, mod = p and
-    base = the segment start have one entry per x in 0..p-1 of each prime in
-    turn; chi is the primes' chi tables concatenated, so chi_p(t) =
-    chi[base + t]."""
-    import numpy as np
-    # x^3 mod p + a x + b < p^2 fits int32 up to p = 46340, which halves the
-    # memory traffic of the per-curve pass
-    dtype = np.int32 if max(primes) ** 2 < 2**31 else np.int64
-    sizes = np.array(primes, dtype=dtype)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(dtype)
-    base = np.repeat(starts, sizes)
-    mod = np.repeat(sizes, sizes)
-    x = np.arange(len(mod), dtype=dtype) - base
-    x3 = x * x % mod * x % mod
-    chi = np.concatenate([_chi_table(p) for p in primes])
-    return sizes, starts, x, x3, mod, base, chi
+def _ec_mul(k: int, P, a: int, p: int):
+    """k P for k >= 0 by double-and-add, from the top bit."""
+    R = None
+    for bit in bin(k)[2:]:
+        R = _ec_add(R, R, a, p)
+        if bit == "1":
+            R = _ec_add(R, P, a, p)
+    return R
 
 
-@lru_cache(maxsize=16)
-def _sum_blocks(primes: tuple, budget: int) -> tuple:
-    """primes cut into consecutive runs of at most budget elements each."""
-    runs, run, size = [], [], 0
-    for p in primes:
-        if run and size + p > budget:
-            runs.append(tuple(run))
-            run, size = [], 0
-        run.append(p)
-        size += p
-    if run:
-        runs.append(tuple(run))
-    return tuple(runs)
+def _orders_in(P, a: int, p: int, lo: int, hi: int) -> list[int]:
+    """Every N in [lo, hi] with N P = O, ascending, for a point P != O of
+    order above 2, by baby steps and giant steps.
+
+    The baby steps map x(jP) to j for j = 1..m. The first j whose x is
+    already there as x(kP) has jP = -kP, and the first with y(jP) = 0 has
+    jP = -jP; then P has order exactly j + k (k = j in the second case) and
+    the matches are its multiples. Without such a j the order is above 2m,
+    so each window of 2m + 1 consecutive N, centred on c, holds at most one
+    match N = c + e, seen as cP = -eP: cP = O, or x(cP) in the table and the
+    sign of e read off y.
+    """
+    m = isqrt((hi - lo + 1) // 2) + 1
+    baby = {}
+    Q = P
+    for j in range(1, m + 1):
+        k, y = baby.setdefault(Q[0], (j, Q[1]))
+        if k != j or not y:
+            o = j + k
+            return list(range(-(-lo // o) * o, hi + 1, o))
+        last, Q = Q, _ec_add(Q, P, a, p)
+    # centres c = i s, s = 2m + 1, from the first window that meets lo
+    s = 2 * m + 1
+    step = _ec_add(last, Q, a, p)  # s P
+    i = -(-(lo - m) // s)
+    G = _ec_mul(i, step, a, p)
+    matches = []
+    while i * s - m <= hi:
+        c = i * s
+        if G is None:
+            n = c
+        else:
+            k, y = baby.get(G[0], (0, 0))
+            n = c + (k if y != G[1] else -k) if k else 0
+        if lo <= n <= hi:
+            matches.append(n)
+        G = _ec_add(G, step, a, p)
+        i += 1
+    return matches
+
+
+def _trace_by_point_orders(A: int, B: int, p: int) -> int:
+    """a_p of y^2 = x^3 + A x + B at a prime p > 229 by Shanks-Mestre.
+
+    At p | disc0 it is that of the singular cubic (x - r)^2 (x + 2r), 0 at
+    the cusp r = 0 and legendre(3r, p) = legendre(-2 A B, p) at the node.
+
+    For x with d = f(x) != 0 the point (d x, d^2) lies on
+    E_d : Y^2 = X^3 + A d^2 X + B d^3, which is E when d is a square and its
+    quadratic twist otherwise, so #E_d = p + 1 - legendre(d, p) a_p. Each
+    point's orders N in the Hasse interval [p + 1 - 2 sqrt p, p + 1 + 2 sqrt p]
+    (_orders_in) leave the a_p = legendre(d, p) (p + 1 - N); a single one
+    fixes a_p, and several are intersected with those of the points before.
+    By Mestre's theorem (Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, ch. 7) E or its twist has a point with a single order in
+    the interval once p > 229, and the x run over every point of both.
+    """
+    a, b = A % p, B % p
+    if (4 * a * a * a + 27 * b * b) % p == 0:
+        return legendre(-2 * a * b, p)
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    left = None
+    for x in range(p):
+        d = (x * x * x + a * x + b) % p
+        if d:
+            s, dd = legendre(d, p), d * d % p
+            traces = {s * (p + 1 - n) for n in _orders_in((d * x % p, dd), a * dd % p, p, lo, hi)}
+            left = traces if left is None else left & traces
+            if len(left) == 1:
+                return left.pop()
+    raise AssertionError(f"no point fixes a_p at p={p}: Mestre's theorem needs p > 229")
 
 
 def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
@@ -266,32 +294,11 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     one odd prime of count_points; their primality is not tested.  A and B
     may be any integers: they are reduced mod each p as Python ints.  Where
     p divides disc0 the value is that of the singular cubic (0 or +-1).  Up
-    to _ROW_PRIME_BOUND every a_p is read from the point-count rows of its
-    prime; past it each block of primes is one numpy pass.
+    to _ROW_PRIME_BOUND an a_p is read from the point-count rows of its
+    prime, and past it found by point orders (_trace_by_point_orders).
     """
-    if max(primes, default=0) <= _ROW_PRIME_BOUND:
-        return [_point_count_rows(p).trace(A, B) for p in primes]
-    import numpy as np
-    traces = []
-    for run in _sum_blocks(primes, _BLOCK_ELEMENTS):
-        if len(run) == 1:
-            # a cached layout of one prime would cost ~33 bytes per x
-            sizes = np.array(run)
-            ap = sizes - _affine_count(A % run[0], B % run[0], run[0])
-        else:
-            sizes, starts, x, x3, mod, base, chi = _sum_block(run)
-            f = np.array([A % p for p in run], dtype=x.dtype).repeat(sizes)
-            f *= x
-            f += x3
-            f += np.array([B % p for p in run], dtype=x.dtype).repeat(sizes)
-            np.remainder(f, mod, out=f)
-            f += base
-            ap = -np.add.reduceat(chi.take(f), starts, dtype=np.int64)
-        # Hasse, and p >= 5 leaves a_p = 0 as the only multiple of p
-        assert np.all(ap * ap <= 4 * sizes), f"Hasse bound violated in {run}"
-        assert not np.any((ap % sizes == 0) & (ap != 0)), f"a_p = 0 mod p != 0 in {run}"
-        traces.extend(ap.tolist())
-    return traces
+    return [_point_count_rows(p).trace(A, B) if p <= _ROW_PRIME_BOUND
+            else _trace_by_point_orders(A, B, p) for p in primes]
 
 
 def count_points(A: int, B: int, p: int) -> int:

@@ -18,8 +18,7 @@ classes of B and never walks the B of a row:
   tested one by one.
 
 A row costs O(classes + hits) in time and memory. A worker count > 1
-partitions the A-range and merges pure counts. Nothing here builds an
-array, so the module never loads numpy.
+partitions the A-range and merges pure counts.
 """
 
 from __future__ import annotations

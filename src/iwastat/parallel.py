@@ -5,12 +5,9 @@ unset or empty means one worker. A value that is not an integer raises
 InvalidSetting, which the CLI reports with exit code 1.
 
 concurrent.futures is imported on the first parallel call of fan_out, so a
-serial run never loads the process pool. fan_out loads nothing else: a
-caller whose jobs need a module in every worker (numpy, for a scan past
-curves._ROW_PRIME_BOUND) imports it before the call, so the forked workers
-share it. The CLI loads this
-module only for the commands that can fan out (scan, enumerate, ip-count),
-and the sweep fans out only when its estimated serial work passes
+serial run never loads the process pool. The CLI loads this module only
+for the commands that can fan out (scan, enumerate, ip-count), and the
+sweep fans out only when its estimated serial work passes
 enumeration._MIN_PARALLEL_US, where the pool pays for its start-up.
 """
 

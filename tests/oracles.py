@@ -16,7 +16,7 @@ algorithm are checked; write_scan_results writes one record's scan with
 the json encoder, the reference for the scan JSON writer. trace_by_legendre
 sums the Legendre symbol in pure Python, by Euler's criterion, the a_p
 reference that shares no code with either a_p engine of iwastat.curves (the
-point-count rows and the numpy character sum).
+point-count rows and the point orders by baby steps and giant steps).
 """
 
 import json

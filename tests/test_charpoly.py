@@ -1,7 +1,12 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import iwastat
 from iwastat.charpoly import (
     CharPoly,
     is_trivial_shape,
@@ -43,6 +48,20 @@ def test_construction_validation():
         CharPoly(6, [1])
     f = CharPoly(5, [0, 5, 0])
     assert f.degree == 1
+
+
+def test_product_at_two_primes_raises_under_optimization_too():
+    # the check is no assert, so python -O keeps it
+    with pytest.raises(InvalidPrime, match="p=5 and p=7"):
+        CharPoly(5, [1]) * CharPoly(7, [1])
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    script = ("from iwastat.charpoly import CharPoly\n"
+              "from iwastat.errors import InvalidPrime\n"
+              "try:\n    CharPoly(5, [1]) * CharPoly(7, [1])\n"
+              "except InvalidPrime as e:\n    print(e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert out.stdout == "cannot multiply polynomials at p=5 and p=7\n", out.stderr
 
 
 def test_invariants_known_values():

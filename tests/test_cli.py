@@ -212,9 +212,10 @@ def test_scan_workers_match_serial(capsys, tmp_path):
     assert [r["label"] for r in json.loads(outs[0])] == list("abcdefgh")
 
 
-def test_scan_rows_match_the_numpy_pass(capsys, tmp_path, monkeypatch):
+def test_scan_rows_match_the_point_orders(capsys, tmp_path, monkeypatch):
     # a scan to the row bound reads every a_p from the point-count rows, a
-    # scan to the next prime past it runs the numpy pass; cut the one row
+    # scan to the next prime past it counts that prime by point orders; cut
+    # the one row
     # past the bound from each of its entries and the two print the same
     # bytes. The records meet every coset of the fourth powers and primes
     # dividing disc0 (7 | disc0 of (1, 5), 23 of (-1, 1), 5 of (28, -86));
@@ -230,14 +231,15 @@ def test_scan_rows_match_the_numpy_pass(capsys, tmp_path, monkeypatch):
     rows += ["d,28,-86,0,1,1,,,", "big,123456789012345,-98765432109876543,1,,1,,,"]
     path = tmp_path / "recs.csv"
     path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    numpy_runs = []
-    real = curves._sum_blocks
-    monkeypatch.setattr(curves, "_sum_blocks", lambda *a: numpy_runs.append(a) or real(*a))
+    order_counts = []
+    real = curves._trace_by_point_orders
+    monkeypatch.setattr(curves, "_trace_by_point_orders",
+                        lambda *a: order_counts.append(a) or real(*a))
     runs = []
     for m in (bound, past):
         runs.append(run(capsys, "scan", str(path), "--max-prime", str(m), "--allow-23"))
-        # every record: no numpy pass to the bound, one past it
-        assert len(numpy_runs) == (m == past) * len(rows)
+        # every record: no point orders to the bound, one prime past it
+        assert len(order_counts) == (m == past) * len(rows)
     (code, out, err), (past_code, past_out, past_err) = runs
     assert (code, err) == (past_code, past_err) == (0, "")
     cut = re.sub(r',\n      \{[^{}]*"p": %d,[^{}]*\}\n    \]' % past, "\n    ]", past_out)
@@ -344,11 +346,10 @@ def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
     assert out.stdout.splitlines() == ["", "0 0 0"]
 
 
-def test_sweep_commands_leave_numpy_to_the_scan(tmp_path):
+def test_sweep_and_scan_commands_never_load_numpy(tmp_path):
     # a fresh interpreter: the sweep commands (serial, strict, ip-count and a
-    # 2-worker fan-out) and a 2-worker scan up to the row bound never import
-    # numpy, in the main process or in the scan's workers; a scan past the
-    # bound has it loaded by the time the pool forks
+    # 2-worker fan-out) and a 2-worker scan up to the row bound and past it
+    # never import numpy, in the main process or in the scan's workers
     (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
     script = textwrap.dedent("""
         import contextlib, io, sys
@@ -387,7 +388,8 @@ def test_sweep_commands_leave_numpy_to_the_scan(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    # scan lines: numpy loaded when the pool forks, in a worker, after the scan
+    # scan lines: whether numpy is loaded when the pool forks, in a worker,
+    # after the scan
     assert out.stdout.splitlines() == [
-        "0 0 0 0 False", "0 False False False", "0 False False False", "0 True True True",
+        "0 0 0 0 False", "0 False False False", "0 False False False", "0 False False False",
     ]

@@ -23,7 +23,7 @@ from iwastat.curves import (
     is_minimal_pair,
     trace_frobenius,
 )
-from iwastat.curves import _reduced_forms, _sum_block, _sum_blocks
+from iwastat.curves import _orders_in, _reduced_forms, _trace_by_point_orders
 from iwastat.enumeration import empirical_densities
 from iwastat.errors import (
     BadReductionAt,
@@ -31,7 +31,7 @@ from iwastat.errors import (
     NonMinimalModel,
     SingularCurve,
 )
-from iwastat.primes import primes_up_to
+from iwastat.primes import prime_range, primes_up_to
 from oracles import anomalous_bool_table, dp_census_bruteforce, iter_curves, trace_by_legendre
 
 CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
@@ -407,20 +407,11 @@ COEFF = st.one_of(st.integers(-10**4, 10**4), st.integers(-2**80, 2**80),
 
 
 @settings(max_examples=60, deadline=None)
-@given(A=COEFF, B=COEFF,
-       lo=st.integers(0, len(SCAN_PRIMES) - 1), budget=st.sampled_from([60, 97, 250, 1 << 16]))
-def test_frobenius_traces_match_count_points(A, B, lo, budget):
-    # the primes are within the row bound; with the bound set to 0 the same
-    # list goes through the numpy pass, where small budgets cut it into
-    # blocks, a prime above the budget (61.. at 60, 101.. at 97) alone
+@given(A=COEFF, B=COEFF, lo=st.integers(0, len(SCAN_PRIMES) - 1))
+def test_frobenius_traces_match_count_points(A, B, lo):
+    # the primes are within the row bound, singular cubics included
     primes = SCAN_PRIMES[lo:]
     traces = frobenius_traces(A, B, primes)
-    old = curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND
-    curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND = budget, 0
-    try:
-        assert frobenius_traces(A, B, primes) == traces
-    finally:
-        curves._BLOCK_ELEMENTS, curves._ROW_PRIME_BOUND = old
     assert len(traces) == len(primes)
     for p, a_p in zip(primes, traces):
         assert a_p == trace_by_legendre(A, B, p), (A, B, p)
@@ -470,21 +461,113 @@ def test_point_count_rows_cover_every_pair_at_small_primes():
         assert len(rows.rows) == 1 + math.gcd(4, p - 1)
 
 
-def test_frobenius_traces_blocks():
-    assert _sum_blocks((5, 7, 11, 13, 67, 71, 73), 60) == ((5, 7, 11, 13), (67,), (71,), (73,))
-    assert _sum_blocks((5, 7, 11), 23) == ((5, 7, 11),)
-    assert _sum_blocks((), 60) == ()
+ORDER_PRIMES = tuple(p for p in ROW_PRIMES if p > 229)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=COEFF, B=COEFF, lo=st.integers(0, len(ORDER_PRIMES) - 8))
+def test_point_orders_match_the_rows_where_both_apply(A, B, lo):
+    # Mestre's theorem lets point orders count any p > 229; frobenius_traces
+    # leaves them the primes past the row bound only
+    primes = ORDER_PRIMES[lo:lo + 8]
+    assert [_trace_by_point_orders(A, B, p) for p in primes] == frobenius_traces(A, B, primes)
+
+
+PAST_ROWS = tuple(prime_range(curves._ROW_PRIME_BOUND + 1, 20001))
+COEFF80 = st.integers(-2**80, 2**80)
+
+
+@st.composite
+def pair_past_the_rows(draw):
+    # (kind, p, A, B): a pair at a prime in (600, 20000]; "j=0" is A = 0 at
+    # p = 2 mod 3 and "j=1728" B = 0 at p = 3 mod 4, both supersingular
+    # there; "singular" is A = -3k^2, B = 2k^3, which makes p | disc0; each
+    # shifted by p
+    kind = draw(st.sampled_from(("any", "j=0", "j=1728", "singular")))
+    p = draw(st.sampled_from(PAST_ROWS).filter(
+        lambda p: {"j=0": p % 3 == 2, "j=1728": p % 4 == 3}.get(kind, True)))
+    k = draw(st.integers(0, p - 1))
+    A, B = {
+        "any": (draw(COEFF80), draw(COEFF80)),
+        "j=0": (0, draw(COEFF80)),
+        "j=1728": (draw(COEFF80), 0),
+        "singular": (-3 * k * k, 2 * k ** 3),
+    }[kind]
+    m = draw(st.integers(-3, 3))
+    return kind, p, A + m * p, B - m * p
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_past_the_rows())
+def test_point_orders_match_the_legendre_sum(case):
+    kind, p, A, B = case
+    a_p = frobenius_traces(A, B, (p,))[0]
+    assert a_p == trace_by_legendre(A, B, p), case
+    if kind in ("j=0", "j=1728"):
+        assert a_p == 0, case
+    if kind == "singular":
+        assert abs(a_p) <= 1, case
+        with pytest.raises(BadReductionAt):
+            count_points(A, B, p)
+
+
+def test_frobenius_traces_across_the_row_bound():
     assert frobenius_traces(1, 1, ()) == []
-    # above 46340 a run of several primes switches from int32 to int64
-    # arithmetic; 46337 and 46349 fill a block each, and are summed alone
-    assert _sum_block((5, 46349))[2].dtype == np.int64
-    assert _sum_blocks((46337, 46349), curves._BLOCK_ELEMENTS) == ((46337,), (46349,))
-    # (599, 601) crosses the row bound: one layout of both primes; the last
-    # two pairs are singular cubics at every prime
-    for primes in ((5, 46349), (46337, 46349), (599, 601)):
-        for A, B in ((2**70 + 3, -5), (-1, 1), (0, 0), (-3, 2)):
-            want = [trace_by_legendre(A, B, p) for p in primes]
-            assert frobenius_traces(A, B, primes) == want, (A, B, primes)
+    # 599 reads the rows and 601 counts by point orders, in one call; the
+    # last two pairs are singular cubics at every prime
+    for A, B in ((2**70 + 3, -5), (-1, 1), (0, 0), (-3, 2)):
+        want = [trace_by_legendre(A, B, p) for p in (599, 601)]
+        assert frobenius_traces(A, B, (599, 601)) == want, (A, B)
+
+
+def test_a_curve_whose_own_points_leave_a_p_open_is_fixed_by_its_twist():
+    # y^2 = x^3 + 1 at 601 has 576 points, (Z/24)^2: every point of the
+    # curve has order dividing 24, which has four multiples in the Hasse
+    # interval [553, 649]. The twist has 628 = 4 * 157 points and fixes a_p.
+    p = 601
+    left = set(range(-49, 50))
+    for x in range(p):
+        d = (x ** 3 + 1) % p
+        if d and pow(d, (p - 1) // 2, p) == 1:
+            ns = _orders_in((d * x % p, d * d % p), 0, p, 553, 649)
+            left &= {p + 1 - n for n in ns}
+    assert sorted(left) == [-46, -22, 2, 26]
+    assert trace_frobenius(0, 1, p) == 26 == trace_by_legendre(0, 1, p)
+
+
+# a_p at p = 1000003 by trace_by_legendre, frozen: it takes ~2.5 s a curve
+# there. (0, 1) sits at the edge of the Hasse interval, a_p = floor(2 sqrt p);
+# 1000003 = 3 mod 4 makes (1, 0) supersingular; the last pair is singular,
+# (-3 k^2, 2 k^3) with k = 5 shifted by p.
+FROZEN_AT_A_MILLION = ((-7, 11, 191), (0, 1, 2000), (1, 0, 0), (2**70 + 3, -5, 990),
+                       (1000003 - 75, 250 - 1000003, 1))
+
+
+def test_point_orders_at_a_million():
+    p = 1000003
+    for A, B, a_p in FROZEN_AT_A_MILLION:
+        assert frobenius_traces(A, B, (p,)) == [a_p], (A, B)
+
+
+def test_point_orders_raise_below_mestres_bound_and_never_answer_wrong():
+    # Mestre's theorem needs p > 229; below it E and its twist can both
+    # lack a point with a single order in the Hasse interval, and then the
+    # loop over x runs out and raises rather than guess
+    raised = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29):
+        for A in range(p):
+            for B in range(p):
+                try:
+                    a_p = _trace_by_point_orders(A, B, p)
+                except AssertionError:
+                    raised += 1
+                    continue
+                assert a_p == trace_by_legendre(A, B, p), (A, B, p)
+    assert raised
+    # at 31 y^2 = x^3 + 1 has (Z/6)^2, its twist 28 points of exponent 14:
+    # no single point has one order in [21, 43], but the a_p each side
+    # leaves, {8, 2, -4, -10} and {-4, 10}, meet in one
+    assert _trace_by_point_orders(0, 1, 31) == -4 == trace_by_legendre(0, 1, 31)
 
 
 @pytest.mark.parametrize("A, B", [(-7, 11), (0, 1), (1, 0)])
@@ -505,8 +588,8 @@ def test_single_prime_counts_match_the_legendre_sum(A, B):
 
 @pytest.mark.parametrize("p", [3, 599, 601, 65537])
 def test_counts_at_the_edges_of_each_engine(p):
-    # p = 3 and 599 read the rows, 601 and 65537 (past 2^16) are numpy runs
-    # of one prime; A or B = 0 mod p, and singular cubics at every prime
+    # p = 3 and 599 read the rows, 601 and 65537 count by point orders;
+    # A or B = 0 mod p, and singular cubics at every prime
     for A, B in ((-7, 11), (p, 2), (3, -p), (2**70 + 3, -5)):
         if disc0_of(A, B) % p:
             assert count_points(A, B, p) == p + 1 - trace_by_legendre(A, B, p), (A, B)

@@ -5,13 +5,14 @@ Commands: scan, enumerate, bounds, dp, invariants, ip-count. Exit codes:
 (any other exception is a bug). IWASTAT_THREADS sets the default worker
 count; --workers wins when given.
 
-Importing this module loads only argparse, json, sys and iwastat.errors.
+Importing this module loads only argparse, json, os, sys and iwastat.errors.
 Each handler imports the modules its command runs, so `dp` loads the census
 and not the sweep, and `scan` never loads the sweep.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import _bind_on_access
@@ -110,7 +111,7 @@ def _scan_record(rec, max_prime, allow_23):
 
 
 def _cmd_scan(args) -> int:
-    from .io import scan_json_text
+    from .io import write_scan_json
     from .parallel import default_workers
 
     records, errors = _cli.parse_records(args.records)
@@ -123,20 +124,30 @@ def _cmd_scan(args) -> int:
             return 1
     workers = args.workers if args.workers is not None else default_workers()
     jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
-    entries = []
     status = 1 if errors else 0
-    for code, text in _cli.fan_out(_scan_record, jobs, workers):
-        if code:
-            print(text, file=sys.stderr)
-            status = max(status, code)
-        else:
-            entries.append(text)
-    text = scan_json_text(entries)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+
+    def entries():
+        # each record's entry is written as it finishes, in record order
+        nonlocal status
+        for code, text in _cli.fan_out(_scan_record, jobs, workers):
+            if code:
+                print(text, file=sys.stderr)
+                status = max(status, code)
+            else:
+                yield text
+
+    if not args.out:
+        write_scan_json(entries(), sys.stdout)
+        return status
+    # opened before the first record is scanned, so an unwritable path fails
+    # at once; a scan that raises leaves no partial file behind
+    fh = open(args.out, "w", encoding="utf-8")
+    try:
+        with fh:
+            write_scan_json(entries(), fh)
+    except BaseException:
+        os.remove(args.out)
+        raise
     return status
 
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import asdict, fields
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, TextIO, Tuple
 
 from .curves import CurveQ
 from .errors import HeaderMismatch, IwastatError, OutOfRange, ParseError, UnknownColumnWarning
@@ -37,7 +37,7 @@ __all__ = [
     "write_density_report",
     "scan_result_dict",
     "scan_entry_text",
-    "scan_json_text",
+    "write_scan_json",
 ]
 
 REQUIRED_COLUMNS = ["label", "a", "b", "rank"]
@@ -221,8 +221,14 @@ def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
     return head + "[\n" + ",\n".join(rows) + "\n    ]\n  }"
 
 
-def scan_json_text(entries: List[str]) -> str:
-    """The scan JSON from scan_entry_text entries: byte for byte
-    json.dumps(payload, indent=2, sort_keys=True) of the payload list,
-    without the pure-Python encoder that indent=2 falls back to."""
-    return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
+def write_scan_json(entries: Iterable[str], fh: TextIO) -> None:
+    """Write the scan JSON from scan_entry_text entries to fh, each as it
+    arrives: byte for byte json.dumps(payload, indent=2, sort_keys=True) of
+    the payload list and a newline, without the pure-Python encoder that
+    indent=2 falls back to, and without holding more than one entry."""
+    sep = "[\n"
+    for entry in entries:
+        fh.write(sep)
+        fh.write(entry)
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")

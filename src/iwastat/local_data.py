@@ -10,6 +10,14 @@ l in {2, 3}), and the roots of the quadratics of IV, I_n* and IV* and of
 the cubic of the fibres past IV (I0*, I_n*, IV*, III*, II*) from
 polynomial gcds over F_l, so no step searches F_l and each takes
 O(log l) operations.
+
+tamagawa_p_part never factors disc0. A prime p >= 5 divides c_l only for
+split I_n with p | n <= v_l(Delta), so only l = 2 and the odd l with
+l^5 | disc0 can add to tau_p; those come from trial division over the
+primes up to the fifth root of the cofactor left, and a cofactor of 2^80
+or more (where an l > 2^16 with l^5 | disc0 could hide) raises TooLarge.
+bad_primes factors disc0; it is public, and a scan calls it only to word
+the message of a GoodReductionAt.
 """
 
 import math
@@ -19,8 +27,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .curves import CurveQ, _p_part_certifiably_trivial, disc0_of
-from .errors import GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, UnknownLocalData
-from .primes import factorize, is_prime, legendre, primes_up_to, valuation
+from .errors import (
+    GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, TooLarge, UnknownLocalData,
+)
+from .primes import factorize, iroot, is_prime, legendre, primes_up_to, valuation
 
 __all__ = [
     "KodairaSymbol",
@@ -87,6 +97,13 @@ def bad_primes(curve) -> frozenset:
     if disc0 == 0:
         raise SingularCurve(f"disc0 vanishes for {tuple(curve)}")
     return frozenset({2} | set(factorize(abs(disc0))))
+
+
+def _is_bad_prime(l, disc0) -> bool:
+    """Whether l is a prime of bad reduction of a model with this disc0:
+    l = 2 (the -16 in Delta) or a prime dividing disc0. Needs no
+    factorization of disc0."""
+    return l == 2 or (l > 2 and disc0 % l == 0 and is_prime(l))
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +376,78 @@ def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
     return data
 
 
+# The Tamagawa table finds the odd l with l^5 | disc0 by trial division
+# over the primes up to the fifth root of the cofactor left, and refuses a
+# cofactor of at least this many with TooLarge: below it every prime past
+# its fifth root, 2^16, has l^5 above the cofactor and cannot hide there.
+_COFACTOR_LIMIT = 1 << 80
+_TRIAL_BITS = (_COFACTOR_LIMIT.bit_length() - 1) // 5
+
+
+@lru_cache(maxsize=None)
+def _odd_primes_below(bits):
+    """The odd primes below 2^bits, sieved on first use, so a batch sieves
+    only to the power of two above the largest bound it meets (scan-many
+    to 2^7; the sieve to 2^16 costs ~5 ms). bits <= _TRIAL_BITS, so the
+    cache holds at most 16 lists."""
+    return primes_up_to(1 << bits)[1:]
+
+
+def _high_valuations(disc0):
+    """{l: v_l(Delta)} for l = 2 and every odd prime l with l^5 | disc0.
+
+    v_2(Delta) = v_2(disc0) + 4, from the 16 in Delta; at odd l, v_l(Delta)
+    = v_l(disc0). Raises TooLarge when the cofactor left by trial division
+    to 2^_TRIAL_BITS is at least _COFACTOR_LIMIT.
+    """
+    n = abs(disc0)
+    v2 = (n & -n).bit_length() - 1
+    n >>= v2
+    high = {2: v2 + 4}
+    bound = iroot(n, 5)
+    for l in _odd_primes_below(min(bound.bit_length(), _TRIAL_BITS)):
+        if l > bound:
+            break
+        if n % l == 0:
+            v = 0
+            while n % l == 0:
+                n //= l
+                v += 1
+            if v >= 5:
+                high[l] = v
+            bound = iroot(n, 5)
+    if n >= _COFACTOR_LIMIT:
+        raise TooLarge(f"disc0 = {disc0} leaves a cofactor of {n.bit_length()} bits "
+                       f"after trial division to 2^{_TRIAL_BITS}; the Tamagawa "
+                       f"table is proven for cofactors below 2^80")
+    return high
+
+
 @lru_cache(maxsize=256)
 def _tamagawa_table(curve, overrides, allow_23):
     """(product of the override c_l, {p: ((l, computable), ...)}).
 
-    One factorization of disc0 gives every bad l and v_l(Delta) (plus 4 at
-    l = 2, from the 16 in Delta). c_l is known from the override items (a
-    sorted tuple). Every other bad l is listed, ascending, under each prime
-    p >= 5 whose p-part of c_l the v_l(Delta) certificate cannot clear (all
-    of them divide a fibre index, so p <= v_l(Delta)). There Tate's
-    algorithm may compute c_l (computable) at l >= 5 always and at l in
-    {2, 3} when allow_23 is set.
+    c_l is known from the override items (a sorted tuple) at l = 2 and at
+    each prime l | disc0; an override anywhere else is ignored. Every other
+    bad l is listed, ascending, under each prime p >= 5 whose p-part of c_l
+    the v_l(Delta) certificate cannot clear (all of them divide a fibre
+    index, so p <= v_l(Delta)). That needs v_l(Delta) >= 5, so only l = 2
+    and the odd l with l^5 | disc0 are looked at, found by trial division
+    (_high_valuations, which raises TooLarge on a cofactor of 2^80 or more);
+    disc0 is never factored. There Tate's algorithm may compute c_l
+    (computable) at l >= 5 always and at l in {2, 3} when allow_23 is set.
     """
-    given = dict(overrides)
-    v_delta = factorize(curve.disc0)
-    v_delta[2] = v_delta.get(2, 0) + 4
+    disc0, given = curve.disc0, dict(overrides)
     product, blocked = 1, {}
-    for l in sorted(v_delta):
+    for l, v in _high_valuations(disc0).items():
         if l in given:
-            product *= given[l]
             continue
-        for p in primes_up_to(v_delta[l]):
-            if p >= 5 and not _p_part_certifiably_trivial(v_delta[l], p):
+        for p in primes_up_to(v):
+            if p >= 5 and not _p_part_certifiably_trivial(v, p):
                 blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
+    for l, c in given.items():
+        if _is_bad_prime(l, disc0):
+            product *= c
     return product, {p: tuple(ls) for p, ls in blocked.items()}
 
 

@@ -33,8 +33,8 @@ from .charpoly import is_trivial_shape  # noqa: F401
 from .curves import classify_reduction  # noqa: F401
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
-from .local_data import _p_parts, bad_primes, tamagawa_p_part
-from .primes import is_prime, prime_range
+from .local_data import _is_bad_prime, _p_parts, bad_primes, tamagawa_p_part
+from .primes import prime_range
 
 __all__ = [
     "Conclusion",
@@ -89,10 +89,9 @@ class CurveRecord:
         for l, c in self.tamagawa_overrides.items():
             if c < 1:
                 raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
-            # l is bad iff l = 2 (the -16 in Delta) or a prime dividing disc0;
-            # the full bad set is factored only for the message, so a scan
-            # factors disc0 once, in its Tamagawa table
-            if l != 2 and not (is_prime(l) and self.curve.disc0 % l == 0):
+            # the full bad set is factored only for the message; a scan
+            # never factors disc0
+            if not _is_bad_prime(l, self.curve.disc0):
                 raise GoodReductionAt(
                     f"Tamagawa override at good prime {l} "
                     f"(bad set {sorted(bad_primes(self.curve))})"

@@ -17,6 +17,9 @@ the json encoder, the reference for the scan JSON writer. trace_by_legendre
 sums the Legendre symbol in pure Python, by Euler's criterion, the a_p
 reference that shares no code with either a_p engine of iwastat.curves (the
 point-count rows and the point orders by baby steps and giant steps).
+tamagawa_table_by_factoring is the Tamagawa table as it was built by
+factoring disc0, against which the trial-division table of
+iwastat.local_data is checked.
 """
 
 import json
@@ -24,10 +27,11 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from iwastat.curves import DpMode, _require_census_prime, is_minimal_pair
+from iwastat.curves import DpMode, _p_part_certifiably_trivial, _require_census_prime, is_minimal_pair
 from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict
+from iwastat.primes import factorize, primes_up_to
 
 
 def iter_curves(X: int) -> Iterator[Tuple[int, int]]:
@@ -205,3 +209,28 @@ def write_scan_results(results: List, path, label: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def tamagawa_table_by_factoring(curve, overrides, allow_23):
+    """(product of the override c_l, {p: ((l, computable), ...)}).
+
+    One factorization of disc0 gives every bad l and v_l(Delta) (plus 4 at
+    l = 2, from the 16 in Delta). c_l is known from the override items (a
+    sorted tuple). Every other bad l is listed, ascending, under each prime
+    p >= 5 whose p-part of c_l the v_l(Delta) certificate cannot clear (all
+    of them divide a fibre index, so p <= v_l(Delta)). There Tate's
+    algorithm may compute c_l (computable) at l >= 5 always and at l in
+    {2, 3} when allow_23 is set.
+    """
+    given = dict(overrides)
+    v_delta = factorize(curve.disc0)
+    v_delta[2] = v_delta.get(2, 0) + 4
+    product, blocked = 1, {}
+    for l in sorted(v_delta):
+        if l in given:
+            product *= given[l]
+            continue
+        for p in primes_up_to(v_delta[l]):
+            if p >= 5 and not _p_part_certifiably_trivial(v_delta[l], p):
+                blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
+    return product, {p: tuple(ls) for p, ls in blocked.items()}

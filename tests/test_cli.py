@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import iwastat
 from iwastat import cli
+from iwastat.errors import UnknownLocalData
 
 HEADER = "label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess"
 
@@ -322,6 +324,118 @@ def test_scan_out_file_matches_stdout(capsys, tmp_path):
     assert out_path.read_bytes() == out.encode()
 
 
+STREAM_ROWS = ["a,-1,0,0,1,4,,,", "b,-1,1,1,1,1,,,5:0", "c,3,0,0,1,,,,", "d,28,-86,0,1,1,,,"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("rows, failing", [
+    ([], set()),                                     # an empty batch
+    (STREAM_ROWS, set()),
+    (STREAM_ROWS, {"a", "b", "c", "d"}),             # every record fails
+    (STREAM_ROWS, {"a"}),                            # the first
+    (STREAM_ROWS, {"d"}),                            # the last
+    (STREAM_ROWS, {"a", "d"}),
+], ids=["empty", "none-fail", "all-fail", "first-fails", "last-fails", "ends-fail"])
+def test_scan_streams_the_json_dumps_bytes(capsys, tmp_path, monkeypatch, workers, rows, failing):
+    # the entries are written as they finish; the bytes are still those of
+    # json.dumps over the batch, on stdout and in --out alike
+    from iwastat.io import scan_result_dict
+    from iwastat.prime_scan import scan_primes
+
+    path = tmp_path / "recs.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    records, _ = cli.parse_records(str(path))
+    payload = [{"label": rec.label, "results": [scan_result_dict(r) for r in scan_primes(rec, 40)]}
+               for rec in records if rec.label not in failing]
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def scan(rec, *args, **kwargs):
+        if rec.label in failing:
+            raise UnknownLocalData(f"no data for {rec.label}")
+        return scan_primes(rec, *args, **kwargs)
+
+    # the pool forks, so its workers see the patched name too
+    monkeypatch.setattr(cli, "scan_primes", scan)
+    argv = ["scan", str(path), "--max-prime", "40", "--workers", workers]
+    code, out, err = run(capsys, *argv)
+    assert out == want
+    assert code == (1 if failing else 0)
+    assert err.splitlines() == [f"record {r.label}: no data for {r.label}"
+                                for r in records if r.label in failing]
+    out_path = tmp_path / "scan.json"
+    assert run(capsys, *argv, "--out", str(out_path)) == (code, "", err)
+    assert out_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_unwritable_out_exits_before_scanning(capsys, tmp_path, monkeypatch, workers):
+    path = tmp_path / "recs.csv"
+    path.write_text("\n".join([HEADER, *STREAM_ROWS]) + "\n")
+    marker = tmp_path / "scanned"
+
+    def scan(rec, *args, **kwargs):
+        marker.touch()  # a file, so a forked worker's call shows too
+        raise AssertionError("scan_primes called")
+
+    monkeypatch.setattr(cli, "scan_primes", scan)
+    out_path = tmp_path / "no-such-dir" / "scan.json"
+    code, out, err = run(capsys, "scan", str(path), "--workers", workers, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert not marker.exists() and not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_removes_partial_out_file(capsys, tmp_path, monkeypatch, workers):
+    # an exception that escapes the scan after the first entry is written
+    # takes the partial file with it
+    path = tmp_path / "recs.csv"
+    path.write_text("\n".join([HEADER, *STREAM_ROWS]) + "\n")
+    real = cli.fan_out
+    written = []
+
+    def broken(fn, jobs, workers):
+        results = real(fn, jobs, workers)
+        try:
+            yield next(results)
+            written.append(out_path.exists())
+            raise RuntimeError("pool lost")
+        finally:
+            results.close()
+
+    monkeypatch.setattr(cli, "fan_out", broken)
+    out_path = tmp_path / "scan.json"
+    code, out, err = run(capsys, "scan", str(path), "--workers", workers, "--out", str(out_path))
+    assert (code, out, err) == (2, "", "internal error: pool lost\n")
+    assert written == [True]
+    assert not out_path.exists()
+
+
+def test_scan_out_memory_stays_below_the_output_size(capsys, tmp_path):
+    # each entry is written and dropped as it finishes: the peak traced
+    # allocation of a scan stays well below the JSON it writes (it was
+    # about four times that while the batch's text was joined in memory)
+    import tracemalloc
+
+    rng = random.Random(20241019)
+    rows = [f"r{i},{rng.randint(-10**6, 10**6)},{rng.randint(-10**8, 10**8)},"
+            f"{i % 2},1,1,,,7:0" for i in range(60)]
+    path = tmp_path / "recs.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    out_path = tmp_path / "scan.json"
+    argv = ["scan", str(path), "--max-prime", "600", "--allow-23", "--out", str(out_path)]
+    assert cli.main(argv) == 0  # warm the per-prime caches
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out_path.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 4, (peak, size)
+
+
 def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
     # a fresh interpreter: this one has numpy loaded by the tests already
     script = textwrap.dedent("""
@@ -372,7 +486,7 @@ def test_sweep_and_scan_commands_never_load_numpy(tmp_path):
         fan_out, seen = iwastat.cli.fan_out, []
         def recording(fn, jobs, workers):
             seen.append("numpy" in sys.modules)
-            out = fan_out(in_worker, [(fn, *job) for job in jobs], workers)
+            out = list(fan_out(in_worker, [(fn, *job) for job in jobs], workers))
             seen.append(any(loaded for _, loaded in out))
             return [result for result, _ in out]
         iwastat.cli.fan_out = recording

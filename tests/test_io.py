@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -9,10 +10,10 @@ from iwastat.io import (
     density_report_dict,
     parse_records,
     scan_entry_text,
-    scan_json_text,
     scan_result_dict,
     write_density_report,
     write_records,
+    write_scan_json,
 )
 from iwastat.prime_scan import CurveRecord, scan_primes
 from oracles import write_scan_results
@@ -176,7 +177,11 @@ def test_scan_json_writer_escapes_labels(label):
     for scans in cases:
         payload = [{"label": lab, "results": [scan_result_dict(r) for r in results]}
                    for lab, results in scans]
-        text = scan_json_text([scan_entry_text(lab, results) for lab, results in scans])
-        assert text == json.dumps(payload, indent=2, sort_keys=True)
+        fh = io.StringIO()
+        write_scan_json((scan_entry_text(lab, results) for lab, results in scans), fh)
+        text = fh.getvalue()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert text.isascii()
-    assert scan_json_text([]) == "[]"
+    fh = io.StringIO()
+    write_scan_json(iter([]), fh)
+    assert fh.getvalue() == "[]\n"

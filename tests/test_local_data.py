@@ -1,7 +1,10 @@
+import collections
 import math
 import random
+import timeit
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from iwastat.errors import (
     InvalidPrime,
     OutOfRange,
     SingularCurve,
+    TooLarge,
     UnknownLocalData,
 )
 from iwastat import local_data
@@ -26,8 +30,8 @@ from iwastat.local_data import (
     local_reduction_raw,
     tamagawa_p_part,
 )
-from iwastat.primes import legendre, valuation
-from oracles import poly_roots_mod
+from iwastat.primes import is_prime, legendre, valuation
+from oracles import poly_roots_mod, tamagawa_table_by_factoring
 
 
 def test_bad_primes_always_include_two():
@@ -444,6 +448,77 @@ def test_lazy_p_part_matches_the_eager_product(case, given_at, values, allow_23)
         else:
             got = tamagawa_p_part(curve, p, overrides=overrides, allow_23=allow_23)
             assert got == want, (curve, p, overrides, allow_23)
+
+
+def _override_key(key, disc0):
+    """A sampled override key: "good" is the least prime >= 5 that does not
+    divide disc0, "composite" the odd part of disc0 when that is composite
+    (a key that divides disc0 but is no prime), or 15."""
+    if key == "good":
+        return next(q for q in range(5, 1000) if is_prime(q) and disc0 % q)
+    if key == "composite":
+        odd = abs(disc0) >> valuation(disc0, 2)
+        return odd if odd > 1 and not is_prime(odd) else 15
+    return key
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=curve_and_prime(),
+       keys=st.sets(st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 25, "good", "composite"])),
+       values=st.lists(st.integers(1, 60), min_size=14, max_size=14),
+       allow_23=st.booleans())
+def test_trial_division_table_matches_the_factoring_table(case, keys, values, allow_23):
+    curve = case[0]
+    given_at = {_override_key(k, curve.disc0) for k in keys}
+    for overrides in ({}, dict(zip(sorted(given_at), values))):
+        items = tuple(sorted(overrides.items()))
+        want = tamagawa_table_by_factoring(curve, items, allow_23)
+        assert local_data._tamagawa_table(curve, items, allow_23) == want, (curve, items)
+
+
+# the table reads only disc0, so a stand-in carrying it reaches valuations no
+# small curve has
+Disc0 = collections.namedtuple("Disc0", "disc0")
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 65521])
+@pytest.mark.parametrize("e", [5, 11, 13])
+def test_trial_division_table_finds_fifth_powers(l, e):
+    for cofactor in (1, -1, 3 * 5 * 7, -(11 ** 4) * 13, 2 ** 3 * 3 ** 4, 7 ** 6 * 65521 ** 5):
+        curve = Disc0(l ** e * cofactor)
+        for overrides in ({}, {2: 4}, {l: 3}, {2: 2, 3: 3, 7: 5}, {1: 9, 4: 2, 65537: 7}):
+            items = tuple(sorted(overrides.items()))
+            for allow_23 in (False, True):
+                want = tamagawa_table_by_factoring(curve, items, allow_23)
+                assert local_data._tamagawa_table(curve, items, allow_23) == want, (curve, items)
+    # v_7(Delta) = 5 leaves c_7 to Tate's algorithm at p = 5 alone
+    assert local_data._tamagawa_table(Disc0(7 ** 5), (), False) == (1, {5: ((7, True),)})
+
+
+def test_trial_division_table_refuses_a_cofactor_of_2_to_the_80():
+    below, above = sympy.prevprime(2 ** 80), sympy.nextprime(2 ** 80)
+    for small in (1, -1, 2 ** 7, -(3 ** 5) * 7 ** 2, 65521 ** 5):
+        curve = Disc0(small * below)
+        want = tamagawa_table_by_factoring(curve, ((2, 3),), True)
+        assert local_data._tamagawa_table(curve, ((2, 3),), True) == want
+        with pytest.raises(TooLarge):
+            local_data._tamagawa_table(Disc0(small * above), (), True)
+    # 65537 is the least prime past 2^16: its fifth power is the smallest
+    # l^5 trial division would not reach
+    with pytest.raises(TooLarge):
+        local_data._tamagawa_table(Disc0(65537 ** 5), (), True)
+
+
+def test_trial_division_table_of_a_semiprime_is_quick():
+    # two ~40-bit prime factors took pure-Python rho ~0.37 s; trial division
+    # stops at 2^16 on a cofactor below 2^80
+    n = (2 ** 40 - 87) * (2 ** 40 - 167)
+    assert n < 2 ** 80 and is_prime(2 ** 40 - 87) and is_prime(2 ** 40 - 167)
+    local_data._odd_primes_below(local_data._TRIAL_BITS)  # sieve once, outside the timing
+    table = local_data._tamagawa_table.__wrapped__
+    best = min(timeit.repeat(lambda: table(Disc0(n), (), False), number=1, repeat=5))
+    assert table(Disc0(n), (), False) == (1, {})
+    assert best < 0.02, best
 
 
 def test_tate_runs_only_where_the_certificate_fails(monkeypatch):

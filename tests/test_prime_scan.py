@@ -209,22 +209,29 @@ def test_scan_primes_bounds_and_workers():
     assert [x.p for x in serial] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def test_scan_factors_disc0_at_most_once(monkeypatch):
-    rec = CurveRecord((-1, 1), rank=0, sha_order=1)
-    calls = []
-    real = local_data.factorize
-    monkeypatch.setattr(local_data, "factorize", lambda n: calls.append(n) or real(n))
+def test_scan_never_factors_disc0(monkeypatch):
+    # the Tamagawa table finds the l with l^5 | disc0 by trial division, and
+    # an override is checked by l | disc0, so neither factors disc0
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(local_data, "factorize", refuse)
     local_data._tamagawa_table.cache_clear()
-    results = scan_primes(rec, 500)
-    assert len(results) == 93
-    assert len(calls) <= 1
-    # validating an override at parse time does not factor disc0: the scan's
-    # Tamagawa table is the one factorization per curve
-    calls.clear()
-    rec = CurveRecord((17, 11), rank=0, sha_order=1, tamagawa_overrides={2: 2, 13: 1})
-    assert calls == []
-    scan_primes(rec, 100)
-    assert len(calls) == 1
+    # validating an override at parse time does not factor disc0 either
+    records = [
+        CurveRecord((-1, 1), rank=0, sha_order=1),
+        CurveRecord((17, 11), rank=0, sha_order=1, tamagawa_overrides={2: 2, 13: 1}),
+        # disc0 = 7^5 * 17^2: without an override at 7 the 5-part asks
+        # Tate's algorithm for c_7 = 5
+        CurveRecord((-17, 425), rank=0, sha_order=1, tamagawa_overrides={2: 1, 7: 5}),
+        CurveRecord((-17, 425), rank=0, sha_order=1),
+    ]
+    assert len(scan_primes(records[0], 500)) == 93
+    assert len(scan_primes(records[1], 100)) == 23
+    for rec in records[2:]:
+        assert [r.in_sigma_prime for r in scan_primes(rec, 13)] == [True, None, False, False]
+    for rec in records:
+        scan_primes(rec, 100, allow_23=True)
 
 
 def test_scan_builds_each_distinct_result_once(monkeypatch):

@@ -13,6 +13,7 @@ checked both one prime at a time and over the whole range at once.
 """
 
 import dataclasses
+import io
 import json
 import random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import pytest
 from iwastat.charpoly import CharPoly, is_trivial_shape
 from iwastat.curves import CurveQ, ReductionClass, is_minimal_pair
 from iwastat.errors import MissingSha, UnknownLocalData
-from iwastat.io import scan_entry_text, scan_json_text, scan_result_dict
+from iwastat.io import scan_entry_text, scan_result_dict, write_scan_json
 from iwastat.local_data import (
     _p_part_certifiably_trivial,
     bad_primes,
@@ -311,5 +312,7 @@ def test_scan_json_writer_matches_json_dumps():
              for i, rec in enumerate(records)]
     payload = [{"label": label, "results": [scan_result_dict(r) for r in results]}
                for label, results in scans]
-    want = json.dumps(payload, indent=2, sort_keys=True)
-    assert scan_json_text([scan_entry_text(label, results) for label, results in scans]) == want
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    fh = io.StringIO()
+    write_scan_json((scan_entry_text(label, results) for label, results in scans), fh)
+    assert fh.getvalue() == want

@@ -19,14 +19,15 @@ _EXPORTS = {
         "CharPoly", "is_trivial_shape", "iwasawa_invariants", "truncated_chi_valuation",
         "vanishing_order",
     ),
+    "census": ("DpMode", "bound_dp2", "bound_dp3", "d_of_p", "dp_table", "zeta10"),
     "curves": (
-        "CurveQ", "DpMode", "LocalReduction", "ReductionClass", "anomalous_residue_table",
-        "classify_reduction", "count_points", "d_of_p", "disc0_of", "dp_census", "dp_table",
-        "is_minimal_pair", "trace_frobenius",
+        "CurveQ", "LocalReduction", "ReductionClass", "anomalous_residue_table",
+        "classify_reduction", "count_points", "disc0_of", "dp_census", "is_minimal_pair",
+        "trace_frobenius",
     ),
     "enumeration": (
-        "DensityReport", "bound_dp2", "bound_dp3", "brumer_estimate", "count_Ip",
-        "empirical_densities", "lifting_count", "sadek_bounds", "total_weq", "zeta10",
+        "DensityReport", "brumer_estimate", "count_Ip", "empirical_densities", "lifting_count",
+        "sadek_bounds", "total_weq",
     ),
     "errors": (
         "BadReductionAt", "EqualPrimes", "GoodReductionAt", "HeaderMismatch", "InvalidPrime",
@@ -57,14 +58,18 @@ __all__ = sorted(_MODULE_OF)
 def _bind_on_access(module_name, module_of):
     """A PEP 562 __getattr__ for the module module_name: each name in
     module_of is read from the iwastat module module_of[name], imported on
-    first access, and then kept as an attribute of module_name."""
+    first access, and then kept as an attribute of module_name. A name
+    mapped to None is the top-level module of that name itself."""
 
     def __getattr__(name):
         try:
             source = module_of[name]
         except KeyError:
             raise AttributeError(f"module {module_name!r} has no attribute {name!r}") from None
-        value = getattr(import_module(f"{__name__}.{source}"), name)
+        if source is None:
+            value = import_module(name)
+        else:
+            value = getattr(import_module(f"{__name__}.{source}"), name)
         setattr(sys.modules[module_name], name, value)
         return value
 

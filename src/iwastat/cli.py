@@ -5,13 +5,13 @@ Commands: scan, enumerate, bounds, dp, invariants, ip-count. Exit codes:
 (any other exception is a bug). IWASTAT_THREADS sets the default worker
 count; --workers wins when given.
 
-Importing this module loads only argparse, json, os, sys and iwastat.errors.
-Each handler imports the modules its command runs, so `dp` loads the census
-and not the sweep, and `scan` never loads the sweep.
+Importing this module loads only argparse, os, sys and iwastat.errors.
+Each handler imports the modules its command runs, so `dp` and `bounds`
+load the census (iwastat.census, iwastat.primes) and nothing else, and
+`scan` never loads the sweep. json is bound on first use, by `enumerate`.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,16 +19,17 @@ from . import _bind_on_access
 from .errors import IwastatError, ParseError
 
 # Names a caller may rebind on this module: perfbench/tracing.py times
-# parse_records, scan_result_dict, scan_primes and empirical_densities this
-# way, and the tests replace scan_primes and fan_out. Each is bound on first
-# access (__getattr__) and the handlers call it through _cli, so a rebinding
-# is what runs, in the forked scan workers too.
+# parse_records, scan_result_dict, scan_primes, empirical_densities and
+# json.dumps this way, and the tests replace scan_primes and fan_out. Each is
+# bound on first access (__getattr__) and the handlers call it through _cli,
+# so a rebinding is what runs, in the forked scan workers too.
 _REBINDABLE = {
     "parse_records": "io",
     "scan_result_dict": "io",
     "scan_primes": "prime_scan",
     "empirical_densities": "enumeration",
     "fan_out": "parallel",
+    "json": None,  # the json module itself
 }
 __getattr__ = _bind_on_access(__name__, _REBINDABLE)
 
@@ -159,13 +160,12 @@ def _cmd_enumerate(args) -> int:
     if args.out:
         write_density_report(rep, args.out)
     else:
-        print(json.dumps(density_report_dict(rep), indent=2, sort_keys=True))
+        print(_cli.json.dumps(density_report_dict(rep), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    from .curves import DpMode, d_of_p
-    from .enumeration import bound_dp2, bound_dp3
+    from .census import DpMode, bound_dp2, bound_dp3, d_of_p
 
     # every value is computed before the first line is printed, so a bad
     # prime leaves stdout empty
@@ -179,7 +179,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    from .curves import d_of_p
+    from .census import d_of_p
 
     print(d_of_p(args.prime, args.mode))
     return 0

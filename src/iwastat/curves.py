@@ -20,23 +20,12 @@ anomalous residue table.  Past the bound it finds a_p by point orders in
 the Hasse interval, on the curve or its twist (Shanks-Mestre baby steps and
 giant steps, _trace_by_point_orders), in O(p^(1/4)) group operations.
 
-The mod-p census of curves with a point of order p (d_of_p, dp_table) comes
-from Hurwitz class numbers, not from point counts.  By Deuring's theorem in
-the form of R. Schoof, "Nonsingular plane cubic curves over finite fields",
-J. Combin. Theory A 46 (1987), for p >= 5 and |t| < 2 sqrt(p), p not dividing
-t, the number of nonsingular (a, b) in F_p^2 with trace t is
-
-    (p - 1)/2 * H(4p - t^2),
-
-where H is the Hurwitz class number (reduced forms weighted 1/2, 1/3 for
-the forms of a(x^2 + y^2), a(x^2 + xy + y^2), 1 otherwise), and the number
-of F_p-isomorphism classes is the unweighted count of those forms.  This is
-O(p) per prime.  dp_census assembles those counts with the pairs of the
-anomalous residue table; the O(p^3) sweep over F_p^2 that the tests check
-both against is the oracle dp_census_bruteforce in tests/oracles.py.
-
 The anomalous residue table (anomalous_residue_table) reads the same
-rows.
+rows.  dp_census lists its pairs beside the census counts of d_of_p, which
+come from Hurwitz class numbers, not from point counts (see the census
+module docstring); the O(p^3) sweep over F_p^2 that the tests check both
+against is the oracle dp_census_bruteforce in tests/oracles.py.  DpMode,
+d_of_p and dp_table are census's own objects, re-exported here.
 """
 
 from __future__ import annotations
@@ -48,13 +37,8 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import (
-    BadReductionAt,
-    InvalidPrime,
-    NonMinimalModel,
-    OutOfRange,
-    SingularCurve,
-)
+from .census import DpMode, d_of_p, dp_table
+from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
 from .primes import factorize, is_prime, iroot, legendre, primes_up_to
 
 __all__ = [
@@ -335,115 +319,6 @@ def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
     assert a_p % p or a_p == 0 or p == 3
     cls = ReductionClass.GOOD_ORDINARY if a_p % p else ReductionClass.GOOD_SUPERSINGULAR
     return LocalReduction(p, cls, n, a_p, n % p == 0)
-
-
-# ---------------------------------------------------------------------------
-# census of anomalous residue pairs mod p
-
-class DpMode(str, Enum):
-    """Normalizations for the mod-p census of curves carrying a point of
-    order p.
-
-    LiteralPairs      pairs (a, b) with disc0(a,b) != 0 mod p and p | N_p;
-                      a point of order p exists iff p divides the group order.
-    TraceOnePairs     pairs with N_p = p exactly (trace of Frobenius 1).
-                      For p >= 7 Hasse forces the two sets to coincide; at
-                      p = 5 the literal set also admits N = 10 (trace -4).
-    TraceOneClasses   TraceOnePairs counted up to the F_p-isomorphism action
-                      (a, b) ~ (u^4 a, u^6 b), u in F_p^*.
-
-    d_of_p evaluates each mode from class numbers (Schoof 1987, see the
-    module docstring): TraceOnePairs = (p-1)/2 * H(4p - 1), TraceOneClasses
-    = the unweighted number of reduced forms of discriminant 1 - 4p, and
-    LiteralPairs sums the pair count over every t = 1 mod p with t^2 < 4p,
-    which adds t = -4 at p = 5.  dp_census returns all three with the
-    literal pairs; the brute-force oracle is dp_census_bruteforce in
-    tests/oracles.py.
-    """
-
-    LITERAL_PAIRS = "LiteralPairs"
-    TRACE_ONE_PAIRS = "TraceOnePairs"
-    TRACE_ONE_CLASSES = "TraceOneClasses"
-
-
-def _coerce_mode(mode) -> DpMode:
-    if isinstance(mode, DpMode):
-        return mode
-    try:
-        return DpMode(mode)
-    except ValueError:
-        pass
-    alias = {
-        "literal": DpMode.LITERAL_PAIRS,
-        "trace-pairs": DpMode.TRACE_ONE_PAIRS,
-        "trace-classes": DpMode.TRACE_ONE_CLASSES,
-    }
-    try:
-        return alias[str(mode)]
-    except KeyError:
-        raise OutOfRange(f"unknown census mode {mode!r}") from None
-
-
-def _require_census_prime(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise InvalidPrime(f"{p} is not a prime >= 5")
-
-
-def _reduced_forms(D: int) -> tuple[int, int]:
-    """(6 H(D), number of reduced forms) over the forms (a, b, c) with
-    b^2 - 4ac = -D, primitive or not, for D > 0 with D = 0, 3 mod 4.
-
-    Reduced means |b| <= a <= c, and b >= 0 when |b| = a or a = c; then
-    3 b^2 <= D.  The weights of H are scaled by 6 to stay integral.
-    """
-    weighted = forms = 0
-    b = D % 2
-    while 3 * b * b <= D:
-        n = (b * b + D) // 4  # = a c
-        a = max(b, 1)
-        while a * a <= n:
-            if n % a == 0:
-                c = n // a
-                if b == 0:
-                    weighted += 3 if a == c else 6  # a(x^2 + y^2) weighs 1/2
-                    forms += 1
-                elif a == b or a == c:
-                    weighted += 2 if a == b == c else 6  # a(x^2 + xy + y^2): 1/3
-                    forms += 1
-                else:
-                    weighted += 12  # (a, b, c) and (a, -b, c)
-                    forms += 2
-            a += 1
-        b += 2
-    return weighted, forms
-
-
-def _trace_pair_count(p: int, t: int) -> int:
-    """Number of nonsingular (a, b) in F_p^2 with trace t, for p >= 5 and
-    t^2 < 4p not divisible by p: (p - 1)/2 * H(4p - t^2)."""
-    weighted, _ = _reduced_forms(4 * p - t * t)
-    pairs, rem = divmod((p - 1) * weighted, 12)
-    assert rem == 0, f"(p-1)/2 * H(4p - t^2) not integral at p={p}, t={t}"
-    return pairs
-
-
-def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
-    """Census count at p in the requested normalization, from class numbers."""
-    _require_census_prime(p)
-    mode = _coerce_mode(mode)
-    if mode is DpMode.TRACE_ONE_CLASSES:
-        return _reduced_forms(4 * p - 1)[1]
-    if mode is DpMode.TRACE_ONE_PAIRS:
-        return _trace_pair_count(p, 1)
-    # t = 1 mod p with t^2 < 4p: t = 1 always, t = 1 - p only at p = 5
-    return sum(_trace_pair_count(p, t) for t in (1, 1 - p) if t * t < 4 * p)
-
-
-def dp_table(p_max: int, p_min: int = 5) -> dict[int, dict]:
-    """The census in all three modes for every prime p_min <= p < p_max,
-    as {p: {"p": p, mode value: count, ...}} by ascending prime."""
-    ps = [p for p in primes_up_to(p_max - 1) if p >= p_min]
-    return {p: {"p": p, **{mode.value: d_of_p(p, mode) for mode in DpMode}} for p in ps}
 
 
 def _pack(values, fmt: str) -> int:

@@ -19,6 +19,11 @@ classes of B and never walks the B of a row:
 
 A row costs O(classes + hits) in time and memory. A worker count > 1
 partitions the A-range and merges pure counts.
+
+zeta10, bound_dp2 and bound_dp3, the closed-form bounds the report
+carries, are defined in census and re-exported here as the same objects;
+sadek_bounds, the congruence sandwich of the I_p count, stays beside the
+sweep it brackets.
 """
 
 from __future__ import annotations
@@ -28,16 +33,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .curves import (
-    DpMode,
-    _p_part_certifiably_trivial,
-    _require_census_prime,
-    anomalous_residue_table,
-    d_of_p,
-    minimal_mask,
-)
+from .census import DpMode, _require_census_prime, bound_dp2, bound_dp3, d_of_p, zeta10
+from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
-from .parallel import default_workers, fan_out
+from .parallel import capped_workers, default_workers, fan_out
 from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
 
 __all__ = [
@@ -87,11 +86,6 @@ def total_weq(X: int) -> int:
     """Number of all integer pairs in the height-X box, no constraints."""
     amax, bmax = box_bounds(X)
     return (2 * amax + 1) * (2 * bmax + 1)
-
-
-def zeta10() -> float:
-    # pi^10 / 93555; approximately 1.0009945751
-    return math.pi ** 10 / 93555
 
 
 def brumer_estimate(X: int) -> float:
@@ -183,29 +177,6 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
         + X ** (1 / 2) / (5 * l ** (p + 1) * Lk ** 6 * lk ** 5)
     )
     return lower, upper
-
-
-def bound_dp2(p: int, tol: float = 1e-8) -> float:
-    """Sum over primes l != p of (l-1)^2 / l^(p+2), certified below tol.
-
-    The tail over primes > L is dominated by sum_{n > L} n^(-p)
-    < L^(1-p)/(p-1), so L grows until that bound clears tol.
-    """
-    _require_census_prime(p)
-    if not tol > 0:
-        raise OutOfRange(f"tolerance {tol} is not positive")
-    L = 10
-    while L ** (1 - p) / (p - 1) >= tol:
-        L *= 2
-    return sum((l - 1) ** 2 / l ** (p + 2) for l in primes_up_to(L) if l != p)
-
-
-def bound_dp3(p: int, d_value: int) -> float:
-    """Density bound zeta(10) * d(p) / p^2 for the anomalous locus."""
-    _require_census_prime(p)
-    if d_value < 0:
-        raise OutOfRange(f"census count {d_value} is negative")
-    return zeta10() * d_value / (p * p)
 
 
 def _axis_class_count(M: int, a: int, p: int) -> int:
@@ -563,8 +534,8 @@ def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
     for l in ip_primes or []:
         if not is_prime(l):
             raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
-    if workers is None:
-        workers = default_workers()
+    # one job per worker that can run at once
+    workers = capped_workers(default_workers() if workers is None else workers)
     e2_set, ip_set = _locus_primes(p, 4 * amax ** 3 + 27 * bmax ** 2, ip_primes, want_e2)
     if workers <= 1 or _serial_cost_us(amax, bmax, p, e2_set | ip_set, strict) < _MIN_PARALLEL_US:
         return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)

@@ -8,6 +8,12 @@ default_workers is the default worker count: IWASTAT_THREADS sets it;
 unset or empty means one worker. A value that is not an integer raises
 InvalidSetting, which the CLI reports with exit code 1.
 
+capped_workers bounds any worker count, from --workers or IWASTAT_THREADS,
+by the CPUs this process may run on (usable_cpus): more processes than CPUs
+gain nothing, and the fork pool starts all of its processes at once. fan_out
+applies it, and the sweep applies it before it cuts its rows into one job
+per worker.
+
 concurrent.futures is imported on the first parallel call of fan_out, so a
 serial run never loads the process pool. The CLI loads this module only
 for the commands that can fan out (scan, enumerate, ip-count), and the
@@ -29,9 +35,22 @@ def default_workers() -> int:
         raise InvalidSetting(str(e)) from None
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else os.cpu_count(), and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def capped_workers(workers: int) -> int:
+    return min(workers, usable_cpus())
+
+
 def fan_out(fn, jobs, workers: int) -> Iterator:
     """fn(*job) for each job, yielded in order as each result is ready, over
-    at most `workers` processes.
+    at most capped_workers(workers) processes.
 
     One worker or one job runs serially in this process, one job per step
     of the iterator. fn and the jobs must pickle; the jobs go out in about
@@ -40,11 +59,11 @@ def fan_out(fn, jobs, workers: int) -> Iterator:
     without holding them all.
     """
     jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(capped_workers(workers), len(jobs))
+    if workers <= 1:
         yield from starmap(fn, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * workers)))

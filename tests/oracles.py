@@ -27,7 +27,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from iwastat.curves import DpMode, _p_part_certifiably_trivial, _require_census_prime, is_minimal_pair
+from iwastat.census import DpMode, _require_census_prime
+from iwastat.curves import _p_part_certifiably_trivial, is_minimal_pair
 from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict

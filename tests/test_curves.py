@@ -23,7 +23,8 @@ from iwastat.curves import (
     is_minimal_pair,
     trace_frobenius,
 )
-from iwastat.curves import _orders_in, _reduced_forms, _trace_by_point_orders
+from iwastat.census import _reduced_forms
+from iwastat.curves import _orders_in, _trace_by_point_orders
 from iwastat.enumeration import empirical_densities
 from iwastat.errors import (
     BadReductionAt,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwastat import enumeration
+from iwastat import enumeration, parallel
 from iwastat.curves import d_of_p, disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
     DensityReport,
@@ -163,7 +163,8 @@ def test_strict_mode_drops_uncertified():
 @pytest.mark.parametrize("strict", [False, True])
 def test_workers_agree_with_serial(monkeypatch, strict):
     # a box this small is swept serially whatever the worker count; the
-    # threshold at 0 sends it through the pool
+    # threshold at 0 sends it through the pool, on the two CPUs pinned here
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     fanned = []
     real = enumeration.fan_out
 

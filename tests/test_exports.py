@@ -55,3 +55,17 @@ def test_star_import_and_dir_cover_the_package_all():
     assert out.stdout.split() == ["[]", "[]"]
     with pytest.raises(AttributeError):
         iwastat.no_such_name
+
+
+@pytest.mark.parametrize("module, names", [
+    ("curves", ("DpMode", "d_of_p", "dp_table")),
+    ("enumeration", ("bound_dp2", "bound_dp3", "zeta10")),
+])
+def test_moved_census_names_are_one_object(module, names):
+    # the census and its bounds have one implementation, in iwastat.census;
+    # the old import paths re-export the same objects
+    census = importlib.import_module("iwastat.census")
+    mod = importlib.import_module(f"iwastat.{module}")
+    for name in names:
+        assert getattr(mod, name) is getattr(census, name), f"iwastat.{module}.{name}"
+        assert getattr(iwastat, name) is getattr(census, name), f"iwastat.{name}"

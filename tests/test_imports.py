@@ -44,11 +44,12 @@ def test_importing_the_package_and_the_cli_loads_no_command_module(tmp_path):
 
 
 UNUSED_BY_SWEEP = {"prime_scan", "local_data", "charpoly", "euler_char"}
+CENSUS_ONLY = {"cli", "errors", "census", "primes"}
 BUDGETS = [
     # argv, the only modules it may load (or None), modules it must not load
-    (["dp", "--prime", "499"], {"cli", "errors", "curves", "primes"}, None),
+    (["dp", "--prime", "499"], CENSUS_ONLY, None),
     (["invariants", "--poly", "25,5", "--prime", "5"], {"cli", "errors", "charpoly", "primes"}, None),
-    (["bounds", "--prime", "457"], None, UNUSED_BY_SWEEP),
+    (["bounds", "--prime", "457"], CENSUS_ONLY, None),
     (["enumerate", "--height", "1000000", "--prime", "499"], None, UNUSED_BY_SWEEP),
     (["enumerate", "--height", "1000000", "--prime", "499", "--strict"], None, UNUSED_BY_SWEEP),
     (["ip-count", "--l", "7", "--p", "5", "--height", "100000000"], None, UNUSED_BY_SWEEP),
@@ -72,6 +73,21 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never
         assert loaded == only
     else:
         assert not loaded & never, loaded & never
+
+
+@pytest.mark.parametrize("argv", [None, ["dp", "--prime", "499"], ["bounds", "--prime", "457"]],
+                         ids=["import", "dp", "bounds"])
+def test_the_census_commands_load_no_json_or_dataclasses(tmp_path, argv):
+    # json is bound on first use by enumerate, and no census module uses
+    # dataclasses, which loads inspect, ast, dis and tokenize
+    run = "" if argv is None else textwrap.dedent(f"""
+        import contextlib, io
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert iwastat.cli.main({argv!r}) == 0
+    """)
+    loaded = _modules_after(tmp_path, "import iwastat.cli\n" + run)
+    unwanted = loaded & {"json", "dataclasses", "inspect"}
+    assert not unwanted, unwanted
 
 
 @pytest.mark.parametrize("call", [
@@ -103,10 +119,20 @@ def test_rebinding_a_cli_name_is_what_the_command_calls(capsys, tmp_path, monkey
 
     for name in ("parse_records", "scan_primes", "fan_out", "empirical_densities"):
         spy(name)
+    # json is a module, not a function: its stand-in records dumps
+    real_json = cli.json
+
+    class JsonSpy:
+        def dumps(self, *args, **kwargs):
+            calls.append("json.dumps")
+            return real_json.dumps(*args, **kwargs)
+    monkeypatch.setattr(cli, "json", JsonSpy())
+
     assert cli.main(["scan", str(path), "--max-prime", "20"]) == 0
     assert cli.main(["enumerate", "--height", "1000", "--prime", "5"]) == 0
     capsys.readouterr()
-    assert calls == ["parse_records", "fan_out", "scan_primes", "empirical_densities"]
+    assert calls == ["parse_records", "fan_out", "scan_primes", "empirical_densities",
+                     "json.dumps"]
     assert callable(cli.scan_result_dict)
     with pytest.raises(AttributeError):
         cli.no_such_name

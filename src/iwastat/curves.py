@@ -88,15 +88,14 @@ def is_minimal_pair(A: int, B: int) -> bool:
     Such a q divides gcd(A, B) and has q^12 | gcd(A^3, B^2), so the q tried
     are the primes up to the twelfth root of that gcd while the root is at
     most _SIEVE_LIMIT, and the prime factors of gcd(A, B) past it (factorize
-    raises TooLarge past its proven range). A == 0 is divisible by every
-    q^4, so it demands a sixth-power-free B; symmetrically B == 0 demands a
-    fourth-power-free A. There gcd(A, B) is the other coefficient, which is
-    always factored.
+    raises TooLarge past its proven range). The root is |B|^(1/6) when
+    A == 0 and |A|^(1/4) when B == 0, so the sieve covers those pairs up to
+    |B| ~ 2^96 and |A| ~ 2^64.
     """
     if A == 0 and B == 0:
         return False
     bound = iroot(gcd(A**3, B**2), 12)
-    if A and B and bound <= _SIEVE_LIMIT:
+    if bound <= _SIEVE_LIMIT:
         return minimal_mask(A, B, primes_up_to(bound))
     return minimal_mask(A, B, factorize(gcd(A, B)))
 

@@ -37,7 +37,7 @@ from .census import DpMode, _require_census_prime, bound_dp2, bound_dp3, d_of_p,
 from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from .parallel import capped_workers, default_workers, fan_out
-from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, sqrt_mod, valuation
+from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, valuation
 
 __all__ = [
     "DensityReport",
@@ -284,9 +284,12 @@ class _Row:
 @lru_cache(maxsize=1024)
 def _root_table(l: int) -> Tuple[Optional[int], ...]:
     """For each a mod a prime l >= 5, a square root of -4a^3/27 mod l, or
-    None where it is a non-residue: one sqrt_mod per residue, not per row."""
+    None where it is a non-residue. Every square mod l is x^2 for exactly
+    one x in [0, l/2], so the roots are read off one table of those squares,
+    built once per l, not once per row."""
+    roots = {x * x % l: x for x in range(l // 2 + 1)}
     inv27 = pow(27, -1, l)
-    return tuple(sqrt_mod(-4 * a ** 3 * inv27, l) for a in range(l))
+    return tuple(roots.get(-4 * a ** 3 * inv27 % l) for a in range(l))
 
 
 def _hensel_sqrt(c: int, r: int, l: int, M: int) -> int:

@@ -69,7 +69,10 @@ def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
         if ":" not in part:
             raise ParseError(f"reg_excess entry {part!r} is not p:v")
         ps, vs = part.split(":", 1)
-        out[_parse_int(ps, "reg_excess prime")] = _parse_int(vs, "reg_excess value")
+        p = _parse_int(ps, "reg_excess prime")
+        if p in out:
+            raise ParseError(f"reg_excess gives prime {p} more than once")
+        out[p] = _parse_int(vs, "reg_excess value")
     return out or None
 
 

@@ -5,19 +5,20 @@ Delta = -16*(4A^3 + 27B^2), so valuations at l >= 5 agree with disc0
 valuations. Tate's algorithm (Silverman, Advanced Topics in the Arithmetic
 of Elliptic Curves, IV.9) classifies the fibre at every prime l, rescaling
 by l whenever the model turns out to be non-minimal at l. It finds the
-singular point of the reduction in closed form at l >= 5 (by search at
-l in {2, 3}), and the roots of the quadratics of IV, I_n* and IV* and of
-the cubic of the fibres past IV (I0*, I_n*, IV*, III*, II*) from
-polynomial gcds over F_l, so no step searches F_l and each takes
-O(log l) operations.
+singular point of the reduction at odd l as the repeated root of the
+completed-square cubic (by search over F_2 at l = 2 only), and the roots
+of the quadratics of IV, I_n* and IV* and of the cubic of the fibres past
+IV (I0*, I_n*, IV*, III*, II*), all from polynomial gcds over F_l
+(_repeated_root, _root_count), so no step at odd l searches F_l and each
+takes O(log l) operations.
 
 tamagawa_p_part never factors disc0. A prime p >= 5 divides c_l only for
 split I_n with p | n <= v_l(Delta), so only l = 2 and the odd l with
 l^5 | disc0 can add to tau_p; those come from trial division over the
 primes up to the fifth root of the cofactor left, and a cofactor of 2^80
 or more (where an l > 2^16 with l^5 | disc0 could hide) raises TooLarge.
-bad_primes factors disc0; it is public, and a scan calls it only to word
-the message of a GoodReductionAt.
+bad_primes factors disc0; it is public, and neither a record nor a scan
+calls it.
 """
 
 import math
@@ -137,7 +138,7 @@ def _shift(a, r, s, t):
 def _singular_point(a, l):
     """A singular point of the reduced curve mod l, as (x0, y0)."""
     a1, a2, a3, a4, a6 = a
-    if l <= 3:
+    if l == 2:
         for x in range(l):
             for y in range(l):
                 on = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % l
@@ -146,16 +147,15 @@ def _singular_point(a, l):
                 if on == 0 and fy == 0 and fx == 0:
                     return x, y
         raise AssertionError(f"no singular point mod {l} for {a}")
-    # l >= 5: complete the square; the singular x is the repeated root r of
-    # g = x^3 + c2 x^2 + c1 x + c0 = (x - r)^2 (x - s), and comparing
-    # coefficients gives c2^2 - 3 c1 = (r - s)^2 and 9 c0 - c1 c2 = 2 r (r - s)^2
+    # odd l: complete the square, (y + (a1 x + a3) / 2)^2 = g(x) with
+    # g = x^3 + (b2/4) x^2 + (b4/2) x + b6/4; the singular x is the repeated
+    # root of g and y = -(a1 x + a3) / 2
     inv2 = pow(2, -1, l)
     b2, b4, b6, _ = _b_invariants(*a)
-    c2, c1, c0 = b2 * inv2 * inv2 % l, b4 * inv2 % l, b6 * inv2 * inv2 % l
-    d = (c2 * c2 - 3 * c1) % l
-    x = (9 * c0 - c1 * c2) * pow(2 * d, -1, l) % l if d else -c2 * pow(3, -1, l) % l
-    if (x ** 3 + c2 * x * x + c1 * x + c0) % l:
+    repeated = _repeated_root(_trim([b6 * inv2 * inv2, b4 * inv2, b2 * inv2 * inv2, 1], l), l)
+    if repeated is None:
         raise AssertionError(f"no singular point mod {l} for {a}")
+    x = repeated[0]
     return x, -(a1 * x + a3) * inv2 % l
 
 

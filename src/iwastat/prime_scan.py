@@ -27,13 +27,15 @@ from enum import Enum
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-# perfbench/tracing.py times is_trivial_shape and classify_reduction by
-# rebinding them at this module, so the names stay importable here
+# perfbench/tracing.py times is_trivial_shape, classify_reduction and
+# bad_primes by rebinding them at this module, so the names stay importable
+# here
 from .charpoly import is_trivial_shape  # noqa: F401
 from .curves import classify_reduction  # noqa: F401
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
-from .local_data import _is_bad_prime, _p_parts, bad_primes, tamagawa_p_part
+from .local_data import bad_primes  # noqa: F401
+from .local_data import _is_bad_prime, _p_parts, tamagawa_p_part
 from .primes import prime_range
 
 __all__ = [
@@ -89,13 +91,8 @@ class CurveRecord:
         for l, c in self.tamagawa_overrides.items():
             if c < 1:
                 raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
-            # the full bad set is factored only for the message; a scan
-            # never factors disc0
             if not _is_bad_prime(l, self.curve.disc0):
-                raise GoodReductionAt(
-                    f"Tamagawa override at good prime {l} "
-                    f"(bad set {sorted(bad_primes(self.curve))})"
-                )
+                raise GoodReductionAt(f"Tamagawa override at good prime {l}")
 
 
 @dataclass(frozen=True)

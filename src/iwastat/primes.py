@@ -1,5 +1,5 @@
-"""Small integer number theory: primality, sieves, factorization, valuations,
-quadratic characters and modular square roots.
+"""Small integer number theory: primality, sieves, factorization, valuations
+and quadratic characters.
 
 Everything here is exact integer arithmetic.  factorize divides out the
 Miller-Rabin witness primes (those up to 41), then splits what is left with
@@ -18,7 +18,7 @@ from .errors import InvalidPrime, TooLarge
 __all__ = [
     "is_prime", "primes_up_to", "prime_range",
     "factorize", "valuation", "isqrt", "icbrt", "iroot",
-    "legendre", "sqrt_mod",
+    "legendre",
 ]
 
 # deterministic Miller-Rabin: psi_k (OEIS A014233) is the least odd
@@ -196,38 +196,3 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo a prime p, or None if a is a nonresidue.
-
-    Tonelli-Shanks; the p % 4 == 3 shortcut covers half the calls.
-    """
-    a %= p
-    if p == 2:
-        return a
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r

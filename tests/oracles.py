@@ -19,7 +19,9 @@ reference that shares no code with either a_p engine of iwastat.curves (the
 point-count rows and the point orders by baby steps and giant steps).
 tamagawa_table_by_factoring is the Tamagawa table as it was built by
 factoring disc0, against which the trial-division table of
-iwastat.local_data is checked.
+iwastat.local_data is checked. refuse_factorize makes factorize raise in
+every iwastat module that binds it, for the tests that pin a path which
+must never factor.
 """
 
 import json
@@ -235,3 +237,14 @@ def tamagawa_table_by_factoring(curve, overrides, allow_23):
             if p >= 5 and not _p_part_certifiably_trivial(v_delta[l], p):
                 blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
     return product, {p: tuple(ls) for p, ls in blocked.items()}
+
+
+def refuse_factorize(monkeypatch) -> None:
+    """Rebind factorize in iwastat.primes, .local_data and .curves to raise."""
+    from iwastat import curves, local_data, primes
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for module in (primes, local_data, curves):
+        monkeypatch.setattr(module, "factorize", refuse)

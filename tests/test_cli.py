@@ -263,13 +263,34 @@ def test_scan_record_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert err.splitlines() == [
         "row 3: sha_order must be positive, got 0",
         "row 4: Tamagawa override at 2 must be positive, got 0",
-        "row 5: Tamagawa override at good prime 3 (bad set [2])",
+        "row 5: Tamagawa override at good prime 3",
     ]
     assert [r["label"] for r in json.loads(out)] == ["ok"]
     monkeypatch.setenv("IWASTAT_THREADS", "x")
     code, out, err = run(capsys, "scan", str(path), "--max-prime", "10", "--label", "ok")
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == "error: invalid literal for int() with base 10: 'x'"
+
+
+def test_scan_rejects_a_repeated_reg_excess_prime(capsys, tmp_path):
+    # a rank-1 record reads Inconclusive at 5 with 5:0;5:1 kept as 5:1, and
+    # CharElementIsTr with 5:1;5:0 kept as 5:0: either order is a row error
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\n" + "\n".join([
+        "first,-1,1,1,1,,1,,5:0;5:1",
+        "second,-1,1,1,1,,1,,5:1;5:0",
+        "ok,-1,1,1,1,,1,,5:0",
+    ]) + "\n")
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", "7")
+    assert code == 1
+    assert err.splitlines() == [
+        "row 2: reg_excess gives prime 5 more than once",
+        "row 3: reg_excess gives prime 5 more than once",
+    ]
+    (rec,) = json.loads(out)
+    assert rec["label"] == "ok"
+    assert rec["results"][0]["p"] == 5
+    assert rec["results"][0]["conclusion"] == "CharElementIsTr"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -32,8 +32,14 @@ from iwastat.errors import (
     NonMinimalModel,
     SingularCurve,
 )
-from iwastat.primes import prime_range, primes_up_to
-from oracles import anomalous_bool_table, dp_census_bruteforce, iter_curves, trace_by_legendre
+from iwastat.primes import factorize, prime_range, primes_up_to
+from oracles import (
+    anomalous_bool_table,
+    dp_census_bruteforce,
+    iter_curves,
+    refuse_factorize,
+    trace_by_legendre,
+)
 
 CENSUS_PRIMES = [p for p in primes_up_to(99) if p >= 5]
 
@@ -142,24 +148,45 @@ def test_minimal_pair_sieves_only_to_the_gcd_bound(monkeypatch):
     assert max(bounds) == 97
 
 
-def test_minimal_pair_with_a_zero_coefficient_factors_instead_of_sieving(monkeypatch):
-    # with B = 0 (or A = 0) the gcd bound is the other coefficient itself:
-    # the q come from its prime factors, so no sieve grows with |A| or |B|
-    bounds = []
+def test_minimal_pair_with_a_zero_coefficient_sieves_below_the_limit(monkeypatch):
+    # the gcd bound is |B|^(1/6) with A = 0 and |A|^(1/4) with B = 0, and
+    # such a pair takes the sieve or factors by that bound like any other
+    bounds, factored = [], []
 
-    def recording(n):
+    def recording_sieve(n):
         bounds.append(n)
         return primes_up_to(n)
 
-    monkeypatch.setattr(curves, "primes_up_to", recording)
+    def recording_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(curves, "primes_up_to", recording_sieve)
+    monkeypatch.setattr(curves, "factorize", recording_factorize)
     n = 10**28 + 1  # 73 * 137 * 7841 * 127522001020150503761
-    assert CurveQ(n, 0).height == n**3
     assert CurveQ(0, n).height == n**2
+    assert (bounds, factored) == ([46415], [])
+    with pytest.raises(NonMinimalModel):
+        CurveQ(0, -(73**6) * 137)
+    assert factored == []
+    assert CurveQ(n, 0).height == n**3  # bound 10^7
+    assert factored == [n] and max(bounds) == 46415
     with pytest.raises(NonMinimalModel):
         CurveQ(7841**4 * n, 0)
+
+
+def test_zero_coefficient_pairs_with_two_large_factors_never_factor(monkeypatch):
+    # factoring the products by Pollard rho took ~0.9 s and ~0.06 s; the
+    # sieve runs to 22199 and to 54226 instead
+    refuse_factorize(monkeypatch)
+    p1, p2 = 9895604650003, 12094627905571  # 44-bit primes
+    assert CurveQ(0, p1 * p2).disc0 == 27 * (p1 * p2) ** 2
+    q1, q2 = 2684354591, 3221225473  # q1 q2 < 2^64
+    assert CurveQ(q1 * q2, 0).disc0 == 4 * (q1 * q2) ** 3
     with pytest.raises(NonMinimalModel):
-        CurveQ(0, -(73**6) * n)
-    assert max(bounds, default=0) <= 1
+        CurveQ(0, 3**6 * p1)
+    with pytest.raises(NonMinimalModel):
+        CurveQ(5**4 * q1, 0)
 
 
 def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):

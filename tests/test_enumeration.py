@@ -23,7 +23,7 @@ from iwastat.enumeration import (
 )
 from iwastat.errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
 from iwastat.local_data import kodaira_tamagawa
-from iwastat.primes import iroot, primes_up_to, valuation
+from iwastat.primes import iroot, legendre, primes_up_to, valuation
 from oracles import (
     enumerate_curves,
     iter_curves,
@@ -115,6 +115,17 @@ def test_is_minimal_pair_with_a_zero_coefficient_matches_brute_force():
         for k in ks:
             for A, B in ((q**4 * k, 0), (0, q**6 * k)):
                 assert is_minimal_pair(A, B) == brute_minimal(A, B), (A, B)
+
+
+def test_root_table_holds_a_root_of_every_residue():
+    for l in primes_up_to(599)[2:]:
+        inv27 = pow(27, -1, l)
+        table = enumeration._root_table(l)
+        assert len(table) == l
+        for a, r in enumerate(table):
+            c = -4 * a ** 3 * inv27 % l
+            assert (r is None) == (legendre(c, l) == -1), (l, a)
+            assert r is None or r * r % l == c, (l, a)
 
 
 def test_box_bounds():

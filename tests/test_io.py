@@ -74,6 +74,24 @@ def test_row_error_names_the_first_malformed_column(tmp_path):
     ]
 
 
+def test_repeated_reg_excess_prime_is_a_row_error(tmp_path):
+    # neither value of a prime given twice is kept, in either order, and the
+    # other rows still parse
+    path = write_csv(
+        tmp_path,
+        "first,-1,1,1,1,,,,5:0;5:1",
+        "second,-1,1,1,1,,,,7:1;5:1;5:0",
+        "ok,-1,1,1,1,,,,5:0;7:1",
+    )
+    records, errors = parse_records(path)
+    assert [r.label for r in records] == ["ok"]
+    assert records[0].regulator_valuations == {5: 0, 7: 1}
+    assert errors == [
+        (2, "reg_excess gives prime 5 more than once"),
+        (3, "reg_excess gives prime 5 more than once"),
+    ]
+
+
 def test_round_trip(tmp_path):
     recs = [
         CurveRecord(curve=(-1, 0), rank=0, sha_order=1, torsion_order=4,

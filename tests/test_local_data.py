@@ -254,6 +254,24 @@ def test_singular_point_is_singular(l):
         assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % l == 0, (a, l)
 
 
+@settings(max_examples=300, deadline=None)
+@given(l=st.sampled_from([2, 3, 5, 7, 11]), point=st.tuples(*[st.integers(0, 10)] * 2),
+       a=st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+def test_singular_point_of_any_model_singular_mod_l(l, point, a):
+    # a1, a2 and the multiples of l in a3, a4, a6 are free; the residues of
+    # a3, a4, a6 mod l put a singular point at (x0, y0), so l | disc
+    x0, y0 = point
+    a1, a2 = a[0], a[1]
+    a3 = -2 * y0 - a1 * x0 + l * a[2]
+    a4 = a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 + l * a[3]
+    a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 * x0 - a4 * x0 + l * a[4]
+    assert local_data._discriminant(a1, a2, a3, a4, a6) % l == 0
+    x, y = _singular_point((a1, a2, a3, a4, a6), l)
+    assert (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % l == 0
+    assert (2 * y + a1 * x + a3) % l == 0
+    assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % l == 0
+
+
 @pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13])
 def test_cubic_roots_match_the_search_on_every_cubic(l):
     for c0 in range(l):

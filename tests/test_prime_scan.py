@@ -18,7 +18,7 @@ from iwastat.prime_scan import (
     scan_primes,
     sigma_prime_membership,
 )
-from oracles import trace_by_legendre
+from oracles import refuse_factorize, trace_by_legendre
 
 FULL_TWO_TORSION = CurveRecord(
     curve=(-1, 0), rank=0, sha_order=1, torsion_order=4, label="full2tors"
@@ -41,14 +41,24 @@ def test_record_validation():
     # 7 is a good prime for disc0 = -4; so are 4 (not prime) and 3
     for l in (7, 4, 3):
         with pytest.raises(GoodReductionAt,
-                           match=rf"^Tamagawa override at good prime {l} \(bad set \[2\]\)$"):
+                           match=rf"^Tamagawa override at good prime {l}$"):
             CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={l: 2})
     CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={2: 4})
     # disc0 = 4 * 17^3 + 27 * 11^2 = 22919 = 13 * 41 * 43
     rec = CurveRecord(curve=(17, 11), rank=0, tamagawa_overrides={2: 1, 13: 2, 41: 1, 43: 1})
     assert local_data.bad_primes(rec.curve) == {2, 13, 41, 43}
-    with pytest.raises(GoodReductionAt, match=r"\(bad set \[2, 13, 41, 43\]\)$"):
+    with pytest.raises(GoodReductionAt, match=r"^Tamagawa override at good prime 533$"):
         CurveRecord(curve=(17, 11), rank=0, tamagawa_overrides={13 * 41: 1})
+
+
+def test_override_at_a_good_prime_never_factors(monkeypatch):
+    # disc0 has 198 bits and odd prime factors of 33, 43, 49 and 75 bits:
+    # wording the error with the factored bad set took ~23 s of Pollard rho
+    refuse_factorize(monkeypatch)
+    A, B = 10**19 + 3, 10**29 + 7
+    assert CurveQ(A, B).disc0 % 10007 and CurveQ(A, B).disc0.bit_length() == 198
+    with pytest.raises(GoodReductionAt, match=r"^Tamagawa override at good prime 10007$"):
+        CurveRecord(curve=(A, B), rank=0, tamagawa_overrides={2: 1, 10007: 2})
 
 
 def test_rank_zero_scan_conclusions():

@@ -13,7 +13,6 @@ from iwastat.primes import (
     legendre,
     prime_range,
     primes_up_to,
-    sqrt_mod,
     valuation,
 )
 
@@ -166,19 +165,6 @@ def test_legendre_multiplicative():
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
         assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-
-def test_sqrt_mod_round_trip():
-    rng = random.Random(3)
-    # both residue classes of p mod 4, plus p = 2
-    for p in (2, 5, 13, 17, 19, 23, 10007, 10009):
-        for _ in range(40):
-            a = rng.randrange(p)
-            r = sqrt_mod(a, p)
-            if r is None:
-                assert legendre(a, p) == -1
-            else:
-                assert r * r % p == a % p
 
 
 def test_factorize_known():

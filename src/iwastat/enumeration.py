@@ -287,9 +287,11 @@ def _root_table(l: int) -> Tuple[Optional[int], ...]:
     None where it is a non-residue. Every square mod l is x^2 for exactly
     one x in [0, l/2], so the roots are read off one table of those squares,
     built once per l, not once per row."""
-    roots = {x * x % l: x for x in range(l // 2 + 1)}
+    roots: List[Optional[int]] = [None] * l
+    for x in range(l // 2 + 1):
+        roots[x * x % l] = x
     inv27 = pow(27, -1, l)
-    return tuple(roots.get(-4 * a ** 3 * inv27 % l) for a in range(l))
+    return tuple(roots[-4 * a ** 3 * inv27 % l] for a in range(l))
 
 
 def _hensel_sqrt(c: int, r: int, l: int, M: int) -> int:

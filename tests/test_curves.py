@@ -173,6 +173,10 @@ def test_minimal_pair_with_a_zero_coefficient_sieves_below_the_limit(monkeypatch
     assert factored == [n] and max(bounds) == 46415
     with pytest.raises(NonMinimalModel):
         CurveQ(7841**4 * n, 0)
+    with pytest.raises(NonMinimalModel):
+        CurveQ(0, -(73**6) * n)  # bound 73 * 46415, past the sieve limit
+    assert factored == [n, 7841**4 * n, 73**6 * n]
+    assert max(bounds) == 46415
 
 
 def test_zero_coefficient_pairs_with_two_large_factors_never_factor(monkeypatch):

@@ -82,18 +82,55 @@ def minimal_mask(A: int, B, qs, ok=True):
 _SIEVE_LIMIT = 1 << 16
 
 
+# is_minimal_pair trial-divides a pair with a zero coefficient while the
+# bound of _free_of_powers is at most this: |A| below ~2^100 when B == 0 and
+# |B| below ~2^140 when A == 0, ~50 ms at the bound (2-vCPU Xeon VM, Python
+# 3.11). Past it such a pair factors like any other.
+_ZERO_TRIAL_LIMIT = 1 << 20
+
+
+def _free_of_powers(n: int, k: int) -> bool:
+    """True unless some prime q has q^k | n, for n >= 1.
+
+    Trial division by 2 and the odd d up to the (k+1)-th root of what is
+    left of n takes out every small prime (a composite d never divides: its
+    primes are out by then). What is left then has fewer than k + 1 prime
+    factors, each above that root, so a q^k past the root divides it only
+    as the whole of it, which an exact k-th root shows.
+    """
+    bound = iroot(n, k + 1)
+    d = 2
+    while d <= bound:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e >= k:
+                return False
+            bound = iroot(n, k + 1)
+        d += 1 if d == 2 else 2
+    r = iroot(n, k)
+    return r == 1 or r**k != n
+
+
 def is_minimal_pair(A: int, B: int) -> bool:
     """True unless some prime q has q^4 | A and q^6 | B.
 
-    Such a q divides gcd(A, B) and has q^12 | gcd(A^3, B^2), so the q tried
-    are the primes up to the twelfth root of that gcd while the root is at
-    most _SIEVE_LIMIT, and the prime factors of gcd(A, B) past it (factorize
-    raises TooLarge past its proven range). The root is |B|^(1/6) when
-    A == 0 and |A|^(1/4) when B == 0, so the sieve covers those pairs up to
-    |B| ~ 2^96 and |A| ~ 2^64.
+    With B == 0 that is q^4 | A, and with A == 0 it is q^6 | B: such a pair
+    is decided by trial division (_free_of_powers) while its bound is at
+    most _ZERO_TRIAL_LIMIT. Otherwise such a q divides gcd(A, B) and has
+    q^12 | gcd(A^3, B^2), so the q tried are the primes up to the twelfth
+    root of that gcd while the root is at most _SIEVE_LIMIT, and the prime
+    factors of gcd(A, B) past it (factorize raises TooLarge past its proven
+    range).
     """
     if A == 0 and B == 0:
         return False
+    if A == 0 or B == 0:
+        n, k = (abs(A), 4) if B == 0 else (abs(B), 6)
+        if iroot(n, k + 1) <= _ZERO_TRIAL_LIMIT:
+            return _free_of_powers(n, k)
     bound = iroot(gcd(A**3, B**2), 12)
     if bound <= _SIEVE_LIMIT:
         return minimal_mask(A, B, primes_up_to(bound))

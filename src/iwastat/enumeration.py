@@ -59,17 +59,19 @@ __all__ = [
 # (20-30 s on one core), so 10^15 would take hours.
 _X_CAP = 10 ** 15
 
-# A worker pool costs tens of ms to start, so the sweep fans out only when
-# its serial work, estimated from the box and the mode, passes the pool's
-# break-even. The estimate per row, timed in-process on a 2-vCPU Xeon VM
-# (Python 3.11): ~8 us for the row's classes, ~3 us for each e2 or I_p
-# locus prime l and ~50 us for the strict ladders, plus ~1.3 us for each
-# locus hit tested one by one (about (2 bmax + 1) / l^p a row). There,
-# serial against two workers at 23 points in six modes (`enumerate
-# --prime 5` and 7, each with and without --strict, `--prime 13 --strict`
-# and `ip-count --l 7 --p 5`), ordered by the estimate, the pool lost or
-# tied below ~150 ms and won from there on but for two near-ties at ~160
-# and ~180 ms (runs in BENCH_13.json).
+# Fanning out costs tens of ms, so the sweep fans out only when its serial
+# work, estimated from the box and the mode, passes the break-even. The
+# threshold was timed against the process pool that fan_out used before it
+# forked its own children, and stays until a sweep workload above the
+# break-even re-times it. The estimate per row, timed in-process on a
+# 2-vCPU Xeon VM (Python 3.11): ~8 us for the row's classes, ~3 us for
+# each e2 or I_p locus prime l and ~50 us for the strict ladders, plus
+# ~1.3 us for each locus hit tested one by one (about (2 bmax + 1) / l^p a
+# row). There, serial against two workers at 23 points in six modes
+# (`enumerate --prime 5` and 7, each with and without --strict, `--prime
+# 13 --strict` and `ip-count --l 7 --p 5`), ordered by the estimate, the
+# pool lost or tied below ~150 ms and won from there on but for two
+# near-ties at ~160 and ~180 ms (runs in BENCH_13.json).
 _ROW_US, _LOCUS_US, _STRICT_US, _HIT_US = 8, 3, 50, 1.3
 _MIN_PARALLEL_US = 150_000
 

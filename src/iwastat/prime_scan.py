@@ -27,14 +27,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-# perfbench/tracing.py times is_trivial_shape, classify_reduction and
-# bad_primes by rebinding them at this module, so the names stay importable
-# here
-from .charpoly import is_trivial_shape  # noqa: F401
-from .curves import classify_reduction  # noqa: F401
+from . import _bind_on_access
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
-from .local_data import bad_primes  # noqa: F401
 from .local_data import _is_bad_prime, _p_parts, tamagawa_p_part
 from .primes import prime_range
 
@@ -46,6 +41,15 @@ __all__ = [
     "sigma_prime_membership",
     "scan_primes",
 ]
+
+# perfbench/tracing.py times these by rebinding them at this module, which
+# calls none of them: each is bound on first access, so a scan does not load
+# charpoly for them
+__getattr__ = _bind_on_access(__name__, {
+    "is_trivial_shape": "charpoly",
+    "classify_reduction": "curves",
+    "bad_primes": "local_data",
+})
 
 
 class Conclusion(str, Enum):

@@ -307,7 +307,7 @@ def test_scan_internal_error_does_not_hide_other_records(capsys, tmp_path, monke
             raise AssertionError("invariant broken")
         return real(rec, *args, **kwargs)
 
-    # the pool forks, so its workers see the patched name too
+    # fan_out forks, so its children see the patched name too
     monkeypatch.setattr(cli, "scan_primes", scan)
     code, out, err = run(capsys, "scan", str(path), "--max-prime", "30", "--workers", workers)
     assert code == 2
@@ -375,7 +375,7 @@ def test_scan_streams_the_json_dumps_bytes(capsys, tmp_path, monkeypatch, worker
             raise UnknownLocalData(f"no data for {rec.label}")
         return scan_primes(rec, *args, **kwargs)
 
-    # the pool forks, so its workers see the patched name too
+    # fan_out forks, so its children see the patched name too
     monkeypatch.setattr(cli, "scan_primes", scan)
     argv = ["scan", str(path), "--max-prime", "40", "--workers", workers]
     code, out, err = run(capsys, *argv)
@@ -432,10 +432,12 @@ def test_scan_removes_partial_out_file(capsys, tmp_path, monkeypatch, workers):
     assert not out_path.exists()
 
 
-def test_scan_out_memory_stays_below_the_output_size(capsys, tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_out_memory_stays_below_the_output_size(capsys, tmp_path, workers):
     # each entry is written and dropped as it finishes: the peak traced
     # allocation of a scan stays well below the JSON it writes (it was
-    # about four times that while the batch's text was joined in memory)
+    # about four times that while the batch's text was joined in memory).
+    # With two workers this process holds one entry read back at a time.
     import tracemalloc
 
     rng = random.Random(20241019)
@@ -444,7 +446,8 @@ def test_scan_out_memory_stays_below_the_output_size(capsys, tmp_path):
     path = tmp_path / "recs.csv"
     path.write_text("\n".join([HEADER, *rows]) + "\n")
     out_path = tmp_path / "scan.json"
-    argv = ["scan", str(path), "--max-prime", "600", "--allow-23", "--out", str(out_path)]
+    argv = ["scan", str(path), "--max-prime", "600", "--allow-23", "--out", str(out_path),
+            "--workers", workers]
     assert cli.main(argv) == 0  # warm the per-prime caches
     tracemalloc.start()
     try:
@@ -523,7 +526,7 @@ def test_sweep_and_scan_commands_never_load_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    # scan lines: whether numpy is loaded when the pool forks, in a worker,
+    # scan lines: whether numpy is loaded when fan_out forks, in a worker,
     # after the scan
     assert out.stdout.splitlines() == [
         "0 0 0 0 False", "0 False False False", "0 False False False", "0 False False False",

@@ -148,9 +148,11 @@ def test_minimal_pair_sieves_only_to_the_gcd_bound(monkeypatch):
     assert max(bounds) == 97
 
 
-def test_minimal_pair_with_a_zero_coefficient_sieves_below_the_limit(monkeypatch):
-    # the gcd bound is |B|^(1/6) with A = 0 and |A|^(1/4) with B = 0, and
-    # such a pair takes the sieve or factors by that bound like any other
+def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monkeypatch):
+    # with B = 0 only q^4 | A matters and with A = 0 only q^6 | B: trial
+    # division to |A|^(1/5) or |B|^(1/7), then an exact root of what is left,
+    # decides such a pair with neither a sieve nor factorize while that bound
+    # is at most curves._ZERO_TRIAL_LIMIT; past it the pair factors
     bounds, factored = [], []
 
     def recording_sieve(n):
@@ -165,23 +167,33 @@ def test_minimal_pair_with_a_zero_coefficient_sieves_below_the_limit(monkeypatch
     monkeypatch.setattr(curves, "factorize", recording_factorize)
     n = 10**28 + 1  # 73 * 137 * 7841 * 127522001020150503761
     assert CurveQ(0, n).height == n**2
-    assert (bounds, factored) == ([46415], [])
     with pytest.raises(NonMinimalModel):
         CurveQ(0, -(73**6) * 137)
-    assert factored == []
-    assert CurveQ(n, 0).height == n**3  # bound 10^7
-    assert factored == [n] and max(bounds) == 46415
+    assert CurveQ(n, 0).height == n**3  # bound 398107
+    with pytest.raises(NonMinimalModel):
+        CurveQ(0, -(73**6) * n)  # |B| ~ 2^130
+    # q past the trial bound: what is left is q^4 or q^6 exactly
+    q = 524287  # 2^19 - 1, a prime
+    with pytest.raises(NonMinimalModel):
+        CurveQ(7 * q**4, 0)
+    with pytest.raises(NonMinimalModel):
+        CurveQ(0, -5 * q**6)
+    assert CurveQ(7 * q**3, 0).height == (7 * q**3) ** 3
+    assert CurveQ(0, 5 * q**5).height == (5 * q**5) ** 2
+    limit = curves._ZERO_TRIAL_LIMIT
+    with pytest.raises(NonMinimalModel):
+        CurveQ(limit**5, 0)
+    assert (bounds, factored) == ([], [])
+    with pytest.raises(NonMinimalModel):
+        CurveQ((limit + 1) ** 5, 0)
     with pytest.raises(NonMinimalModel):
         CurveQ(7841**4 * n, 0)
-    with pytest.raises(NonMinimalModel):
-        CurveQ(0, -(73**6) * n)  # bound 73 * 46415, past the sieve limit
-    assert factored == [n, 7841**4 * n, 73**6 * n]
-    assert max(bounds) == 46415
+    assert factored == [(limit + 1) ** 5, 7841**4 * n] and bounds == []
 
 
 def test_zero_coefficient_pairs_with_two_large_factors_never_factor(monkeypatch):
-    # factoring the products by Pollard rho took ~0.9 s and ~0.06 s; the
-    # sieve runs to 22199 and to 54226 instead
+    # factoring the products by Pollard rho took ~0.9 s and ~0.06 s; trial
+    # division runs to 5314 and to 6128 instead
     refuse_factorize(monkeypatch)
     p1, p2 = 9895604650003, 12094627905571  # 44-bit primes
     assert CurveQ(0, p1 * p2).disc0 == 27 * (p1 * p2) ** 2
@@ -191,6 +203,24 @@ def test_zero_coefficient_pairs_with_two_large_factors_never_factor(monkeypatch)
         CurveQ(0, 3**6 * p1)
     with pytest.raises(NonMinimalModel):
         CurveQ(5**4 * q1, 0)
+
+
+def test_a_zero_coefficient_pair_past_2_to_the_64_is_quick(monkeypatch):
+    # A a product of two 40-bit primes took 0.61 s of Pollard rho with B = 0,
+    # and of two 44-bit primes 3.26 s; trial division to |A|^(1/5) takes
+    # ~6 ms and ~15 ms (2-vCPU Xeon VM), best of 3 under 50 ms here
+    import time
+
+    refuse_factorize(monkeypatch)
+    pairs = [(1000000000039 * 1000700000021, 0), (9895604650003 * 12094627905571, 0),
+             (0, 9895604650003 * 12094627905571)]
+    for A, B in pairs:
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            assert is_minimal_pair(A, B)
+            times.append(time.perf_counter() - t)
+        assert min(times) < 0.05, (A, B, times)
 
 
 def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):

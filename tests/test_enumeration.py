@@ -117,6 +117,22 @@ def test_is_minimal_pair_with_a_zero_coefficient_matches_brute_force():
                 assert is_minimal_pair(A, B) == brute_minimal(A, B), (A, B)
 
 
+# a pair with a zero coefficient and a large shared q^e: e = 4 (B = 0) or
+# e = 6 (A = 0) breaks minimality, e one less does not; a cofactor below q
+# leaves q past the trial bound, where only the exact root finds it
+ZERO_PAIR = st.builds(
+    lambda q, de, m, a_zero: (0, m * q ** (6 + de)) if a_zero else (m * q ** (4 + de), 0),
+    st.integers(2, 1000), st.sampled_from([-1, 0, 1]),
+    st.integers(-1000, 1000).filter(bool), st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=ZERO_PAIR)
+def test_is_minimal_pair_with_a_zero_coefficient_and_a_large_power(pair):
+    assert is_minimal_pair(*pair) == brute_minimal(*pair)
+
+
 def test_root_table_holds_a_root_of_every_residue():
     for l in primes_up_to(599)[2:]:
         inv27 = pow(27, -1, l)
@@ -174,7 +190,7 @@ def test_strict_mode_drops_uncertified():
 @pytest.mark.parametrize("strict", [False, True])
 def test_workers_agree_with_serial(monkeypatch, strict):
     # a box this small is swept serially whatever the worker count; the
-    # threshold at 0 sends it through the pool, on the two CPUs pinned here
+    # threshold at 0 sends it through fan_out, on the two CPUs pinned here
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     fanned = []
     real = enumeration.fan_out

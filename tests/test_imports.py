@@ -53,7 +53,7 @@ BUDGETS = [
     (["enumerate", "--height", "1000000", "--prime", "499"], None, UNUSED_BY_SWEEP),
     (["enumerate", "--height", "1000000", "--prime", "499", "--strict"], None, UNUSED_BY_SWEEP),
     (["ip-count", "--l", "7", "--p", "5", "--height", "100000000"], None, UNUSED_BY_SWEEP),
-    (["scan", "recs.csv", "--max-prime", "30"], None, {"enumeration"}),
+    (["scan", "recs.csv", "--max-prime", "30"], None, {"enumeration", "charpoly"}),
 ]
 
 
@@ -73,6 +73,32 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never
         assert loaded == only
     else:
         assert not loaded & never, loaded & never
+
+
+@pytest.mark.parametrize("argv, setup", [
+    (["scan", "recs.csv", "--max-prime", "30", "--workers", "2"], ""),
+    (["ip-count", "--l", "7", "--p", "5", "--height", "100000000", "--workers", "2"],
+     "import iwastat.enumeration\niwastat.enumeration._MIN_PARALLEL_US = 0"),
+], ids=["scan", "ip-count"])
+def test_fanning_out_loads_no_process_pool(tmp_path, argv, setup):
+    # fan_out forks its children itself: two workers, whatever this machine
+    # has, and the command must really fan out
+    (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
+    loaded = _modules_after(tmp_path, setup + "\n" + textwrap.dedent(f"""
+        import contextlib, io
+        import iwastat.cli
+        import iwastat.parallel as parallel
+        parallel.usable_cpus = lambda: 2
+        forked, real = [], parallel._forked
+        def recording(fn, jobs, workers):
+            forked.append(workers)
+            return real(fn, jobs, workers)
+        parallel._forked = recording
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert iwastat.cli.main({argv!r}) == 0
+        assert forked == [2], forked
+    """))
+    assert not loaded & {"concurrent", "concurrent.futures", "multiprocessing"}
 
 
 @pytest.mark.parametrize("argv", [None, ["dp", "--prime", "499"], ["bounds", "--prime", "457"]],

@@ -16,10 +16,10 @@ per worker.
 
 The parallel branch forks one child per worker (_forked) and reads each
 result back through that child's pipe, so it needs os.fork; without it
-fan_out runs serially. pickle and struct are imported on the first parallel
-call, so a serial run loads neither. The CLI loads this module only for the
-commands that can fan out (scan, enumerate, ip-count), and the sweep fans
-out only when its estimated serial work passes
+fan_out runs serially. The modules it uses (fcntl, pickle, signal, struct)
+are imported there, so a serial run loads none of them. The CLI loads this
+module only for the commands that can fan out (scan, enumerate, ip-count),
+and the sweep fans out only when its estimated serial work passes
 enumeration._MIN_PARALLEL_US.
 """
 
@@ -85,8 +85,8 @@ def _forked(fn, jobs: list, workers: int) -> Iterator:
     result), or (False, exception) where fn raised. This process reads job
     i from child i mod workers. A child blocks on a full pipe, so at any
     time this process holds one result and each child at most one more
-    plus a pipe buffer of up to _PIPE_BYTES. On any exit, an early close or an exception
-    included, every child is killed and reaped.
+    plus a pipe buffer of up to _PIPE_BYTES. On any exit, an early close
+    or an exception included, every child is killed and reaped.
     """
     import fcntl
     import pickle

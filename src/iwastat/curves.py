@@ -11,10 +11,11 @@ frobenius_traces alone decides how an a_p is counted, at every prime of a
 scan and at the one prime (p = 3 included) of count_points, trace_frobenius
 and classify_reduction.  Up to _ROW_PRIME_BOUND it reads each a_p from the
 point-count rows of its prime (_PointCountRows): the affine counts
-N_p(a, b) - 1 = p + sum_x chi(x^3 + a x + b) of every b for a = 0 and for
-one representative a0 of each coset of the fourth powers, each row one
-cyclic correlation done as one big-integer product, and the orbit map that
-sends (a, b) to (a0, b u^-6) by the isomorphism (a, b) ~ (u^4 a, u^6 b).
+N_p(a, b) - 1 = p + sum_x chi(x^3 + a x + b) of every b for a = 0, 1 and g,
+g a primitive root, at most three rows, each one cyclic correlation done as
+one big-integer product (the a = 0 row is constant p when p != 1 mod 3),
+and the orbit map that sends (a, b) to one of them by the isomorphism
+(a, b) ~ (u^4 a, u^6 b) and, where p = 1 mod 4, the quadratic twist by g.
 The rows are built once per prime and shared by every curve and by the
 anomalous residue table.  Past the bound it finds a_p by point orders in
 the Hasse interval, on the curve or its twist (Shanks-Mestre baby steps and
@@ -25,7 +26,8 @@ rows.  dp_census lists its pairs beside the census counts of d_of_p, which
 come from Hurwitz class numbers, not from point counts (see the census
 module docstring); the O(p^3) sweep over F_p^2 that the tests check both
 against is the oracle dp_census_bruteforce in tests/oracles.py.  DpMode,
-d_of_p and dp_table are census's own objects, re-exported here.
+d_of_p and dp_table are census's own objects, bound here on first access,
+so that a scan, which reads only the rows, does not load the census.
 """
 
 from __future__ import annotations
@@ -37,17 +39,19 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .census import DpMode, d_of_p, dp_table
+from . import _bind_on_access
 from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
 from .primes import factorize, is_prime, iroot, legendre, primes_up_to
 
 __all__ = [
-    "CurveQ", "LocalReduction", "ReductionClass", "DpMode",
+    "CurveQ", "LocalReduction", "ReductionClass",
     "disc0_of", "count_points", "trace_frobenius", "frobenius_traces",
     "classify_reduction",
-    "minimal_mask", "is_minimal_pair", "d_of_p", "dp_census", "dp_table",
-    "anomalous_residue_table",
+    "minimal_mask", "is_minimal_pair", "dp_census", "anomalous_residue_table",
 ]
+
+# the census's own objects under their old import path, bound on first access
+__getattr__ = _bind_on_access(__name__, dict.fromkeys(("DpMode", "d_of_p", "dp_table"), "census"))
 
 
 def disc0_of(A: int, B: int) -> int:
@@ -200,10 +204,11 @@ def _require_odd_prime(p: int) -> None:
 
 # frobenius_traces reads a_p from the point-count rows of primes up to this
 # bound and by point orders past it; both are exact, the bound moves only
-# time. On a 2-vCPU Xeon VM (Python 3.11.7) all rows of one prime took 3.3 ms
-# to build at 601 and 36 ms at 4001 (every prime's up to 600, ~0.1 s), then
-# a curve's a_p is one lookup; point orders took ~50-75 us a curve. So the
-# rows pay off for a scan of more than ~60 records at 601, ~480 at 4001.
+# time. On a 2-vCPU Xeon VM (Python 3.11.7) all rows of one prime took ~1.0
+# ms to build at 601 (three products) and ~5.6 ms at 4001 (two), every
+# prime's up to 600 ~0.05 s; then a curve's a_p is one lookup, while point
+# orders took ~25-70 us a curve. So the rows pay off for a scan of more than
+# ~35 records at 601, ~135 at 4001.
 _ROW_PRIME_BOUND = 600
 
 
@@ -317,8 +322,17 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     to _ROW_PRIME_BOUND an a_p is read from the point-count rows of its
     prime, and past it found by point orders (_trace_by_point_orders).
     """
-    return [_point_count_rows(p).trace(A, B) if p <= _ROW_PRIME_BOUND
-            else _trace_by_point_orders(A, B, p) for p in primes]
+    return [trace(A, B) for trace in _trace_functions(primes)]
+
+
+@lru_cache(maxsize=16)
+def _trace_functions(primes: tuple) -> tuple:
+    """The (A, B) -> a_p of each p in primes, looked up once per tuple, so
+    that a scan reads each a_p with no cache lookup: the trace of p's rows,
+    or a call of _trace_by_point_orders (looked up when called) past the
+    bound."""
+    return tuple(_point_count_rows(p).trace if p <= _ROW_PRIME_BOUND
+                 else lambda A, B, p=p: _trace_by_point_orders(A, B, p) for p in primes)
 
 
 def count_points(A: int, B: int, p: int) -> int:
@@ -374,35 +388,40 @@ def _unpack(n: int, fmt: str, size: int) -> array:
     return slots
 
 
-def _character_poly(p: int) -> tuple[str, int]:
-    """(fmt, G): G packs g[t] = 1 + chi(-t) for t in 0..2p-1, the table
-    mod p written twice, one fmt slot per t. A slot of a product H * G with
-    sum h = p holds at most 2p, so 16-bit slots suffice while 2p < 2^16 and
-    32-bit ones above."""
+def _character_poly(square: bytearray) -> tuple[str, int]:
+    """(fmt, G) at p = len(square), from square[x] = 1 for the nonzero
+    squares x mod p: G packs g[t] = 1 + chi(-t) for t in 0..p-1, one fmt
+    slot per t. A slot of a product H * G with sum h = p, and the sum of two
+    of its slots p apart, holds at most 2p, so 16-bit slots suffice while
+    2p < 2^16 and 32-bit ones above."""
+    p = len(square)
     fmt = "H" if 2 * p < 1 << 16 else "I"
-    square = bytearray(p)
-    for x in range(1, p // 2 + 1):
-        square[x * x % p] = 1
-    g = [1] + [2 * square[-t % p] for t in range(1, p)]
-    return fmt, _pack(g + g, fmt)
+    return fmt, _pack([1] + [2 * c for c in square[:0:-1]], fmt)
 
 
 def _count_row(a: int, p: int, poly: tuple[str, int]) -> array:
     """row[b] = #{(x, y) in F_p^2 : y^2 = x^3 + a x + b} for b in 0..p-1,
-    the affine point count; poly is _character_poly(p).
+    the affine point count; poly is _character_poly at p.
 
     With h[v] = #{x : x^3 + a x = v mod p}, the count at b is
     sum_v h[v] (1 + chi(v + b)), a cyclic correlation of h with
-    g[t] = 1 + chi(-t). Written as one product H * G of packed ints
-    (Kronecker substitution, see _character_poly), its slot p + (-b mod p)
-    is the count at b.
+    g[t] = 1 + chi(-t). x -> -x negates x^3 + a x, so h[-v] = h[v] and the
+    x up to (p - 1)/2 fill h. The correlation is one product H * G of packed
+    ints (Kronecker substitution, see _character_poly), 2p - 1 slots, folded
+    in half by adding its top p slots to its low p; slot -b mod p of the
+    sum is the count at b.
     """
     fmt, G = poly
     h = [0] * p
-    for x in range(p):
-        h[(x * x * x + a * x) % p] += 1
-    slots = _unpack(_pack(h, fmt) * G, fmt, 3 * p)
-    row = slots[p:p + 1] + slots[2 * p - 1:p:-1]
+    h[0] = 1
+    for x in range(1, (p + 1) // 2):
+        v = (x * x * x + a * x) % p
+        h[v] += 1
+        h[-v] += 1
+    bits = 8 * p * array(fmt).itemsize
+    product = _pack(h, fmt) * G
+    slots = _unpack((product & ((1 << bits) - 1)) + (product >> bits), fmt, p)
+    row = slots[:1] + slots[:0:-1]
     # every x meets every b once: sum_b row[b] = p^2
     assert sum(row) == p * p, f"point counts of row a={a} mod {p} do not sum to p^2"
     # Hasse, |p - row[b]| <= 2 sqrt(p); a singular b has |p - row[b]| <= 1
@@ -419,48 +438,70 @@ def _primitive_root(p: int) -> int:
     return g
 
 
-class _PointCountRows:
-    """The affine point count of every (a, b) mod p, read from at most five
-    rows.
+# square[x] (1 for the nonzero squares, else 0) -> the row of a = x != 0
+_COSET = bytes([2, 1]) + bytes(254)
 
-    (a, b) and (u^4 a, u^6 b) are isomorphic over F_p for u in F_p^*, so
-    with g a primitive root and a = u^4 g^r (r < gcd(4, p - 1)) the count
-    at (a, b) is the count at (g^r, b u^-6). The orbit map sends a to its
-    row, coset[a] (0 for a = 0, 1 + r for the coset of g^r), and to
-    scale[a] = u^-6 (1 at a = 0), so count(a, b) = row[b scale[a] mod p]
-    of that row and a_p(a, b) = p - count(a, b). Each row is one
-    _count_row, built on first use; the orbit map is built with the table.
-    frobenius_traces and anomalous_residue_table both read these rows.
+
+class _PointCountRows:
+    """The affine point count of every (a, b) mod p, read from at most
+    three rows: those of a = reps[i] = 0, 1 and g, g a primitive root.
+
+    (a, b) and (u^4 a, u^6 b) are isomorphic over F_p for u in F_p^*, and
+    (c^2 a, c^3 b) is the quadratic twist of (a, b) by c, with the opposite
+    a_p where c is not a square. Take a = g^k, k = 2m or 2m + 1, and u with
+    u^2 = +-g^m a square, so u^4 = g^(2m):
+      - p = 3 mod 4: -1 is not a square, so u^2 = (-1)^m g^m and (a, b) ~
+        (g^(k - 2m), b u^-6), u^-6 = (-1)^m g^(-3m);
+      - p = 1 mod 4: for m even u^2 = g^m is a square and (a, b) ~
+        (g^(k - 2m), b g^(-3m)); for m odd (a, b) = (g^2 a', g^3 b') is the
+        twist by g of (a', b g^-3) with a' = g^(k - 2), which is isomorphic
+        to (g^(k - 2m), b g^(-3m)) as m - 1 is even.
+    So the orbit map sends a to its row, coset[a] (0 for a = 0, 1 for the
+    squares and 2 for the others), to scale[a] (1 at a = 0) and to sign[a]
+    (-1 on a twist, else 1), and a_p(a, b) = sign[a] (p - row[b scale[a]
+    mod p]) of that row: a twist negates a_p, and flips the split type of a
+    node with it.
+
+    Where p != 1 mod 3, x -> x^3 is a bijection of F_p, so y^2 = x^3 + b has
+    p affine points for every b (the cusp at b = 0 too): the a = 0 row is
+    constant p, with no correlation. Each other row is one _count_row, built
+    on first use; the orbit map is built with the table. frobenius_traces
+    and anomalous_residue_table both read these rows.
     """
 
-    __slots__ = ("p", "reps", "coset", "scale", "rows", "_poly")
+    __slots__ = ("p", "reps", "coset", "scale", "sign", "rows", "_poly")
 
     def __init__(self, p: int):
-        d = gcd(4, p - 1)
         g = _primitive_root(p)
-        reps = tuple(enumerate((pow(g, r, p) for r in range(d)), 1))
-        coset, scale = bytearray(p), array("I", [1]) * p
-        # u = g^t, t < (p - 1)/d, makes u^4 run over the fourth powers once
-        g4, g6 = pow(g, 4, p), pow(g, -6, p)
-        u4 = s = 1
-        for _ in range((p - 1) // d):
-            for i, a0 in reps:
-                a = u4 * a0 % p
-                coset[a] = i
-                scale[a] = s
-            u4 = u4 * g4 % p
-            s = s * g6 % p
-        self.p, self.coset, self.scale = p, coset, scale
-        self.reps = (0,) + tuple(a0 for _, a0 in reps)
-        self.rows = [None] * (d + 1)
-        self._poly = None
+        square = bytearray(p)
+        for x in range(1, p // 2 + 1):
+            square[x * x % p] = 1
+        coset = square.translate(_COSET)
+        coset[0] = 0
+        scale, sign = array("I", [1]) * p, array("b", [1]) * p
+        twisted = p % 4 == 1
+        # x = g^(2m), s = scale of x and x g, f = (-1)^m
+        gg, step = g * g % p, pow(g, -3, p)
+        x = s = f = 1
+        for _ in range((p - 1) // 2):
+            xg = x * g % p
+            if twisted:
+                sign[x] = sign[xg] = f
+                scale[x] = scale[xg] = s
+            else:
+                scale[x] = scale[xg] = s if f == 1 else p - s
+            x = x * gg % p
+            s = s * step % p
+            f = -f
+        self.p, self.coset, self.scale, self.sign = p, coset, scale, sign
+        self.reps = (0, 1, g)
+        self.rows = [array("I", [p]) * p if p % 3 != 1 else None, None, None]
+        self._poly = _character_poly(square)
 
     def row(self, i: int) -> array:
         """The counts of row i, the row of a = reps[i]."""
         row = self.rows[i]
         if row is None:
-            if self._poly is None:
-                self._poly = _character_poly(self.p)
             row = self.rows[i] = _count_row(self.reps[i], self.p, self._poly)
         return row
 
@@ -470,7 +511,7 @@ class _PointCountRows:
         p = self.p
         a = A % p
         row = self.rows[self.coset[a]] or self.row(self.coset[a])
-        return p - row[B % p * self.scale[a] % p]
+        return self.sign[a] * (p - row[B % p * self.scale[a] % p])
 
 
 # room for every prime up to _ROW_PRIME_BOUND, so that a scan builds the
@@ -488,25 +529,29 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
     Used by the height-box sweeps, which ask only for the rows A mod p their
     box meets.
 
-    The rows come from the point-count rows of p (_PointCountRows): a = 0
-    and one representative of each coset of the fourth powers in F_p^* that
-    the asked rows meet, at most five rows in all, each one big-integer
-    product in pure Python. A row a with count(a, b) = count(a0, b s) has
-    the anomalous b of its representative a0 times s^-1.
+    The rows come from the point-count rows of p (_PointCountRows): a = 0,
+    1 and g, at most three rows in all and fewer where the asked rows meet
+    fewer of their orbits, each one big-integer product in pure Python. A
+    row a with count(a, b) = count(a0, b s) has the anomalous b of its
+    representative a0 times s^-1; on a twisted coset the count is
+    2p - count(a0, b s), so there the representative's b with
+    count = 1 (mod p) are kept, not those with count = p - 1.
     """
     _require_odd_prime(p)
     counts = _point_count_rows(p)
-    anomalous = {}  # row index -> the sorted anomalous b of its representative
+    anomalous = {}  # (row index, sign) -> the sorted anomalous b of its representative
     out = []
     for a in (range(p) if rows is None else rows):
-        i = counts.coset[a]
-        if i not in anomalous:
+        key = i, sign = counts.coset[a], counts.sign[a]
+        if key not in anomalous:
             row, a3x4 = counts.row(i), 4 * counts.reps[i] ** 3
-            # p | #E(F_p) = count + 1, on the nonsingular b
-            anomalous[i] = tuple(b for b, n in enumerate(row)
-                                 if n % p == p - 1 and (a3x4 + 27 * b * b) % p)
+            # p | #E(F_p) = count + 1, on the nonsingular b; a twist's count
+            # is 2p - n, so p | 2p - n + 1 there
+            want = p - 1 if sign == 1 else 1
+            anomalous[key] = tuple(b for b, n in enumerate(row)
+                                   if n % p == want and (a3x4 + 27 * b * b) % p)
         s = counts.scale[a]
-        bs = anomalous[i]
+        bs = anomalous[key]
         if s != 1:
             inv = pow(s, -1, p)
             bs = tuple(sorted(b * inv % p for b in bs))
@@ -525,6 +570,8 @@ def dp_census(p: int) -> dict:
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
+    from .census import DpMode, d_of_p
+
     counts = {mode.value: d_of_p(p, mode) for mode in DpMode}
     pairs = [(a, b) for a, row in enumerate(anomalous_residue_table(p)) for b in row]
     # the rows and the class numbers count the same literal pairs

@@ -208,6 +208,14 @@ def _row_template(key) -> Tuple[str, str]:
     return head + _P_KEY, tail
 
 
+# id(result) -> (result, head, tail): each distinct result's template,
+# looked up once. Results are shared between records (prime_scan._result),
+# so a scan meets each again and again; the entry holds its result, so the
+# id stays that result's. Emptied when it reaches the size of that cache.
+_TEMPLATES: Dict[int, Tuple[PrimeScanResult, str, str]] = {}
+_TEMPLATE_LIMIT = 4096
+
+
 def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
     """One record's entry of the scan JSON, as the text that
     json.dumps(payload, indent=2, sort_keys=True) gives the element
@@ -216,11 +224,15 @@ def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
     head = '  {\n    "label": ' + json.dumps(label) + ',\n    "results": '
     if not results:
         return head + "[]\n  }"
-    row_key = _row_key()
+    templates = _TEMPLATES
+    if len(templates) >= _TEMPLATE_LIMIT:
+        templates.clear()
     rows = []
     for res in results:
-        row_head, row_tail = _row_template(row_key(res))
-        rows.append(row_head + str(res.p) + row_tail)
+        known = templates.get(id(res))
+        if known is None:
+            known = templates[id(res)] = (res, *_row_template(_row_key()(res)))
+        rows.append(known[1] + str(res.p) + known[2])
     return head + "[\n" + ",\n".join(rows) + "\n    ]\n  }"
 
 

@@ -456,31 +456,21 @@ def _tamagawa_number(curve, l):
     return _tate(curve.A, curve.B, l).tamagawa
 
 
-def _p_parts(curve, overrides, allow_23):
-    """p -> tau_p (p >= 5 prime) for one curve and override dict; the
-    Tamagawa table is worked out once, at the first call.
-
-    A bad l without an override adds to tau_p only at the p its v_l(Delta)
-    certificate cannot clear; only there is c_l computed (each once, by
-    Tate's algorithm), or UnknownLocalData raised where it may not be.
-    """
-    table = None
-
-    def tau_p(p):
-        nonlocal table
-        if table is None:
-            table = _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23)
-        product, blocked = table
-        for l, computable in blocked.get(p, ()):
-            if not computable:
-                raise UnknownLocalData(
-                    f"cannot certify the {p}-part of c_{l}; supply an override "
-                    f"or pass allow_23=True"
-                )
-            product *= _tamagawa_number(curve, l)
-        return p ** valuation(product, p)
-
-    return tau_p
+def _p_part(curve, table, p):
+    """tau_p (p >= 5 prime) of the curve from its Tamagawa table
+    (_tamagawa_table): the override product times c_l at each bad l the
+    v_l(Delta) certificate cannot clear at p. Only there is c_l computed
+    (each once, by Tate's algorithm), or UnknownLocalData raised where it
+    may not be."""
+    product, blocked = table
+    for l, computable in blocked.get(p, ()):
+        if not computable:
+            raise UnknownLocalData(
+                f"cannot certify the {p}-part of c_{l}; supply an override "
+                f"or pass allow_23=True"
+            )
+        product *= _tamagawa_number(curve, l)
+    return p ** valuation(product, p)
 
 
 def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
@@ -506,4 +496,4 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     for l, c in overrides.items():
         if c < 1:
             raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
-    return _p_parts(curve, overrides, allow_23)(p)
+    return _p_part(curve, _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23), p)

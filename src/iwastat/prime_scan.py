@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from . import _bind_on_access
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange
-from .local_data import _is_bad_prime, _p_parts, tamagawa_p_part
+from .local_data import _is_bad_prime, _p_part, _tamagawa_table, tamagawa_p_part
 from .primes import prime_range
 
 __all__ = [
@@ -129,45 +129,50 @@ class PrimeScanResult:
             assert self.mu == 0 and self.lam >= 0
 
 
-def _divisor_hit(record: CurveRecord, p: int, tau_p) -> Optional[bool]:
-    """p | Sha or p | tau_p(p), None without a Sha order; tau_p is asked
-    only where p does not divide the Sha order."""
-    sha = record.sha_order
-    return None if sha is None else (sha % p == 0 or tau_p(p) > 1)
-
-
 def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) -> bool:
     """p = 2, or p divides the Sha order, or p divides the Tamagawa product."""
     if p == 2:
         return True
-    hit = _divisor_hit(record, p, lambda q: tamagawa_p_part(record, q, allow_23=allow_23))
-    if hit is None:
+    sha = record.sha_order
+    if sha is None:
         raise MissingSha(f"Sha order needed to decide membership at p={p}")
-    return hit
+    return sha % p == 0 or tamagawa_p_part(record, p, allow_23=allow_23) > 1
 
 
-@lru_cache(maxsize=256)
-def _verdict(rank: int, ordinary: bool, anomalous: bool,
-             divisor_hit: Optional[bool], in_pi: Optional[bool]) -> tuple:
-    """Every field of the PrimeScanResult but p at a good prime p >= 5; a
-    scan meets only a few dozen distinct keys."""
+@lru_cache(maxsize=4096)
+def _result(p: int, rank: int, ordinary: Optional[bool], anomalous: bool,
+            divisor_hit: Optional[bool], in_pi: Optional[bool]) -> PrimeScanResult:
+    """The result at a prime p >= 5: BadPrime where ordinary is None, else
+    decided from the rank, the reduction (ordinary or supersingular, and
+    anomalous), divisor_hit (p | Sha or p | tau_p, None without a Sha order)
+    and in_pi. Results are frozen, so records that meet the same key share
+    one and its checks run once; a scan meets a few dozen keys per prime. A
+    result that a failed hypothesis makes independent of the rank is that of
+    the lowest rank the hypothesis is checked at, so it is built once too.
+    """
+    if ordinary is None:
+        return PrimeScanResult(p, ReductionClass.BAD, False, None, None, None,
+                               Conclusion.BAD_PRIME, False, Reason.BAD_PRIME)
     flags = (ReductionClass.GOOD_ORDINARY if ordinary else ReductionClass.GOOD_SUPERSINGULAR,
              anomalous, divisor_hit, divisor_hit, in_pi)
-    # the hypotheses in the order they are checked; the first that fails
-    # names the reason. Supersingular primes are never anomalous for p >= 5.
+    # the hypotheses in the order they are checked, with the lowest rank each
+    # is checked at; the first that fails names the reason. Supersingular
+    # primes are never anomalous for p >= 5.
     gates = [
-        (ordinary and anomalous, Reason.ANOMALOUS),
-        (divisor_hit is None, Reason.MISSING_SHA),
-        (divisor_hit, Reason.SHA_OR_TAMAGAWA),
+        (ordinary and anomalous, Reason.ANOMALOUS, 0),
+        (divisor_hit is None, Reason.MISSING_SHA, 0),
+        (divisor_hit, Reason.SHA_OR_TAMAGAWA, 0),
     ]
     if rank >= 1:
         gates += [
-            (in_pi is None, Reason.MISSING_REGULATOR),
-            (in_pi, Reason.REGULATOR_DIVIDES),
+            (in_pi is None, Reason.MISSING_REGULATOR, 1),
+            (in_pi, Reason.REGULATOR_DIVIDES, 1),
         ]
-    for failed, reason in gates:
+    for failed, reason, lowest in gates:
         if failed:
-            return flags + (Conclusion.INCONCLUSIVE, False, reason, None, None, None)
+            if rank > lowest:
+                return _result(p, lowest, ordinary, anomalous, divisor_hit, in_pi)
+            return PrimeScanResult(p, *flags, Conclusion.INCONCLUSIVE, False, reason)
 
     if rank >= 1:
         conclusion = Conclusion.CHAR_ELEMENT_IS_TR
@@ -176,20 +181,8 @@ def _verdict(rank: int, ordinary: bool, anomalous: bool,
     else:
         conclusion = Conclusion.SIGNED_SELMER_TRIVIAL
     conditional = rank >= 1 and not ordinary
-    return flags + (conclusion, conditional,
-                    Reason.CONDITIONAL if conditional else Reason.NONE, 0, rank, 0)
-
-
-_BAD_PRIME = (ReductionClass.BAD, False, None, None, None,
-              Conclusion.BAD_PRIME, False, Reason.BAD_PRIME, None, None, None)
-
-
-@lru_cache(maxsize=4096)
-def _result(p: int, key: tuple) -> PrimeScanResult:
-    """The result at p with every other field from key (_verdict or
-    _BAD_PRIME). Results are frozen, so records that meet the same verdict
-    at p share one, and its checks run once."""
-    return PrimeScanResult(p, *key)
+    return PrimeScanResult(p, *flags, conclusion, conditional,
+                           Reason.CONDITIONAL if conditional else Reason.NONE, 0, rank, 0)
 
 
 @lru_cache(maxsize=64)
@@ -205,28 +198,39 @@ def scan_primes(
 ) -> List[PrimeScanResult]:
     """Classify every prime in [p_min, p_max] for the record, ordered by p.
 
-    Every a_p comes from one frobenius_traces call, the record's Tamagawa
-    table is read once, at the first prime that needs it (not where the Sha
-    order is missing or divisible by p), each distinct verdict is decided
-    once and each distinct result is built once.
+    Every a_p comes from one frobenius_traces call and each distinct result
+    is built once (_result). The divisor test reads the record's Tamagawa
+    table (local_data._tamagawa_table) directly: p | Sha, or p divides the
+    override product, or p is blocked there and tau_p > 1. The table is read
+    once, at the first prime that needs it (not where the Sha order is
+    missing or divisible by p), so TooLarge and UnknownLocalData are raised
+    at that prime.
     """
     if p_min < 5:
         raise InvalidPrime(
             f"scans start at 5, got p_min={p_min}; local data at 2 and 3 is override-fed"
         )
     primes = _scan_range(p_min, p_max)
-    curve, rank = record.curve, record.rank
-    tau_p = _p_parts(curve, record.tamagawa_overrides, allow_23)
+    curve, rank, sha = record.curve, record.rank, record.sha_order
+    disc0 = curve.disc0
+    table = None
     in_pi = {p: v != 0 for p, v in (record.regulator_valuations or {}).items()}
     results = []
     for p, a_p in zip(primes, frobenius_traces(curve.A, curve.B, primes)):
-        if curve.disc0 % p == 0:
-            results.append(_result(p, _BAD_PRIME))
+        if disc0 % p == 0:
+            results.append(_result(p, 0, None, False, None, None))
             continue
+        if sha is None:
+            hit = None
+        elif sha % p == 0:
+            hit = True
+        else:
+            if table is None:
+                table = _tamagawa_table(
+                    curve, tuple(sorted(record.tamagawa_overrides.items())), allow_23)
+            product, blocked = table
+            hit = _p_part(curve, table, p) > 1 if p in blocked else product % p == 0
         # Hasse puts |a_p| < p, so p | a_p (supersingular) means a_p = 0,
         # and p | N_p = p + 1 - a_p (anomalous) means a_p = 1 mod p
-        results.append(_result(p, _verdict(
-            rank, a_p != 0, (a_p - 1) % p == 0,
-            _divisor_hit(record, p, tau_p), in_pi.get(p),
-        )))
+        results.append(_result(p, rank, a_p != 0, (a_p - 1) % p == 0, hit, in_pi.get(p)))
     return results

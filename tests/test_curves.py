@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 
@@ -415,9 +414,9 @@ def test_anomalous_rows_of_a_small_box_stay_small():
     assert peak < p * p, peak
 
 
-def test_anomalous_rows_of_a_small_box_correlate_at_most_five_rows(monkeypatch):
-    # the 9 rows of the height-100 box at p = 4999 meet every coset of the
-    # fourth powers; a = 0 and one row per coset are computed, the rest mapped
+def test_anomalous_rows_of_a_small_box_correlate_at_most_three_rows(monkeypatch):
+    # the 9 rows of the height-100 box at p = 4999 meet a = 0 and both
+    # cosets of the squares; a = 0, 1 and g are computed, the rest mapped
     calls = []
     row = curves._count_row
 
@@ -429,7 +428,7 @@ def test_anomalous_rows_of_a_small_box_correlate_at_most_five_rows(monkeypatch):
     curves._point_count_rows.cache_clear()
     p = 4999
     e3 = empirical_densities(p, 100).e3
-    assert 1 <= len(calls) <= 5, calls
+    assert 1 <= len(calls) <= 3, calls
     assert e3 == sum(1 for A, B in iter_curves(100)
                      if disc0_of(A, B) % p and (p + 1 - trace_by_legendre(A, B, p)) % p == 0)
 
@@ -513,14 +512,25 @@ def test_point_count_rows_of_a_scan_stay_cached():
     assert curves._point_count_rows.cache_info().maxsize >= len(ROW_PRIMES)
 
 
-def test_point_count_rows_cover_every_pair_at_small_primes():
-    for p in (3, 5, 7, 11, 13):
-        rows = curves._point_count_rows(p)
+def test_point_count_rows_cover_every_pair_at_small_primes(monkeypatch):
+    # every prime below 50 meets every class of p mod 12, and the singular
+    # pairs of the twisted cosets where p = 1 mod 4
+    calls = []
+    row = curves._count_row
+    monkeypatch.setattr(curves, "_count_row",
+                        lambda a, p, poly: calls.append((p, a)) or row(a, p, poly))
+    for p in primes_up_to(49)[1:]:
+        rows = curves._PointCountRows(p)
         for a in range(p):
             for b in range(p):
                 assert rows.trace(a, b) == trace_by_legendre(a, b, p), (a, b, p)
-        # a = 0 and one row per coset of the fourth powers
-        assert len(rows.rows) == 1 + math.gcd(4, p - 1)
+        # a = 1 and a = g, and a = 0 where p = 1 mod 3; elsewhere x -> x^3 is
+        # a bijection, so the a = 0 row is p for every b and is not correlated
+        correlated = sorted(a for q, a in calls if q == p)
+        assert correlated == ([0] if p % 3 == 1 else []) + sorted(rows.reps[1:]), (p, correlated)
+        assert len(correlated) == (3 if p % 3 == 1 else 2)
+        if p % 3 == 2:
+            assert list(rows.rows[0]) == [p] * p
 
 
 ORDER_PRIMES = tuple(p for p in ROW_PRIMES if p > 229)

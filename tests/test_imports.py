@@ -53,7 +53,7 @@ BUDGETS = [
     (["enumerate", "--height", "1000000", "--prime", "499"], None, UNUSED_BY_SWEEP),
     (["enumerate", "--height", "1000000", "--prime", "499", "--strict"], None, UNUSED_BY_SWEEP),
     (["ip-count", "--l", "7", "--p", "5", "--height", "100000000"], None, UNUSED_BY_SWEEP),
-    (["scan", "recs.csv", "--max-prime", "30"], None, {"enumeration", "charpoly"}),
+    (["scan", "recs.csv", "--max-prime", "30"], None, {"enumeration", "charpoly", "census"}),
 ]
 
 

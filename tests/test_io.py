@@ -203,3 +203,35 @@ def test_scan_json_writer_escapes_labels(label):
     fh = io.StringIO()
     write_scan_json(iter([]), fh)
     assert fh.getvalue() == "[]\n"
+
+
+def test_scan_rows_render_each_result_object_as_its_own(monkeypatch):
+    # the writer keeps each distinct result's template by object; results
+    # built and dropped one by one (their ids are reused at once) and equal
+    # results that are different objects must each render as json.dumps
+    # does, and the templates kept stay bounded
+    from iwastat import io as iwastat_io
+    from iwastat.curves import ReductionClass
+    from iwastat.prime_scan import Conclusion, PrimeScanResult, Reason
+
+    monkeypatch.setattr(iwastat_io, "_TEMPLATE_LIMIT", 8)
+    iwastat_io._TEMPLATES.clear()
+    kinds = [
+        (ReductionClass.GOOD_ORDINARY, False, False, False, None,
+         Conclusion.SELMER_TRIVIAL, False, Reason.NONE, 0, 0, 0),
+        (ReductionClass.GOOD_ORDINARY, True, False, False, None,
+         Conclusion.INCONCLUSIVE, False, Reason.ANOMALOUS, None, None, None),
+        (ReductionClass.GOOD_SUPERSINGULAR, False, None, None, True,
+         Conclusion.INCONCLUSIVE, False, Reason.MISSING_SHA, None, None, None),
+        (ReductionClass.BAD, False, None, None, None,
+         Conclusion.BAD_PRIME, False, Reason.BAD_PRIME, None, None, None),
+    ]
+    for i in range(200):
+        results = [PrimeScanResult(5 + 2 * j, *kinds[(i + j) % len(kinds)]) for j in range(i % 5)]
+        want = json.dumps([{"label": "r", "results": [scan_result_dict(r) for r in results]}],
+                          indent=2, sort_keys=True) + "\n"
+        fh = io.StringIO()
+        write_scan_json([scan_entry_text("r", results)], fh)
+        assert fh.getvalue() == want, i
+        # emptied once it reaches the limit, before a record adds its rows
+        assert len(iwastat_io._TEMPLATES) < 8 + 4

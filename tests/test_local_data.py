@@ -548,10 +548,11 @@ def test_tate_runs_only_where_the_certificate_fails(monkeypatch):
     monkeypatch.setattr(local_data, "_tate", lambda A, B, l: calls.append(l) or tate(A, B, l))
     local_data._tamagawa_table.cache_clear()
     local_data._tamagawa_number.cache_clear()
-    tau_p = local_data._p_parts(CurveQ(-17, 425), {2: 1, 3: 1}, False)
-    assert [tau_p(p) for p in (7, 11, 13, 17, 19)] == [1] * 5
+    curve, overrides = CurveQ(-17, 425), {2: 1, 3: 1}
+    assert [tamagawa_p_part(curve, p, overrides) for p in (7, 11, 13, 17, 19)] == [1] * 5
     assert calls == []
-    assert tau_p(5) == tau_p(5) == tamagawa_p_part((-17, 425), 5) == 5
+    assert tamagawa_p_part(curve, 5, overrides) == tamagawa_p_part(curve, 5, overrides) == 5
+    assert tamagawa_p_part((-17, 425), 5) == 5
     assert calls == [7]
 
 

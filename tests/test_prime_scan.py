@@ -10,7 +10,9 @@ import pytest
 import iwastat
 from iwastat import local_data
 from iwastat.curves import CurveQ, ReductionClass
-from iwastat.errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, UnknownLocalData
+from iwastat.errors import (
+    GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, TooLarge, UnknownLocalData,
+)
 from iwastat.prime_scan import (
     Conclusion,
     CurveRecord,
@@ -181,6 +183,27 @@ def test_unknown_local_data_propagates():
     assert scan_at(rec, 5, True).conclusion is scan_at(fixed, 5).conclusion
 
 
+# disc0 = 4 A^3 + 27 B^2 (143 bits) leaves a 138-bit cofactor after trial
+# division to 2^16, so its Tamagawa table raises TooLarge
+BIG = (123456789012345, -98765432109876543)
+
+
+def test_scan_reads_the_tamagawa_table_only_where_a_sha_order_asks():
+    with pytest.raises(TooLarge):
+        local_data._tamagawa_table(CurveQ(*BIG), (), False)
+    # without a Sha order the divisor test is None at every prime, and the
+    # table is never read
+    clean = scan_primes(CurveRecord(BIG, rank=1), 100)
+    assert len(clean) == 23
+    assert all(r.in_sigma_prime is None for r in clean)
+    # with one, the first good prime it does not divide reads the table
+    for sha in (1, 5, 7 * 11):
+        with pytest.raises(TooLarge):
+            scan_primes(CurveRecord(BIG, rank=1, sha_order=sha), 100)
+    # a range whose every good prime divides the Sha order never reads it
+    assert [r.in_sigma_prime for r in scan_primes(CurveRecord(BIG, rank=0, sha_order=5), 5)] == [True]
+
+
 def test_result_invariant_asserts():
     with pytest.raises(AssertionError):
         PrimeScanResult(
@@ -258,8 +281,12 @@ def test_scan_builds_each_distinct_result_once(monkeypatch):
 
     monkeypatch.setattr(PrimeScanResult, "__post_init__", counting)
     prime_scan._result.cache_clear()
+    # a result that does not depend on the rank is shared across ranks too:
+    # (1, 1) is anomalous at 97 at ranks 0 and 1, and (-1, 1) lacks its
+    # regulator excess at ranks 1 and 2
     records = [CurveRecord((a, b), rank=r, sha_order=1)
-               for a, b, r in ((-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-2, 1, 0), (-1, 1, 1))]
+               for a, b, r in ((-1, 0, 0), (-1, 1, 0), (1, 1, 0), (-2, 1, 0), (-1, 1, 1),
+                               (-1, 1, 2), (1, 1, 1))]
     scans = [scan_primes(rec, 300) for rec in records * 2]
     distinct = {dataclasses.astuple(res) for scan in scans for res in scan}
     assert sum(map(len, scans)) == 2 * len(records) * 60

@@ -113,8 +113,9 @@ def _scan_record(rec, max_prime, allow_23):
 
 def _cmd_scan(args) -> int:
     from .io import write_scan_json
-    from .parallel import default_workers
+    from .prime_scan import _require_scan_cap
 
+    _require_scan_cap(args.max_prime)
     records, errors = _cli.parse_records(args.records)
     for lineno, msg in errors:
         print(f"row {lineno}: {msg}", file=sys.stderr)
@@ -123,14 +124,16 @@ def _cmd_scan(args) -> int:
         if not records:
             print(f"no record with label {args.label!r}", file=sys.stderr)
             return 1
-    workers = args.workers if args.workers is not None else default_workers()
     jobs = [(rec, args.max_prime, args.allow_23) for rec in records]
+    # the worker count is read here, so an invalid IWASTAT_THREADS stops the
+    # scan before anything is written
+    results = _cli.fan_out(_scan_record, jobs, args.workers)
     status = 1 if errors else 0
 
     def entries():
         # each record's entry is written as it finishes, in record order
         nonlocal status
-        for code, text in _cli.fan_out(_scan_record, jobs, workers):
+        for code, text in results:
             if code:
                 print(text, file=sys.stderr)
                 status = max(status, code)

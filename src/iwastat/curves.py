@@ -41,7 +41,7 @@ from math import gcd, isqrt
 
 from . import _bind_on_access
 from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
-from .primes import factorize, is_prime, iroot, legendre, primes_up_to
+from .primes import factorize, is_prime, iroot, legendre
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass",
@@ -79,18 +79,11 @@ def minimal_mask(A: int, B, qs, ok=True):
     return ok
 
 
-# is_minimal_pair sieves for the q while their bound is at most this (~4 ms
-# on a 2-vCPU Xeon VM, Python 3.11). Past it the sieve's time and memory grow
-# with the bound without limit, so the q come from factorize(gcd(A, B)), whose
-# cost depends on the factors of the gcd instead.
-_SIEVE_LIMIT = 1 << 16
-
-
-# is_minimal_pair trial-divides a pair with a zero coefficient while the
-# bound of _free_of_powers is at most this: |A| below ~2^100 when B == 0 and
-# |B| below ~2^140 when A == 0, ~50 ms at the bound (2-vCPU Xeon VM, Python
-# 3.11). Past it such a pair factors like any other.
-_ZERO_TRIAL_LIMIT = 1 << 20
+# is_minimal_pair trial-divides while the bound of _free_of_powers is at most
+# this, ~50 ms at the bound (2-vCPU Xeon VM, Python 3.11): |A| below ~2^100
+# when B == 0, |B| below ~2^140 when A == 0 and gcd(A^3, B^2) below ~2^260
+# otherwise. Past it the pair factors gcd(A, B) instead.
+_TRIAL_LIMIT = 1 << 20
 
 
 def _free_of_powers(n: int, k: int) -> bool:
@@ -121,23 +114,22 @@ def _free_of_powers(n: int, k: int) -> bool:
 def is_minimal_pair(A: int, B: int) -> bool:
     """True unless some prime q has q^4 | A and q^6 | B.
 
-    With B == 0 that is q^4 | A, and with A == 0 it is q^6 | B: such a pair
-    is decided by trial division (_free_of_powers) while its bound is at
-    most _ZERO_TRIAL_LIMIT. Otherwise such a q divides gcd(A, B) and has
-    q^12 | gcd(A^3, B^2), so the q tried are the primes up to the twelfth
-    root of that gcd while the root is at most _SIEVE_LIMIT, and the prime
-    factors of gcd(A, B) past it (factorize raises TooLarge past its proven
-    range).
+    With B == 0 that is q^4 | A, with A == 0 it is q^6 | B, and otherwise it
+    is q^12 | gcd(A^3, B^2) (v_q(A^3) = 3 v_q(A) and v_q(B^2) = 2 v_q(B)).
+    That one (n, k) is decided by trial division (_free_of_powers) while its
+    bound is at most _TRIAL_LIMIT; past it the q are the prime factors of
+    gcd(A, B) (factorize raises TooLarge past its proven range).
     """
     if A == 0 and B == 0:
         return False
-    if A == 0 or B == 0:
-        n, k = (abs(A), 4) if B == 0 else (abs(B), 6)
-        if iroot(n, k + 1) <= _ZERO_TRIAL_LIMIT:
-            return _free_of_powers(n, k)
-    bound = iroot(gcd(A**3, B**2), 12)
-    if bound <= _SIEVE_LIMIT:
-        return minimal_mask(A, B, primes_up_to(bound))
+    if B == 0:
+        n, k = abs(A), 4
+    elif A == 0:
+        n, k = abs(B), 6
+    else:
+        n, k = gcd(A**3, B**2), 12
+    if iroot(n, k + 1) <= _TRIAL_LIMIT:
+        return _free_of_powers(n, k)
     return minimal_mask(A, B, factorize(gcd(A, B)))
 
 

@@ -17,8 +17,10 @@ classes of B and never walks the B of a row:
   Hensel-lifted square roots of -4A^3/27 mod l^p, and their few hits are
   tested one by one.
 
-A row costs O(classes + hits) in time and memory. A worker count > 1
-partitions the A-range and merges pure counts.
+A row costs O(classes + hits) in time and memory. A worker count n > 1,
+from --workers or IWASTAT_THREADS, cuts the A-range into min(n, usable
+CPUs, rows) parts, sweeps each in a forked child and merges pure counts;
+one part is swept in this process.
 
 zeta10, bound_dp2 and bound_dp3, the closed-form bounds the report
 carries, are defined in census and re-exported here as the same objects;
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from .census import DpMode, _require_census_prime, bound_dp2, bound_dp3, d_of_p, zeta10
 from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
 from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
-from .parallel import capped_workers, default_workers, fan_out
+from .parallel import fan_out, worker_count
 from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, valuation
 
 __all__ = [
@@ -58,22 +60,6 @@ __all__ = [
 # the whole box at p = 5 holds ~2.7e5 of them at X = 10^10 and ~1e7 at 10^12
 # (20-30 s on one core), so 10^15 would take hours.
 _X_CAP = 10 ** 15
-
-# Fanning out costs tens of ms, so the sweep fans out only when its serial
-# work, estimated from the box and the mode, passes the break-even. The
-# threshold was timed against the process pool that fan_out used before it
-# forked its own children, and stays until a sweep workload above the
-# break-even re-times it. The estimate per row, timed in-process on a
-# 2-vCPU Xeon VM (Python 3.11): ~8 us for the row's classes, ~3 us for
-# each e2 or I_p locus prime l and ~50 us for the strict ladders, plus
-# ~1.3 us for each locus hit tested one by one (about (2 bmax + 1) / l^p a
-# row). There, serial against two workers at 23 points in six modes
-# (`enumerate --prime 5` and 7, each with and without --strict, `--prime
-# 13 --strict` and `ip-count --l 7 --p 5`), ordered by the estimate, the
-# pool lost or tied below ~150 ms and won from there on but for two
-# near-ties at ~160 and ~180 ms (runs in BENCH_13.json).
-_ROW_US, _LOCUS_US, _STRICT_US, _HIT_US = 8, 3, 50, 1.3
-_MIN_PARALLEL_US = 150_000
 
 
 def box_bounds(X: int) -> Tuple[int, int]:
@@ -528,31 +514,20 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     return out
 
 
-def _serial_cost_us(amax, bmax, p, locus, strict) -> float:
-    """The sweep's estimated serial run time in us (see _MIN_PARALLEL_US)."""
-    rows = 2 * amax + 1
-    hits = rows * sum((2 * bmax + 1) / l ** p for l in locus)
-    return rows * (_ROW_US + _LOCUS_US * len(locus) + _STRICT_US * strict) + _HIT_US * hits
-
-
 def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
            workers=None) -> _SweepCounts:
     amax, bmax = box_bounds(X)
     for l in ip_primes or []:
         if not is_prime(l):
             raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
-    # one job per worker that can run at once
-    workers = capped_workers(default_workers() if workers is None else workers)
-    e2_set, ip_set = _locus_primes(p, 4 * amax ** 3 + 27 * bmax ** 2, ip_primes, want_e2)
-    if workers <= 1 or _serial_cost_us(amax, bmax, p, e2_set | ip_set, strict) < _MIN_PARALLEL_US:
-        return _sweep_chunk(X, p, -amax, amax + 1, ip_primes, want_e2, want_e3, strict)
-    edges = [-amax + i * (2 * amax + 1) // workers for i in range(workers + 1)]
-    jobs = [
-        (X, p, edges[i], edges[i + 1], ip_primes, want_e2, want_e3, strict)
-        for i in range(workers)
-    ]
-    merged = _SweepCounts(ip_counts={l: 0 for l in (ip_primes or [])})
-    for part in fan_out(_sweep_chunk, jobs, workers):
+    # one job per worker that can run at once, and no more jobs than rows
+    parts = min(worker_count(workers), 2 * amax + 1)
+    edges = [-amax + i * (2 * amax + 1) // parts for i in range(parts + 1)]
+    jobs = [(X, p, lo, hi, ip_primes, want_e2, want_e3, strict)
+            for lo, hi in zip(edges, edges[1:])]
+    counts = fan_out(_sweep_chunk, jobs, parts)
+    merged = next(counts)
+    for part in counts:
         merged.merge(part)
     return merged
 

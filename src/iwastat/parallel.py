@@ -4,37 +4,27 @@ fan_out returns an iterator: it yields each job's result in order, so the
 scan writes every record's entry as it finishes instead of keeping the
 batch, and the sweep merges its chunks as they arrive.
 
-default_workers is the default worker count: IWASTAT_THREADS sets it;
-unset or empty means one worker. A value that is not an integer raises
-InvalidSetting, which the CLI reports with exit code 1.
-
-capped_workers bounds any worker count, from --workers or IWASTAT_THREADS,
-by the CPUs this process may run on (usable_cpus): more processes than CPUs
-gain nothing, and fan_out forks all of its children at once. fan_out
-applies it, and the sweep applies it before it cuts its rows into one job
-per worker.
+worker_count is the one reading of a worker count. A count given, from
+--workers, is taken as it is; None reads IWASTAT_THREADS, where unset or
+empty means one worker and a value that is not an integer raises
+InvalidSetting, which the CLI reports with exit code 1. Either is capped at
+the CPUs this process may run on (usable_cpus): more processes than CPUs
+gain nothing, and fan_out forks all of its children at once. fan_out reads
+its count there, and the sweep reads it there before it cuts its rows into
+one job per worker.
 
 The parallel branch forks one child per worker (_forked) and reads each
 result back through that child's pipe, so it needs os.fork; without it
 fan_out runs serially. The modules it uses (fcntl, pickle, signal, struct)
 are imported there, so a serial run loads none of them. The CLI loads this
 module only for the commands that can fan out (scan, enumerate, ip-count),
-and the sweep fans out only when its estimated serial work passes
-enumeration._MIN_PARALLEL_US.
+and each of them forks whenever it is asked for more than one worker.
 """
 
 import os
-from itertools import starmap
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import InvalidSetting
-
-
-def default_workers() -> int:
-    try:
-        return int(os.environ.get("IWASTAT_THREADS", "1") or "1")
-    except ValueError as e:
-        raise InvalidSetting(str(e)) from None
 
 
 def usable_cpus() -> int:
@@ -46,27 +36,35 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def capped_workers(workers: int) -> int:
-    return min(workers, usable_cpus())
+def worker_count(workers: Optional[int] = None) -> int:
+    """workers, or IWASTAT_THREADS when it is None, capped at usable_cpus()
+    and at least 1."""
+    if workers is None:
+        try:
+            workers = int(os.environ.get("IWASTAT_THREADS", "1") or "1")
+        except ValueError as e:
+            raise InvalidSetting(str(e)) from None
+    return max(1, min(workers, usable_cpus()))
 
 
-def fan_out(fn, jobs, workers: int) -> Iterator:
+def fan_out(fn, jobs, workers: Optional[int] = None) -> Iterator:
     """fn(*job) for each job, yielded in order as each result is ready, over
-    at most capped_workers(workers) forked processes.
+    at most worker_count(workers) forked processes.
 
-    One worker or one job runs serially in this process, one job per step
-    of the iterator. Otherwise each child runs its share of the jobs as
-    _forked describes: fn and the jobs reach it by fork, and only the
-    results must pickle. An exception that fn raises is raised here at its
-    job's turn; so is a RuntimeError when a child dies. The children live
-    until the iterator is exhausted or closed.
+    The count is read when fan_out is called, so an invalid IWASTAT_THREADS
+    raises before any job runs. One worker or one job runs serially in this
+    process, one job per step of the iterator. Otherwise each child runs its
+    share of the jobs as _forked describes: fn and the jobs reach it by
+    fork, and only the results must pickle. An exception that fn raises is
+    raised here at its job's turn; so is a RuntimeError when a child dies.
+    The children are forked at the first step and live until the iterator
+    is exhausted or closed.
     """
     jobs = list(jobs)
-    workers = min(capped_workers(workers), len(jobs))
+    workers = min(worker_count(workers), len(jobs))
     if workers <= 1 or not hasattr(os, "fork"):
-        yield from starmap(fn, jobs)
-        return
-    yield from _forked(fn, jobs, workers)
+        return (fn(*job) for job in jobs)
+    return _forked(fn, jobs, workers)
 
 
 # Each child's pipe is widened to this, the unprivileged Linux maximum by

@@ -291,6 +291,39 @@ def test_scan_record_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert err.splitlines()[-1] == "error: invalid literal for int() with base 10: 'x'"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "recs.csv", "--max-prime", "30", "--out", "out.json"],
+    ["enumerate", "--height", "100000", "--prime", "5", "--out", "out.json"],
+    ["ip-count", "--l", "7", "--p", "5", "--height", "100000"],
+], ids=["scan", "enumerate", "ip-count"])
+def test_an_invalid_thread_setting_exits_1_before_any_output(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("IWASTAT_THREADS", "x")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: invalid literal for int() with base 10: 'x'\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_scan_past_the_cap_exits_1_before_any_record(capsys, tmp_path, monkeypatch):
+    # the cap is checked before the records are read or any prime is sieved:
+    # one error line, even with a bad row and two workers
+    from iwastat import prime_scan
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved to {hi}")
+
+    monkeypatch.setattr(prime_scan, "prime_range", no_sieve)
+    path = tmp_path / "recs.csv"
+    path.write_text(HEADER + "\nr1,-1,0,0,1,,,,\nr2,-1,1,0,1,,,,\nbad,-1,0,0,0,,,,\n")
+    cap = prime_scan._P_MAX_CAP
+    out_path = tmp_path / "scan.json"
+    code, out, err = run(capsys, "scan", str(path), "--max-prime", str(cap + 1),
+                         "--workers", "2", "--out", str(out_path))
+    assert (code, out, err) == (1, "", f"error: scan range up to {cap + 1} exceeds the cap {cap}\n")
+    assert not out_path.exists()
+
+
 def test_scan_rejects_a_repeated_reg_excess_prime(capsys, tmp_path):
     # a rank-1 record reads Inconclusive at 5 with 5:0;5:1 kept as 5:1, and
     # CharElementIsTr with 5:1;5:0 kept as 5:0: either order is a row error

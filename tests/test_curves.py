@@ -129,40 +129,38 @@ def test_curveq_validation():
     assert is_minimal_pair(8, 0) and is_minimal_pair(0, 32)
 
 
-def test_minimal_pair_sieves_only_to_the_gcd_bound(monkeypatch):
-    # only q with q^12 | gcd(A^3, B^2) can break minimality; with B = 1 there
-    # is none, so a huge A needs no sieve
-    bounds = []
+def test_minimal_pair_trial_divides_only_to_the_gcd_bound(monkeypatch):
+    # only q with q^12 | gcd(A^3, B^2) can break minimality; with B = 1 the
+    # gcd is 1, so a huge A is decided with no division at all
+    refuse_factorize(monkeypatch)
+    calls = []
+    real = curves._free_of_powers
 
-    def recording(n):
-        bounds.append(n)
-        return primes_up_to(n)
+    def recording(n, k):
+        calls.append((n, k))
+        return real(n, k)
 
-    monkeypatch.setattr(curves, "primes_up_to", recording)
+    monkeypatch.setattr(curves, "_free_of_powers", recording)
     c = CurveQ(10**28 + 1, 1)
     assert c.height == (10**28 + 1) ** 3
-    assert bounds and max(bounds) <= 1
-    # a shared 97^4 / 97^6 is still found
+    assert calls == [(1, 12)]
+    # a shared 97^4 / 97^6 is still found: 97 is past the 13th root of the
+    # gcd 97^12, and what is left is 97^12 exactly
     assert not is_minimal_pair(97**4 * 10**10, 97**6 * 7)
-    assert max(bounds) == 97
+    assert calls[-1] == (97**12, 12)
 
 
 def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monkeypatch):
     # with B = 0 only q^4 | A matters and with A = 0 only q^6 | B: trial
     # division to |A|^(1/5) or |B|^(1/7), then an exact root of what is left,
-    # decides such a pair with neither a sieve nor factorize while that bound
-    # is at most curves._ZERO_TRIAL_LIMIT; past it the pair factors
-    bounds, factored = [], []
-
-    def recording_sieve(n):
-        bounds.append(n)
-        return primes_up_to(n)
+    # decides such a pair without factorize while that bound is at most
+    # curves._TRIAL_LIMIT; past it the pair factors
+    factored = []
 
     def recording_factorize(n):
         factored.append(n)
         return factorize(n)
 
-    monkeypatch.setattr(curves, "primes_up_to", recording_sieve)
     monkeypatch.setattr(curves, "factorize", recording_factorize)
     n = 10**28 + 1  # 73 * 137 * 7841 * 127522001020150503761
     assert CurveQ(0, n).height == n**2
@@ -179,15 +177,15 @@ def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monk
         CurveQ(0, -5 * q**6)
     assert CurveQ(7 * q**3, 0).height == (7 * q**3) ** 3
     assert CurveQ(0, 5 * q**5).height == (5 * q**5) ** 2
-    limit = curves._ZERO_TRIAL_LIMIT
+    limit = curves._TRIAL_LIMIT
     with pytest.raises(NonMinimalModel):
         CurveQ(limit**5, 0)
-    assert (bounds, factored) == ([], [])
+    assert factored == []
     with pytest.raises(NonMinimalModel):
         CurveQ((limit + 1) ** 5, 0)
     with pytest.raises(NonMinimalModel):
         CurveQ(7841**4 * n, 0)
-    assert factored == [(limit + 1) ** 5, 7841**4 * n] and bounds == []
+    assert factored == [(limit + 1) ** 5, 7841**4 * n]
 
 
 def test_zero_coefficient_pairs_with_two_large_factors_never_factor(monkeypatch):
@@ -223,13 +221,17 @@ def test_a_zero_coefficient_pair_past_2_to_the_64_is_quick(monkeypatch):
 
 
 def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):
-    # each shared (10^4, 10^6) multiplies the gcd bound by 10: (10^28, 10^42)
-    # would sieve to 10^7, and a shared prime P gives a bound of P^(5/6); the
-    # q come from the prime factors of gcd(A, B) instead
-    def no_sieve(n):
-        raise AssertionError(f"sieved to {n}")
+    # the 13th root of gcd(A^3, B^2) is the trial bound: (10^28, 10^42)
+    # would trial-divide to ~2.9e6, and a shared prime P to P^(10/13) or
+    # more, both past curves._TRIAL_LIMIT; the q come from the prime factors
+    # of gcd(A, B) instead
+    factored = []
 
-    monkeypatch.setattr(curves, "primes_up_to", no_sieve)
+    def recording_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(curves, "factorize", recording_factorize)
     with pytest.raises(NonMinimalModel):
         CurveQ(10**28, 10**42)
     P = 1000000007
@@ -237,6 +239,7 @@ def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):
     assert not is_minimal_pair(P**4, 7 * P**6)
     assert is_minimal_pair(2**4 * 3 * P**3, 2**5 * 5 * P**6)
     assert not is_minimal_pair(2**4 * 3 * P**3, 2**6 * 5 * P**5)
+    assert factored == [10**28, P**4, P**4, 2**4 * P**3, 2**4 * P**3]
 
 
 def test_classify_reduction_cases():

@@ -90,7 +90,7 @@ def test_minimal_mask_matches_brute_force(A, centre, half):
             assert is_minimal_pair(A, b) == brute_minimal(A, b)
 
 
-# |A| far above any height box, so is_minimal_pair's sieve bound comes from
+# |A| far above any height box, so is_minimal_pair's trial bound comes from
 # gcd(A^3, B^2), not from |A| alone; shared q^4 / q^6 factors make pairs that
 # are not minimal
 LARGE_PAIR = st.one_of(
@@ -104,6 +104,26 @@ LARGE_PAIR = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(pair=LARGE_PAIR)
 def test_is_minimal_pair_matches_brute_force_at_large_A(pair):
+    A, B = pair
+    if 4 * A**3 + 27 * B * B != 0:
+        assert is_minimal_pair(A, B) == brute_minimal(A, B)
+
+
+# two nonzero coefficients sharing q^a and q^b: a >= 4 and b >= 6 break
+# minimality, a = 3 or b = 5 does not. With a = 4, b = 6 and cofactors
+# below q, a prime q such as 997 lies past the 13th root of gcd(A^3, B^2),
+# so trial division leaves q^12 for the exact root to find
+SHARED_PAIR = st.builds(
+    lambda q, a, b, m, n: (m * q**a, n * q**b),
+    st.one_of(st.integers(2, 1000), st.sampled_from([211, 509, 997])),
+    st.integers(3, 5), st.integers(5, 7),
+    st.integers(-1000, 1000).filter(bool), st.integers(-1000, 1000).filter(bool),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=SHARED_PAIR)
+def test_is_minimal_pair_with_a_shared_power_matches_brute_force(pair):
     A, B = pair
     if 4 * A**3 + 27 * B * B != 0:
         assert is_minimal_pair(A, B) == brute_minimal(A, B)
@@ -189,8 +209,8 @@ def test_strict_mode_drops_uncertified():
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_workers_agree_with_serial(monkeypatch, strict):
-    # a box this small is swept serially whatever the worker count; the
-    # threshold at 0 sends it through fan_out, on the two CPUs pinned here
+    # two workers fan out whatever the box, on the two CPUs pinned here; one
+    # worker sweeps a single part in this process
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     fanned = []
     real = enumeration.fan_out
@@ -201,34 +221,10 @@ def test_workers_agree_with_serial(monkeypatch, strict):
 
     monkeypatch.setattr(enumeration, "fan_out", recording)
     a = empirical_densities(5, 10**5, strict=strict)
-    assert a == empirical_densities(5, 10**5, strict=strict, workers=2) and not fanned
-    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_US", 0)
+    assert fanned == [(1, 1)]
     assert a == empirical_densities(5, 10**5, strict=strict, workers=2)
     assert count_Ip(7, 5, 10**8, workers=2) == count_Ip(7, 5, 10**8)
-    assert fanned == [(2, 2), (2, 2)]
-
-
-def _fans_out(p, X, strict=False, ip_primes=None):
-    amax, bmax = box_bounds(X)
-    maxdisc = 4 * amax**3 + 27 * bmax**2
-    if ip_primes is None:  # the enumerate command: e2 and every I_p prime
-        ip_primes, want_e2 = [], True
-    else:  # the ip-count command
-        want_e2 = False
-    locus = set().union(*enumeration._locus_primes(p, maxdisc, ip_primes, want_e2))
-    cost = enumeration._serial_cost_us(amax, bmax, p, locus, strict)
-    return cost >= enumeration._MIN_PARALLEL_US
-
-
-def test_pool_threshold_matches_the_timed_crossovers():
-    # serial against two workers, each mode was timed on both sides of its
-    # break-even; the estimate must put every side where it was measured
-    assert not _fans_out(5, 3 * 10**8) and _fans_out(5, 4 * 10**8)
-    assert not _fans_out(7, 2 * 10**9) and _fans_out(7, 2 * 10**10)
-    assert not _fans_out(5, 10**8, strict=True) and _fans_out(5, 4 * 10**8, strict=True)
-    assert not _fans_out(7, 7 * 10**8, strict=True) and _fans_out(7, 10**9, strict=True)
-    assert not _fans_out(13, 15 * 10**8, strict=True)
-    assert not _fans_out(5, 10**10, ip_primes=[7]) and _fans_out(5, 3 * 10**10, ip_primes=[7])
+    assert fanned == [(1, 1), (2, 2), (2, 2), (1, 1)]
 
 
 def test_counts_cross_checked_against_local_theory():

@@ -75,16 +75,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never
         assert not loaded & never, loaded & never
 
 
-@pytest.mark.parametrize("argv, setup", [
-    (["scan", "recs.csv", "--max-prime", "30", "--workers", "2"], ""),
-    (["ip-count", "--l", "7", "--p", "5", "--height", "100000000", "--workers", "2"],
-     "import iwastat.enumeration\niwastat.enumeration._MIN_PARALLEL_US = 0"),
+@pytest.mark.parametrize("argv", [
+    ["scan", "recs.csv", "--max-prime", "30", "--workers", "2"],
+    ["ip-count", "--l", "7", "--p", "5", "--height", "100000000", "--workers", "2"],
 ], ids=["scan", "ip-count"])
-def test_fanning_out_loads_no_process_pool(tmp_path, argv, setup):
+def test_fanning_out_loads_no_process_pool(tmp_path, argv):
     # fan_out forks its children itself: two workers, whatever this machine
     # has, and the command must really fan out
     (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
-    loaded = _modules_after(tmp_path, setup + "\n" + textwrap.dedent(f"""
+    loaded = _modules_after(tmp_path, textwrap.dedent(f"""
         import contextlib, io
         import iwastat.cli
         import iwastat.parallel as parallel

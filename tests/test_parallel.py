@@ -62,10 +62,18 @@ def test_sweep_cuts_its_rows_by_the_capped_count(forks, monkeypatch, capsys):
     assert cli.main(argv) == 0
     serial = capsys.readouterr().out
     assert forks == []
-    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_US", 0)
     assert cli.main(argv + ["--workers", "100000"]) == 0
     assert capsys.readouterr().out == serial
     assert forks == [(CPUS, CPUS)]
+
+
+def test_sweep_cuts_no_more_parts_than_rows(forks, monkeypatch):
+    # the height-7 box has the three rows A = -1, 0, 1
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 5)
+    serial = enumeration.count_Ip(7, 5, 7)
+    assert forks == []
+    assert enumeration.count_Ip(7, 5, 7, workers=5) == serial
+    assert forks == [(3, 3)]
 
 
 def test_thread_setting_is_capped_too(forks, monkeypatch, capsys, tmp_path):
@@ -177,7 +185,6 @@ def test_the_cli_exits_2_when_a_sweep_child_fails(two_children, monkeypatch, cap
     def broken(*args):
         _square_or_die(0, 0, how)
 
-    monkeypatch.setattr(enumeration, "_MIN_PARALLEL_US", 0)
     monkeypatch.setattr(enumeration, "_sweep_chunk", broken)
     code = cli.main(["ip-count", "--l", "7", "--p", "5", "--height", "100000000",
                      "--workers", "2"])

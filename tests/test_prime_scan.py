@@ -204,6 +204,18 @@ def test_scan_reads_the_tamagawa_table_only_where_a_sha_order_asks():
     assert [r.in_sigma_prime for r in scan_primes(CurveRecord(BIG, rank=0, sha_order=5), 5)] == [True]
 
 
+def test_a_scan_past_the_cap_raises_before_it_sieves(monkeypatch):
+    from iwastat import prime_scan
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved to {hi}")
+
+    monkeypatch.setattr(prime_scan, "prime_range", no_sieve)
+    cap = prime_scan._P_MAX_CAP
+    with pytest.raises(TooLarge, match=f"^scan range up to {cap + 1} exceeds the cap {cap}$"):
+        scan_primes(FULL_TWO_TORSION, cap + 1)
+
+
 def test_result_invariant_asserts():
     with pytest.raises(AssertionError):
         PrimeScanResult(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwastat import cli
+from iwastat import cli, parallel
 from iwastat.curves import anomalous_residue_table, minimal_mask
 from iwastat.enumeration import (
     _ip_candidates,
@@ -28,7 +28,7 @@ from iwastat.enumeration import (
     empirical_densities,
 )
 from iwastat.errors import InvalidPrime, InvalidSetting
-from iwastat.parallel import default_workers
+from iwastat.parallel import worker_count
 from iwastat.primes import isqrt, legendre, primes_up_to
 from oracles import anomalous_bool_table
 
@@ -266,15 +266,20 @@ def test_ip_primes_must_be_prime():
     assert cli.main(["ip-count", "--l", "4", "--p", "5", "--height", "10000"]) == 1
 
 
-def test_default_workers_reads_the_environment(monkeypatch, capsys):
+def test_worker_count_reads_the_environment(monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
     monkeypatch.delenv("IWASTAT_THREADS", raising=False)
-    assert default_workers() == 1
+    assert worker_count() == 1
     monkeypatch.setenv("IWASTAT_THREADS", "")
-    assert default_workers() == 1
+    assert worker_count() == 1
     monkeypatch.setenv("IWASTAT_THREADS", "3")
-    assert default_workers() == 3
+    assert worker_count() == 3
     monkeypatch.setenv("IWASTAT_THREADS", "two")
     with pytest.raises(InvalidSetting, match=r"^invalid literal for int\(\) with base 10: 'two'$"):
-        default_workers()
+        worker_count()
+    # a count given leaves the setting unread; it is capped at the CPUs and
+    # at least 1
+    assert worker_count(3) == 3 and worker_count(9) == 4
+    assert worker_count(0) == worker_count(-3) == 1
     assert cli.main(["enumerate", "--height", "100", "--prime", "5"]) == 1
     assert "error:" in capsys.readouterr().err

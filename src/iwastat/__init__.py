@@ -5,11 +5,14 @@ Importing the package loads none of its modules. Each public name is read
 from the module that defines it on first access (PEP 562) and then kept
 here, so `iwastat.CurveQ`, `from iwastat import CurveQ` and
 `from iwastat import *` work as before while a program pays only for the
-modules it uses.
+modules it uses. The frozen value classes (CurveQ, CurveRecord,
+PrimeScanResult and the rest) share the base _Value defined here, not
+dataclasses, whose import loads inspect, ast, dis and tokenize.
 """
 
 import sys
 from importlib import import_module
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -81,3 +84,45 @@ __getattr__ = _bind_on_access(__name__, _MODULE_OF)
 
 def __dir__():
     return sorted(set(globals()) | _MODULE_OF.keys())
+
+
+class _Value:
+    """Base of the package's frozen value classes. A subclass lists its
+    fields in __slots__, in order, and sets them with object.__setattr__ in
+    its own __init__; it then behaves as under @dataclass(frozen=True):
+    equality and hash over the fields, the dataclass repr, AttributeError on
+    assignment and deletion, and pickling and copying through the field
+    tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # every value class has two fields or more, so this gives a tuple
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    # the default unpickling of a slots class assigns each field, which
+    # __setattr__ refuses
+    def __getstate__(self):
+        return self._values(self)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)

@@ -14,8 +14,7 @@ Both are additive in products.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _Value
 from .errors import InvalidPrime, ZeroPolynomial
 from .primes import is_prime, valuation
 
@@ -25,14 +24,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Value):
     """Integer polynomial with a working prime.  coeffs[i] is the T^i
-    coefficient; trailing zeros are tolerated but the zero polynomial is
-    rejected."""
+    coefficient, a tuple of ints; trailing zeros are tolerated but the zero
+    polynomial is rejected."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
         if not is_prime(p):

@@ -28,18 +28,23 @@ module docstring); the O(p^3) sweep over F_p^2 that the tests check both
 against is the oracle dp_census_bruteforce in tests/oracles.py.  DpMode,
 d_of_p and dp_table are census's own objects, bound here on first access,
 so that a scan, which reads only the rows, does not load the census.
+
+CurveQ and LocalReduction are frozen __slots__ classes on the package's
+_Value base, not dataclasses: they compare, hash, print, pickle and refuse
+assignment as frozen dataclasses do, and no command that builds a curve
+pays for importing dataclasses (with inspect, ast, dis and tokenize).
+dataclasses.asdict and dataclasses.replace do not apply to them.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
-from . import _bind_on_access
+from . import _bind_on_access, _Value
 from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
 from .primes import factorize, is_prime, iroot, legendre
 
@@ -133,26 +138,25 @@ def is_minimal_pair(A: int, B: int) -> bool:
     return minimal_mask(A, B, factorize(gcd(A, B)))
 
 
-@dataclass(frozen=True)
-class CurveQ:
+class CurveQ(_Value):
     """A reduced integral model y^2 = x^3 + A x + B.
 
     Construction rejects singular pairs (disc0 == 0) and non-reduced ones.
-    height and disc0 are derived and fixed at construction.
+    height and disc0 are derived and fixed at construction; the values
+    passed for them are ignored.
     """
 
-    A: int
-    B: int
-    height: int = 0
-    disc0: int = 0
+    __slots__ = ("A", "B", "height", "disc0")
 
-    def __post_init__(self):
-        d = disc0_of(self.A, self.B)
+    def __init__(self, A: int, B: int, height: int = 0, disc0: int = 0):
+        d = disc0_of(A, B)
         if d == 0:
-            raise SingularCurve(f"4*{self.A}^3 + 27*{self.B}^2 = 0")
-        if not is_minimal_pair(self.A, self.B):
-            raise NonMinimalModel(f"({self.A}, {self.B}) admits a q^4/q^6 reduction")
-        object.__setattr__(self, "height", max(abs(self.A) ** 3, self.B**2))
+            raise SingularCurve(f"4*{A}^3 + 27*{B}^2 = 0")
+        if not is_minimal_pair(A, B):
+            raise NonMinimalModel(f"({A}, {B}) admits a q^4/q^6 reduction")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "height", max(abs(A) ** 3, B**2))
         object.__setattr__(self, "disc0", d)
 
     @property
@@ -174,15 +178,19 @@ class ReductionClass(str, Enum):
     BAD = "Bad"
 
 
-@dataclass(frozen=True)
-class LocalReduction:
-    """Reduction data of a curve at one odd prime."""
+class LocalReduction(_Value):
+    """Reduction data of a curve at one odd prime; n_points and a_p are None
+    at bad primes."""
 
-    prime: int
-    reduction_class: ReductionClass
-    n_points: int | None  # None at bad primes
-    a_p: int | None
-    anomalous: bool
+    __slots__ = ("prime", "reduction_class", "n_points", "a_p", "anomalous")
+
+    def __init__(self, prime: int, reduction_class: ReductionClass, n_points: int | None,
+                 a_p: int | None, anomalous: bool):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "reduction_class", reduction_class)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "a_p", a_p)
+        object.__setattr__(self, "anomalous", anomalous)
 
     @property
     def is_good(self) -> bool:

@@ -6,10 +6,10 @@ reconstruct the characteristic itself, just v_p of it.
 """
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from . import _Value
 from .errors import MissingRegulator, NegativeValuationWarning, OutOfRange, TorsionClampWarning
 
 __all__ = [
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChiInputs:
+class ChiInputs(_Value):
     """p-adic valuations of the local/global factors entering the formulas.
 
     v_sha       v_p of the p-primary Sha order
@@ -33,19 +32,21 @@ class ChiInputs:
                   reported rather than silently accepted
     """
 
-    v_sha: int = 0
-    v_tam: int = 0
-    v_red: int = 0
-    v_tors: int = 0
-    v_reg_excess: Optional[int] = None
+    __slots__ = ("v_sha", "v_tam", "v_red", "v_tors", "v_reg_excess")
 
-    def __post_init__(self):
-        for name in ("v_sha", "v_tam", "v_red", "v_tors"):
-            v = getattr(self, name)
+    def __init__(self, v_sha: int = 0, v_tam: int = 0, v_red: int = 0, v_tors: int = 0,
+                 v_reg_excess: Optional[int] = None):
+        for name, v in (("v_sha", v_sha), ("v_tam", v_tam), ("v_red", v_red),
+                        ("v_tors", v_tors)):
             if not isinstance(v, int) or v < 0:
                 raise OutOfRange(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.v_reg_excess is not None and not isinstance(self.v_reg_excess, int):
+        if v_reg_excess is not None and not isinstance(v_reg_excess, int):
             raise OutOfRange("v_reg_excess must be an integer when present")
+        object.__setattr__(self, "v_sha", v_sha)
+        object.__setattr__(self, "v_tam", v_tam)
+        object.__setattr__(self, "v_red", v_red)
+        object.__setattr__(self, "v_tors", v_tors)
+        object.__setattr__(self, "v_reg_excess", v_reg_excess)
 
 
 class GVariant(str, Enum):

@@ -9,6 +9,9 @@ malformed rows are rejected with a per-row error, never silently fixed.
 Importing the module loads neither iwastat.enumeration nor
 iwastat.prime_scan: `enumerate` needs only the density-report writers
 here, and the record reader and scan writers import prime_scan when called.
+Nor does it load dataclasses: the scan's classes are not dataclasses, and
+density_report_dict imports dataclasses.asdict when called, for the one
+dataclass left, enumeration.DensityReport.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, fields
 from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, TextIO, Tuple
@@ -47,11 +49,11 @@ KNOWN_COLUMNS = REQUIRED_COLUMNS + [
 
 
 def _parse_int(raw: str, col: str) -> int:
-    raw = raw.strip()
+    # int() skips the same surrounding whitespace that str.strip() removes
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"column {col}: {raw!r} is not an integer") from None
+        raise ParseError(f"column {col}: {raw.strip()!r} is not an integer") from None
 
 
 def _parse_opt_int(raw: Optional[str], col: str) -> Optional[int]:
@@ -66,9 +68,9 @@ def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
         part = part.strip()
         if not part:
             continue
-        if ":" not in part:
+        ps, colon, vs = part.partition(":")
+        if not colon:
             raise ParseError(f"reg_excess entry {part!r} is not p:v")
-        ps, vs = part.split(":", 1)
         p = _parse_int(ps, "reg_excess prime")
         if p in out:
             raise ParseError(f"reg_excess gives prime {p} more than once")
@@ -151,6 +153,9 @@ def write_records(records: List[CurveRecord], path) -> None:
 
 
 def density_report_dict(report: DensityReport) -> dict:
+    # DensityReport is the one dataclass left; a scan never imports dataclasses
+    from dataclasses import asdict
+
     d = asdict(report)
     if d.get("skipped_uncertified") is None:
         d.pop("skipped_uncertified", None)
@@ -187,11 +192,11 @@ _P_KEY = '"p": '
 
 @lru_cache(maxsize=1)
 def _row_key():
-    """The getter of every field of a result but p, in declaration order:
-    the key of a row's text."""
+    """The getter of every field of a result but p (the first), in
+    declaration order: the key of a row's text."""
     from .prime_scan import PrimeScanResult
 
-    return attrgetter(*(f.name for f in fields(PrimeScanResult) if f.name != "p"))
+    return attrgetter(*PrimeScanResult.__slots__[1:])
 
 
 @lru_cache(maxsize=256)

@@ -22,11 +22,11 @@ calls it.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
+from . import _Value
 from .curves import CurveQ, _p_part_certifiably_trivial, disc0_of
 from .errors import (
     GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, TooLarge, UnknownLocalData,
@@ -56,28 +56,31 @@ class KodairaSymbol(str, Enum):
     II_STAR = "II*"
 
 
-@dataclass(frozen=True)
-class KodairaData:
-    prime: int
-    symbol: KodairaSymbol
-    n: int  # 0 except for In / In*
-    tamagawa: int
-    split: Optional[bool] = None  # multiplicative fibers only
+class KodairaData(_Value):
+    """The fibre at one prime: n is 0 except for In and In*, and split is
+    None except for the multiplicative fibres In."""
 
-    def __post_init__(self):
-        sym = self.symbol
-        if sym is KodairaSymbol.In:
-            assert self.n >= 1
-            expect = self.n if self.split else math.gcd(2, self.n)
-            assert self.tamagawa == expect, (self, expect)
+    __slots__ = ("prime", "symbol", "n", "tamagawa", "split")
+
+    def __init__(self, prime: int, symbol: KodairaSymbol, n: int, tamagawa: int,
+                 split: Optional[bool] = None):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tamagawa", tamagawa)
+        object.__setattr__(self, "split", split)
+        if symbol is KodairaSymbol.In:
+            assert n >= 1
+            expect = n if split else math.gcd(2, n)
+            assert tamagawa == expect, (self, expect)
         else:
-            assert self.split is None
-            if sym is KodairaSymbol.In_STAR:
-                assert self.n >= 1 and self.tamagawa in (2, 4)
-            elif sym is KodairaSymbol.I0:
-                assert self.n == 0 and self.tamagawa == 1
+            assert split is None
+            if symbol is KodairaSymbol.In_STAR:
+                assert n >= 1 and tamagawa in (2, 4)
+            elif symbol is KodairaSymbol.I0:
+                assert n == 0 and tamagawa == 1
             else:
-                assert self.n == 0 and 1 <= self.tamagawa <= 4
+                assert n == 0 and 1 <= tamagawa <= 4
 
     @property
     def display(self) -> str:

@@ -20,14 +20,17 @@ correctly), in_sigma_prime is {p : p = 2, or p | sha, or p | prod c_l} (the
 p = 2 clause is kept for fidelity even though scans start at 5), in_upsilon
 evaluates the same divisor predicate for the supersingular checks, and in_pi
 is p | regulator excess when that datum is present.
+
+CurveRecord and PrimeScanResult are frozen __slots__ classes on the
+package's _Value base, not dataclasses, so a scan never imports
+dataclasses; io.scan_result_dict gives a result's fields as a dict.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from . import _bind_on_access
+from . import _bind_on_access, _Value
 from .curves import CurveQ, ReductionClass, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, TooLarge
 from .local_data import _is_bad_prime, _p_part, _tamagawa_table, tamagawa_p_part
@@ -73,60 +76,76 @@ class Reason(str, Enum):
     CONDITIONAL = "conditional on the signed leading-term conjecture"
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    curve: CurveQ
-    rank: int
-    sha_order: Optional[int] = None
-    torsion_order: int = 1
-    tamagawa_overrides: Dict[int, int] = field(default_factory=dict)
-    regulator_valuations: Optional[Dict[int, int]] = None
-    label: str = ""
+class CurveRecord(_Value):
+    """A curve with its ingested global data. curve may be given as an (A, B)
+    pair, which builds the CurveQ; tamagawa_overrides defaults to a fresh
+    empty dict."""
 
-    def __post_init__(self):
-        if not isinstance(self.curve, CurveQ):
-            object.__setattr__(self, "curve", CurveQ(*self.curve))
-        if self.rank < 0:
-            raise OutOfRange(f"rank must be nonnegative, got {self.rank}")
-        if self.torsion_order < 1:
-            raise OutOfRange(f"torsion_order must be positive, got {self.torsion_order}")
-        if self.sha_order is not None and self.sha_order < 1:
-            raise OutOfRange(f"sha_order must be positive, got {self.sha_order}")
-        for l, c in self.tamagawa_overrides.items():
+    __slots__ = ("curve", "rank", "sha_order", "torsion_order", "tamagawa_overrides",
+                 "regulator_valuations", "label")
+
+    def __init__(self, curve: CurveQ, rank: int, sha_order: Optional[int] = None,
+                 torsion_order: int = 1, tamagawa_overrides: Optional[Dict[int, int]] = None,
+                 regulator_valuations: Optional[Dict[int, int]] = None, label: str = ""):
+        if not isinstance(curve, CurveQ):
+            curve = CurveQ(*curve)
+        if tamagawa_overrides is None:
+            tamagawa_overrides = {}
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "sha_order", sha_order)
+        object.__setattr__(self, "torsion_order", torsion_order)
+        object.__setattr__(self, "tamagawa_overrides", tamagawa_overrides)
+        object.__setattr__(self, "regulator_valuations", regulator_valuations)
+        object.__setattr__(self, "label", label)
+        if rank < 0:
+            raise OutOfRange(f"rank must be nonnegative, got {rank}")
+        if torsion_order < 1:
+            raise OutOfRange(f"torsion_order must be positive, got {torsion_order}")
+        if sha_order is not None and sha_order < 1:
+            raise OutOfRange(f"sha_order must be positive, got {sha_order}")
+        for l, c in tamagawa_overrides.items():
             if c < 1:
                 raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
-            if not _is_bad_prime(l, self.curve.disc0):
+            if not _is_bad_prime(l, curve.disc0):
                 raise GoodReductionAt(f"Tamagawa override at good prime {l}")
 
 
-@dataclass(frozen=True)
-class PrimeScanResult:
-    p: int
-    reduction_class: ReductionClass
-    in_sigma: bool
-    in_sigma_prime: Optional[bool]
-    in_upsilon: Optional[bool]
-    in_pi: Optional[bool]
-    conclusion: Conclusion
-    conditional: bool = False
-    reason: Reason = Reason.NONE
-    # invariants the conclusion reports for the (unknown) true characteristic
-    # element: a conclusive result pins mu = 0 and lambda = rank
-    mu: Optional[int] = None
-    lam: Optional[int] = None
-    chi_valuation: Optional[int] = None
+class PrimeScanResult(_Value):
+    """The result at one prime. mu, lam and chi_valuation are the invariants
+    the conclusion reports for the (unknown) true characteristic element: a
+    conclusive result pins mu = 0 and lambda = rank."""
 
-    def __post_init__(self):
-        if self.conclusion is Conclusion.SELMER_TRIVIAL:
-            assert self.reduction_class is ReductionClass.GOOD_ORDINARY
-            assert not self.in_sigma and self.in_sigma_prime is False
-        elif self.conclusion is Conclusion.SIGNED_SELMER_TRIVIAL:
-            assert self.reduction_class is ReductionClass.GOOD_SUPERSINGULAR
-            assert self.in_upsilon is False
-        elif self.conclusion is Conclusion.CHAR_ELEMENT_IS_TR:
-            assert self.in_pi is False
-        if self.mu is not None and self.lam is not None:
-            assert self.mu == 0 and self.lam >= 0
+    __slots__ = ("p", "reduction_class", "in_sigma", "in_sigma_prime", "in_upsilon", "in_pi",
+                 "conclusion", "conditional", "reason", "mu", "lam", "chi_valuation")
+
+    def __init__(self, p: int, reduction_class: ReductionClass, in_sigma: bool,
+                 in_sigma_prime: Optional[bool], in_upsilon: Optional[bool],
+                 in_pi: Optional[bool], conclusion: Conclusion, conditional: bool = False,
+                 reason: Reason = Reason.NONE, mu: Optional[int] = None,
+                 lam: Optional[int] = None, chi_valuation: Optional[int] = None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "reduction_class", reduction_class)
+        object.__setattr__(self, "in_sigma", in_sigma)
+        object.__setattr__(self, "in_sigma_prime", in_sigma_prime)
+        object.__setattr__(self, "in_upsilon", in_upsilon)
+        object.__setattr__(self, "in_pi", in_pi)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "conditional", conditional)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "chi_valuation", chi_valuation)
+        if conclusion is Conclusion.SELMER_TRIVIAL:
+            assert reduction_class is ReductionClass.GOOD_ORDINARY
+            assert not in_sigma and in_sigma_prime is False
+        elif conclusion is Conclusion.SIGNED_SELMER_TRIVIAL:
+            assert reduction_class is ReductionClass.GOOD_SUPERSINGULAR
+            assert in_upsilon is False
+        elif conclusion is Conclusion.CHAR_ELEMENT_IS_TR:
+            assert in_pi is False
+        if mu is not None and lam is not None:
+            assert mu == 0 and lam >= 0
 
 
 def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) -> bool:

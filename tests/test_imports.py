@@ -100,19 +100,28 @@ def test_fanning_out_loads_no_process_pool(tmp_path, argv):
     assert not loaded & {"concurrent", "concurrent.futures", "multiprocessing"}
 
 
-@pytest.mark.parametrize("argv", [None, ["dp", "--prime", "499"], ["bounds", "--prime", "457"]],
-                         ids=["import", "dp", "bounds"])
-def test_the_census_commands_load_no_json_or_dataclasses(tmp_path, argv):
-    # json is bound on first use by enumerate, and no census module uses
-    # dataclasses, which loads inspect, ast, dis and tokenize
+NO_DATACLASSES = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, never", [
+    (None, NO_DATACLASSES | {"json"}),
+    (["dp", "--prime", "499"], NO_DATACLASSES | {"json"}),
+    (["bounds", "--prime", "457"], NO_DATACLASSES | {"json"}),
+    (["scan", "recs.csv", "--max-prime", "30"], NO_DATACLASSES),
+    (["invariants", "--poly", "25,5", "--prime", "5"], NO_DATACLASSES),
+], ids=["import", "dp", "bounds", "scan", "invariants"])
+def test_the_census_scan_and_invariants_load_no_dataclasses(tmp_path, argv, never):
+    # dataclasses loads inspect, ast, dis and tokenize; only the sweep's
+    # DensityReport is still a dataclass. json is bound on first use, so the
+    # census commands, which print no JSON, never load it
+    (tmp_path / "recs.csv").write_text(HEADER + "\na,-1,0,0,1,4,,,\nb,-1,1,1,1,1,,,5:0\n")
     run = "" if argv is None else textwrap.dedent(f"""
         import contextlib, io
         with contextlib.redirect_stdout(io.StringIO()):
             assert iwastat.cli.main({argv!r}) == 0
     """)
     loaded = _modules_after(tmp_path, "import iwastat.cli\n" + run)
-    unwanted = loaded & {"json", "dataclasses", "inspect"}
-    assert not unwanted, unwanted
+    assert not loaded & never, loaded & never
 
 
 @pytest.mark.parametrize("call", [

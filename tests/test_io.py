@@ -44,14 +44,18 @@ def test_parse_optional_fields(tmp_path):
         tmp_path,
         "full,-1,0,0,1,4,4,,5:0;7:1",
         "bare,0,1,0,,,,,",
+        " padded , -1 ,\t1 , 1 , 1 , 2 , , , 5 : 1 ; ;",
     )
     records, errors = parse_records(path)
     assert errors == []
-    full, bare = records
+    full, bare, padded = records
     assert full.tamagawa_overrides == {2: 4}
     assert full.regulator_valuations == {5: 0, 7: 1}
     assert full.torsion_order == 4
     assert bare.sha_order is None and bare.torsion_order == 1
+    assert padded.label == "padded" and (padded.curve.A, padded.curve.B) == (-1, 1)
+    assert (padded.rank, padded.sha_order, padded.torsion_order) == (1, 1, 2)
+    assert padded.tamagawa_overrides == {} and padded.regulator_valuations == {5: 1}
 
 
 def test_row_error_names_the_first_malformed_column(tmp_path):
@@ -63,6 +67,9 @@ def test_row_error_names_the_first_malformed_column(tmp_path):
         "rank,0,0,zero,1,,,,5:x",
         "sing,0,0,0,1,,,,5:x",
         "tors,-1,0,0,1,0,,,",
+        "pad,-1, q ,0,1,,,,",
+        "padreg,-1,1,0,1,,,, 5 : x ;",
+        "nocolon,-1,1,0,1,,,,5:0; 7 ",
     )
     records, errors = parse_records(path)
     assert records == []
@@ -71,6 +78,9 @@ def test_row_error_names_the_first_malformed_column(tmp_path):
         (3, "column rank: 'zero' is not an integer"),
         (4, "column reg_excess value: 'x' is not an integer"),
         (5, "torsion_order must be positive, got 0"),
+        (6, "column b: 'q' is not an integer"),
+        (7, "column reg_excess value: 'x' is not an integer"),
+        (8, "reg_excess entry '7' is not p:v"),
     ]
 
 

@@ -12,11 +12,10 @@ point counts; the scan reads every a_p of a record from one batched pass,
 checked both one prime at a time and over the whole range at once.
 """
 
-import dataclasses
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import pytest
@@ -33,6 +32,7 @@ from iwastat.local_data import (
 )
 from iwastat.primes import prime_range, valuation
 from iwastat.prime_scan import Conclusion, CurveRecord, Reason, scan_primes
+from iwastat.prime_scan import PrimeScanResult as NewPrimeScanResult
 from oracles import trace_by_legendre
 
 
@@ -243,9 +243,14 @@ def seeded_records(seed, n):
 
 def as_row(res):
     """The result as (conclusion, reason string, every other field)."""
-    row = dataclasses.asdict(res)
+    row = {f.name: getattr(res, f.name) for f in fields(OldPrimeScanResult)}
     row["reason"] = str(getattr(res.reason, "value", res.reason))
     return row
+
+
+def test_the_old_and_new_results_have_the_same_fields():
+    # as_row reads either by the old field list
+    assert tuple(f.name for f in fields(OldPrimeScanResult)) == NewPrimeScanResult.__slots__
 
 
 def outcome(scan, record, p, allow_23):

@@ -96,6 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _write_to(path, write) -> None:
+    """write(fh) to stdout, or to path when given: opened first, so that an
+    unwritable path fails before any work, and removed if write raises."""
+    if not path:
+        write(sys.stdout)
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def _scan_record(rec, max_prime, allow_23):
     """(exit code, text) for one record: 0 and its JSON entry, 1 and a
     message when a typed error stops its scan, or 2 and a message when a
@@ -140,30 +155,20 @@ def _cmd_scan(args) -> int:
             else:
                 yield text
 
-    if not args.out:
-        write_scan_json(entries(), sys.stdout)
-        return status
-    # opened before the first record is scanned, so an unwritable path fails
-    # at once; a scan that raises leaves no partial file behind
-    fh = open(args.out, "w", encoding="utf-8")
-    try:
-        with fh:
-            write_scan_json(entries(), fh)
-    except BaseException:
-        os.remove(args.out)
-        raise
+    _write_to(args.out, lambda fh: write_scan_json(entries(), fh))
     return status
 
 
 def _cmd_enumerate(args) -> int:
-    from .io import density_report_dict, write_density_report
+    from .io import density_report_dict
 
-    rep = _cli.empirical_densities(args.prime, args.height, strict=args.strict,
-                                   workers=args.workers)
-    if args.out:
-        write_density_report(rep, args.out)
-    else:
-        print(_cli.json.dumps(density_report_dict(rep), indent=2, sort_keys=True))
+    def write(fh):
+        # the bytes of io.write_density_report, in --out and on stdout alike
+        rep = _cli.empirical_densities(args.prime, args.height, strict=args.strict,
+                                       workers=args.workers)
+        print(_cli.json.dumps(density_report_dict(rep), indent=2, sort_keys=True), file=fh)
+
+    _write_to(args.out, write)
     return 0
 
 

@@ -10,9 +10,11 @@ classes of B and never walks the B of a row:
   B = +-2k^3;
 - good_at_p leaves out the 0-2 classes of B mod p with p | disc0, and e3
   adds up the anomalous classes of the row A mod p;
-- the strict skips come from the classes of B mod 2^k and 3^k with
-  l^k | disc0, the square roots of -4A^3/27 in Z_l, level by level until a
-  class holds at most one B, whose valuation is then taken exactly;
+- the strict skips come from one walk over the classes of B mod l^j at
+  l = 2 and 3: a class whose every B has the same v_l(disc0), or whose
+  every possible v_l(disc0) gets the same verdict, is decided whole, and
+  the rest split into l subclasses until a class holds at most one B, whose
+  valuation is then taken exactly;
 - the e2 and I_p loci at a prime l >= 5 are the 0 or 2 classes of the
   Hensel-lifted square roots of -4A^3/27 mod l^p, and their few hits are
   tested one by one.
@@ -108,7 +110,7 @@ def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
     _require_census_prime(p)
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
-    counts = _sweep(X, p, ip_primes=[l], want_e2=False, want_e3=False, workers=workers)
+    counts = _sweep(X, p, ip_primes=[l], densities=False, workers=workers)
     return counts.ip_counts[l]
 
 
@@ -203,7 +205,7 @@ def _strict_skip_table(l: int, p: int) -> Tuple[int, List[bool]]:
     from v alone; the model Delta adds v_2(16) = 4 at l = 2. Every
     residue mod 12 has a multiple of p in [p, 12p], so every v >= 12p is
     uncertifiable and capping v at 12p is exact. Also returns minv, the
-    least v >= 1 with a True verdict, where the strict walk starts;
+    least v >= 1 with a True verdict, below which nothing is skipped;
     v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
     B is even), so at l = 2 the search starts at 2.
     """
@@ -322,159 +324,116 @@ def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
 
 
 class _StrictLadder:
-    """The strict-mode skip at one l in {2, 3}: B is skipped when
+    """The strict-mode skip at one prime l in {2, 3}: B is skipped when
     v = v_l(disc0) >= minv and table[min(v, cap)] (see _strict_skip_table).
 
-    For a row A the B with l^k | disc0 are the B with B^2 = C mod l^n:
-    C = -4A^3/27 and n = k at l = 2; at l = 3, C = -4(A/3)^3 and n = k - 3
-    when 3 | A (k <= 3 then admits every B), and no B at all when 3 does not
-    divide A. Write C = l^v u with u a unit and m = n - v. While m <= 0 the
-    solutions are the one class B = 0 mod l^ceil(n/2). Past that there are
-    none when v is odd; else B = l^(v/2) B' with B'^2 = u mod l^m:
-    - at l = 3, B' = +-rho mod 3^m for the square roots rho of u in Z_3,
-      or no B' when u = 2 mod 3;
-    - at l = 2, every odd B' when m = 1, or m = 2 and u = 1 mod 4;
-      B' = +-rho mod 2^(m-1) when m >= 3 and u = 1 mod 8; else none.
+    row() walks the classes B = r mod m = l^j of a row. With f(B) = 4A^3 +
+    27B^2, f(r + mt) - f(r) = 54 r m t + 27 m^2 t^2, so v_l(f) is w = v_l(f(r))
+    on the whole class when w < bound = min(v_l(54 r) + j, v_l(27) + 2j), and
+    at least bound on it otherwise. As v_l(r) < j for 0 < r < m, the bound is
+    v_l(27) + 2j at r = 0 and v_l(54 r) + j elsewhere, so a subclass's bound
+    is its class's plus 1, but plus 2 for 0 and 1 + v_l(2) for the others
+    below r = 0. No nonzero |disc0| <= maxdisc has l^(vmax + 1) | disc0, so
+    past vmax only a singular B is left.
     """
 
     def __init__(self, l: int, p: int, maxdisc: int, bmax: int):
         minv, table = _strict_skip_table(l, p)
         self.l, self.minv, self.table = l, minv, table
         self.cap = len(self.table) - 1
-        self.vmax = 0  # no nonzero |disc0| <= maxdisc has l^(vmax + 1) | disc0
+        self.vmax = 0
         while l ** (self.vmax + 1) <= maxdisc:
             self.vmax += 1
         self.bmax = bmax
-        self.prec = (2 * bmax).bit_length() + 3  # digits of rho the walk reads
+        self.pows = [l ** k for k in range(self.vmax + 2)]
+        self.logs = {q: k for k, q in enumerate(self.pows)}
+        # skip[w] on a class where v = w; verdicts[b] where v >= b: True when
+        # every v in [b, vmax] skips, False when none does, else None
+        self.skip = [self.skips(v) for v in range(self.vmax + 1)]
+        self.verdicts = [t[0] if len(set(t)) == 1 else None
+                         for t in (self.skip[b:] for b in range(self.vmax + 1))] + [False]
 
     def skips(self, v: int) -> bool:
         return v >= self.minv and self.table[min(v, self.cap)]
 
-    def _square_roots(self, A: int):
-        """(n offset, v, u, rho) for row A, or None when no k >= 4 is met at
-        l = 3; v is None for C = 0 and rho is None when u is no square."""
-        l = self.l
-        if l == 3:
-            if A % 3:
-                return None
-            C, off = -4 * (A // 3) ** 3, 3
-        else:
-            C, off = -4 * A ** 3, 0  # 27 is a 2-adic unit: fold it into u
-        if C == 0:
-            return off, None, 0, None
-        v = valuation(C, l)
-        M = l ** self.prec
-        u = C // l ** v * (pow(27, -1, M) if l == 2 else 1) % M
-        rho = None
-        if l == 2 and u % 8 == 1:
-            rho = 1
-            for j in range(3, self.prec):  # rho^2 = u mod 2^j -> mod 2^(j+1)
-                if (rho * rho - u) >> j & 1:
-                    rho += 1 << (j - 1)
-        elif l == 3 and u % 3 == 1:
-            rho = _hensel_sqrt(u, 1, 3, M)
-        return off, v, u, rho
-
-    def _classes(self, roots, k: int) -> List[Tuple[int, int]]:
-        """The classes (r, m) of the B with l^k | disc0 in the row."""
-        l = self.l
-        if roots is None:
-            return []
-        off, v, u, rho = roots
-        n = k - off
-        if n <= 0:
-            return [(0, 1)]
-        if v is None or n <= v:
-            return [(0, l ** -(-n // 2))]
-        if v % 2:
-            return []
-        h, m = v // 2, n - v
-        if l == 2 and m <= 2:
-            return [(1 << h, 2 << h)] if m == 1 or u % 4 == 1 else []
-        if rho is None:
-            return []
-        M = l ** (n - h - (l == 2))
-        return [(l ** h * rho % M, M), (-(l ** h) * rho % M, M)]
-
-    def row(self, A: int, row: _Row):
-        """The row's skipped set as shallow classes and listed points.
-
-        Walks k = minv, minv + 1, ... until no class is left, k passes vmax,
-        or every class is wider than the box (at most one B each): that k is
-        kend. Returns (terms, kend, listed): sum c * count(r, m) over the
-        terms (c, r, m) counts the family B with minv <= v < kend and
-        skips(v), and listed holds the family B with v >= kend.
-        """
-        roots = self._square_roots(A)
-        terms, prev, k = [], False, self.minv
-        while True:
-            classes = self._classes(roots, k) if k <= self.vmax else []
-            stop = not classes or all(m > 2 * self.bmax for _, m in classes)
-            cur = not stop and self.skips(k)
-            if cur != prev:
-                terms += [(cur - prev, r, m) for r, m in classes]
-            if stop:
-                break
-            prev, k = cur, k + 1
-        listed = []
-        for r, m in classes:
-            b = -self.bmax + (r + self.bmax) % m
-            if b <= self.bmax and row.disc0(b) is not None:
-                listed.append(b)
-        return terms, k, listed
+    def row(self, row: _Row):
+        """The row's skipped set as (terms, listed): every family B of a
+        term class (r, m) is skipped, and listed holds the family B of the
+        undecided classes wider than the box, one B each."""
+        l, a3x4, last = self.l, row.a3x4, self.vmax + 1
+        pows, logs, skip, verdicts = self.pows, self.logs, self.skip, self.verdicts
+        terms, listed = [], []
+        todo = [(0, 1, valuation(27, l))]  # (r, m, bound)
+        while todo:
+            r, m, bound = todo.pop()
+            b = bound if bound < last else last
+            w = logs[math.gcd(a3x4 + 27 * r * r, pows[b])]  # min(v_l(f(r)), b)
+            verdict = skip[w] if w < b else verdicts[b]
+            if verdict is not None:
+                if verdict:
+                    terms.append((r, m))
+            elif m > 2 * self.bmax:
+                x = -self.bmax + (r + self.bmax) % m
+                if x <= self.bmax and row.disc0(x) is not None:
+                    listed.append(x)
+            elif r:
+                todo += [(r + i * m, m * l, bound + 1) for i in range(l)]
+            else:
+                todo += [(i * m, m * l, bound + (1 + (l == 2) if i else 2)) for i in range(l)]
+        return terms, listed
 
 
-def _skipped_in_row(A: int, row: _Row, ladders: List[_StrictLadder]) -> int:
+def _skipped_in_row(row: _Row, ladders: List[_StrictLadder]) -> int:
     """Family B of the row that strict mode skips at l = 2 or 3.
 
-    |U2 u U3| = |U2| + |U3| - |U2 n U3| over the shallow classes (the 2- and
-    3-classes meet by CRT), then each listed point's shallow verdict is
-    swapped for the one read off its exact valuations.
+    |U2 u U3| = |U2| + |U3| - |U2 n U3| over the term classes (the 2- and
+    3-classes meet by CRT), then each listed point, which no term at its
+    own l holds, is counted from its exact valuations instead.
     """
-    walks = [ladder.row(A, row) for ladder in ladders]
-    (terms2, _, _), (terms3, _, _) = walks
-    n = sum(c * row.count(r, m) for c, r, m in terms2 + terms3)
-    for c2, r2, m2 in terms2:
-        for c3, r3, m3 in terms3:
-            n -= c2 * c3 * row.count(*_crt(r2, m2, r3, m3))
-    for b in {b for _, _, listed in walks for b in listed}:
+    (terms2, listed2), (terms3, listed3) = walks = [ladder.row(row) for ladder in ladders]
+    n = sum(row.count(r, m) for r, m in terms2 + terms3)
+    for r2, m2 in terms2:
+        for r3, m3 in terms3:
+            n -= row.count(*_crt(r2, m2, r3, m3))
+    for b in set(listed2 + listed3):
         d = row.disc0(b)
         vs = [valuation(d, ladder.l) for ladder in ladders]
-        shallow = any(v < kend and ladder.skips(v)
-                      for ladder, (_, kend, _), v in zip(ladders, walks, vs))
+        shallow = any(b not in listed and ladder.skips(v)
+                      for ladder, (_, listed), v in zip(ladders, walks, vs))
         n += any(ladder.skips(v) for ladder, v in zip(ladders, vs)) - shallow
     return n
 
 
-def _locus_primes(p, maxdisc, ip_primes, want_e2):
+def _locus_primes(p, maxdisc, ip_primes, densities):
     """The primes whose l^p-locus the sweep solves: (e2 primes, I_p primes).
 
     Primes with l^p beyond the largest possible |disc0| can never hit the
     locus; at l = 2, 3 the unit locus is empty (B odd makes disc0 odd,
     3 prime to A makes disc0 = A mod 3), so only l >= 5 is solved.
     """
-    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if want_e2 else set()
+    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if densities else set()
     ip_set = {l for l in ip_primes or [] if l >= 5 and l ** p <= maxdisc}
     return e2_set, ip_set
 
 
-def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _SweepCounts:
+def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts:
     """The family counts over the rows a_lo <= A < a_hi of the height-X box.
 
     Each row is counted by residue classes (see _Row), never B by B:
     total and good_at_p from the 0-2 classes of B mod p with p | disc0, e3
     from the anomalous classes of the row A mod p, the strict skips from the
-    classes of B mod 2^k and 3^k (_StrictLadder), and the e2 and I_p loci
-    from the Hensel-lifted classes of _power_locus, whose few hits are
-    tested one by one.
+    classes of B mod 2^j and 3^j that decide v_l(disc0) (_StrictLadder), and
+    the e2 and I_p loci from the Hensel-lifted classes of _power_locus, whose
+    few hits are tested one by one. e2 and e3 are counted only when
+    densities is set.
     """
     amax, bmax = box_bounds(X)
     qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_set, ip_set = _locus_primes(p, maxdisc, ip_primes, want_e2)
+    e2_set, ip_set = _locus_primes(p, maxdisc, ip_primes, densities)
     locus_primes = sorted(e2_set | ip_set)
     anom = {}
-    if want_e3:
+    if densities:
         residues = sorted({A % p for A in range(a_lo, min(a_hi, a_lo + p))})
         anom = dict(zip(residues, anomalous_residue_table(p, residues)))
     ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
@@ -491,10 +450,10 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
         r = p_roots[a] if a else 0
         bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
         out.good_at_p += n_ok - sum(row.count(b, p) for b in bad)
-        if want_e3:
+        if densities:
             out.e3 += sum(row.count(b, p) for b in anom[a])
         if strict:
-            out.skipped += _skipped_in_row(A, row, ladders)
+            out.skipped += _skipped_in_row(row, ladders)
 
         e2_hits = set()
         for l in locus_primes:
@@ -514,8 +473,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict) -> _Swee
     return out
 
 
-def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
-           workers=None) -> _SweepCounts:
+def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> _SweepCounts:
     amax, bmax = box_bounds(X)
     for l in ip_primes or []:
         if not is_prime(l):
@@ -523,7 +481,7 @@ def _sweep(X, p, ip_primes=None, want_e2=True, want_e3=True, strict=False,
     # one job per worker that can run at once, and no more jobs than rows
     parts = min(worker_count(workers), 2 * amax + 1)
     edges = [-amax + i * (2 * amax + 1) // parts for i in range(parts + 1)]
-    jobs = [(X, p, lo, hi, ip_primes, want_e2, want_e3, strict)
+    jobs = [(X, p, lo, hi, ip_primes, densities, strict)
             for lo, hi in zip(edges, edges[1:])]
     counts = fan_out(_sweep_chunk, jobs, parts)
     merged = next(counts)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from iwastat.census import DpMode, _require_census_prime
-from iwastat.curves import _p_part_certifiably_trivial, is_minimal_pair
+from iwastat.curves import is_minimal_pair
 from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict
@@ -234,7 +234,8 @@ def tamagawa_table_by_factoring(curve, overrides, allow_23):
             product *= given[l]
             continue
         for p in primes_up_to(v_delta[l]):
-            if p >= 5 and not _p_part_certifiably_trivial(v_delta[l], p):
+            # uncertifiable: some fibre index n = v - 12k > 0 is a multiple of p
+            if p >= 5 and any(n % p == 0 for n in range(v_delta[l], 0, -12)):
                 blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
     return product, {p: tuple(ls) for p, ls in blocked.items()}
 

@@ -61,6 +61,38 @@ def test_enumerate_json(capsys, tmp_path):
     assert code == 0 and json.loads(out)["total"] == 186
 
 
+def test_enumerate_out_has_the_bytes_of_stdout_and_write_density_report(capsys, tmp_path):
+    from iwastat.enumeration import empirical_densities
+    from iwastat.io import write_density_report
+
+    argv = ["enumerate", "--height", "100000", "--prime", "7", "--strict"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out_path, want_path = tmp_path / "r.json", tmp_path / "want.json"
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    write_density_report(empirical_densities(7, 100000, strict=True), want_path)
+    assert out_path.read_bytes() == out.encode() == want_path.read_bytes()
+
+
+def test_enumerate_unwritable_out_exits_before_sweeping(capsys, tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("empirical_densities called")
+
+    monkeypatch.setattr(cli, "empirical_densities", sweep)
+    out_path = tmp_path / "no-such-dir" / "r.json"
+    code, out, err = run(capsys, "enumerate", "--height", "1000000", "--prime", "5",
+                         "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "no-such-dir" in err
+    assert not out_path.parent.exists()
+    # a writable path is opened first, and a sweep that fails takes it along
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "enumerate", "--height", "1000000", "--prime", "5",
+                         "--out", str(out_path))
+    assert (code, out, err) == (2, "", "internal error: empirical_densities called\n")
+    assert not out_path.exists()
+
+
 def test_ip_count(capsys):
     code, out, _ = run(capsys, "ip-count", "--l", "7", "--p", "5", "--height", "1000000")
     assert code == 0

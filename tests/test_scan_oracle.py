@@ -24,12 +24,7 @@ from iwastat.charpoly import CharPoly, is_trivial_shape
 from iwastat.curves import CurveQ, ReductionClass, is_minimal_pair
 from iwastat.errors import MissingSha, UnknownLocalData
 from iwastat.io import scan_entry_text, scan_result_dict, write_scan_json
-from iwastat.local_data import (
-    _p_part_certifiably_trivial,
-    bad_primes,
-    kodaira_tamagawa,
-    local_reduction_raw,
-)
+from iwastat.local_data import bad_primes, kodaira_tamagawa, local_reduction_raw
 from iwastat.primes import prime_range, valuation
 from iwastat.prime_scan import Conclusion, CurveRecord, Reason, scan_primes
 from iwastat.prime_scan import PrimeScanResult as NewPrimeScanResult
@@ -85,8 +80,9 @@ def old_tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> i
         elif allow_23:
             c = local_reduction_raw(curve.A, curve.B, l).tamagawa
         else:
+            # certified: no fibre index n = v - 12k > 0 is a multiple of p
             v_delta = valuation(curve.discriminant, l)
-            if _p_part_certifiably_trivial(v_delta, p):
+            if not any(n % p == 0 for n in range(v_delta, 0, -12)):
                 continue
             raise UnknownLocalData(
                 f"cannot certify the {p}-part of c_{l}; supply an override "

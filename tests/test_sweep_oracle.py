@@ -41,17 +41,17 @@ def uncertified_min_valuation(l, p):
     raise AssertionError("unreachable for p <= 199")
 
 
-def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict):
+def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
     amax, bmax = box_bounds(X)
     B = np.arange(-bmax, bmax + 1, dtype=np.int64)
     Bsq27 = 27 * B * B
     Bmodp = B % p
     qs = _minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_cands = [l for l in _ip_candidates(p, maxdisc) if l >= 5] if want_e2 else []
+    e2_cands = [l for l in _ip_candidates(p, maxdisc) if l >= 5] if densities else []
     ip_set = sorted(l for l in set(ip_primes or []) if l ** p <= maxdisc)
     ip_zero = sorted(set(ip_primes or []) - set(ip_set))
-    anom = anomalous_bool_table(anomalous_residue_table(p), p) if want_e3 else None
+    anom = anomalous_bool_table(anomalous_residue_table(p), p) if densities else None
     strict2 = uncertified_min_valuation(2, p) if strict else None
     strict3 = uncertified_min_valuation(3, p) if strict else None
 
@@ -65,7 +65,7 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict):
         out.total += n_ok
         good = ok & (disc % p != 0)
         out.good_at_p += int(np.count_nonzero(good))
-        if want_e3:
+        if densities:
             out.e3 += int(np.count_nonzero(good & anom[A % p][Bmodp]))
 
         skip_mask = None
@@ -84,7 +84,7 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, want_e2, want_e3, strict):
                         skip_mask[i] = True
             out.skipped += int(np.count_nonzero(skip_mask))
 
-        if want_e2:
+        if densities:
             e2_mask = np.zeros(len(B), dtype=bool)
             for l in e2_cands:
                 if A % l == 0:
@@ -126,7 +126,7 @@ def test_full_boxes_match_row_scan(X, p):
     amax, _ = box_bounds(X)
     ip = ip_primes_for(p, X)
     for strict in (False, True):
-        args = (X, p, -amax, amax + 1, ip, True, True, strict)
+        args = (X, p, -amax, amax + 1, ip, True, strict)
         assert _sweep_chunk(*args) == row_scan_chunk(*args), (X, p, strict)
 
 
@@ -143,7 +143,7 @@ def test_row_slices_of_the_1e8_box_match_row_scan():
     for seed in _SLICE_SEEDS:
         a_lo = random.Random(seed).randrange(-amax, amax + 1 - 20)
         for strict in (False, True):
-            args = (X, p, a_lo, a_lo + 20, ip, True, True, strict)
+            args = (X, p, a_lo, a_lo + 20, ip, True, strict)
             want = row_scan_chunk(*args)
             assert _sweep_chunk(*args) == want, (seed, strict)
             if strict:
@@ -165,8 +165,7 @@ def sweep_args(draw):
     rows = draw(st.integers(min_value=1, max_value=8 if X == 10 ** 8 else 2 * amax + 1))
     a_lo = draw(st.integers(min_value=-amax, max_value=amax + 1 - rows))
     ip = draw(st.lists(st.sampled_from(_IP_POOL + [p]), max_size=6, unique=True))
-    return (X, p, a_lo, a_lo + rows, ip, draw(st.booleans()), draw(st.booleans()),
-            draw(st.booleans()))
+    return X, p, a_lo, a_lo + rows, ip, draw(st.booleans()), draw(st.booleans())
 
 
 @settings(max_examples=80, deadline=None)
@@ -187,12 +186,49 @@ def test_one_row_of_the_1e13_box_stays_small(strict):
     # 395284 is the row scan's skip count for this row (too big to rerun here)
     tracemalloc.start()
     try:
-        out = _sweep_chunk(X, p, a, a + 1, ip, True, True, strict)
+        out = _sweep_chunk(X, p, a, a + 1, ip, True, strict)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.total > 0 and out.e3 > 0 and out.e2 > 0 and out.skipped == (395284 if strict else 0)
     assert peak < 16 * 2 ** 20, peak
+
+
+# Rows past the row scan's reach (seconds a row at 10^12, ~500 MB of int64
+# rows at 10^15), frozen from the sweep that found the strict skips
+# from the square roots of -4A^3/27 in Z_2 and Z_3; the 10^10 and 10^12
+# rows also match row_scan_chunk. Each entry is X, p, a_lo, a_hi, (total,
+# good_at_p, e2, e3, skipped) with every stage on and strict mode, and the
+# nonzero I_p counts over ip_primes_for(p, X). They hold A = 0,
+# multiples of 3^6, rows A = -3k^2 with singular points (-48, -2028, -9747,
+# -99372) and four-row slices at random positions.
+_FROZEN_ROWS = (
+    (10 ** 10, 5, 0, 1, (196594, 157284, 0, 0, 53450), {}),
+    (10 ** 10, 7, 729, 730, (199726, 142660, 0, 0, 14816), {}),
+    (10 ** 10, 13, -2028, -2027, (199999, 184616, 0, 0, 10), {}),
+    (10 ** 10, 5, 1001, 1005, (800004, 640004, 127, 120001, 12500), {5: 208, 7: 42, 11: 2, 19: 2}),
+    (10 ** 12, 5, -48, -47, (1968750, 1181250, 99, 0, 399276), {5: 1008, 7: 204, 11: 24, 13: 8}),
+    (10 ** 12, 7, 5832, 5833, (1997258, 1426614, 2, 0, 177042), {5: 40, 7: 4}),
+    (10 ** 12, 13, 0, 1, (1965908, 1814680, 0, 0, 5402), {}),
+    (10 ** 12, 5, -9747, -9746, (1999999, 1200001, 806, 1200001, 576508),
+     {5: 1024, 7: 204, 11: 22, 13: 8}),
+    (10 ** 12, 7, -5598, -5594, (8000004, 6857148, 34, 571428, 570618), {5: 82, 7: 8}),
+    (10 ** 15, 5, 0, 1, (62167384, 49737090, 0, 0, 16902742), {}),
+    (10 ** 15, 5, 93312, 93313, (62171940, 37303166, 2572, 0, 16903982),
+     {5: 31832, 7: 6344, 11: 702, 29: 6, 31: 4, 53: 2}),
+    (10 ** 15, 7, -99372, -99371, (63245551, 54210474, 1279, 9035079, 1118106), {5: 1296, 11: 6}),
+    (10 ** 15, 13, -48, -47, (62257342, 52679288, 0, 0, 1404), {}),
+    (10 ** 15, 13, -85176, -85172, (252982212, 228656997, 0, 19460168, 0), {}),
+    (10 ** 15, 7, -37620, -37616, (252982212, 225876975, 1025, 27105237, 16068168),
+     {5: 2592, 7: 130, 11: 6, 13: 4}),
+)
+
+
+@pytest.mark.parametrize("X, p, a_lo, a_hi, counts, ip_counts", _FROZEN_ROWS)
+def test_frozen_rows_of_the_large_boxes(X, p, a_lo, a_hi, counts, ip_counts):
+    out = _sweep_chunk(X, p, a_lo, a_hi, ip_primes_for(p, X), True, True)
+    assert (out.total, out.good_at_p, out.e2, out.e3, out.skipped) == counts
+    assert {l: n for l, n in out.ip_counts.items() if n} == ip_counts
 
 
 def test_power_locus_past_int64():

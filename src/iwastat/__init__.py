@@ -6,8 +6,7 @@ from the module that defines it on first access (PEP 562) and then kept
 here, so `iwastat.CurveQ`, `from iwastat import CurveQ` and
 `from iwastat import *` work as before while a program pays only for the
 modules it uses. The frozen value classes (CurveQ, CurveRecord,
-PrimeScanResult and the rest) share the base _Value defined here, not
-dataclasses, whose import loads inspect, ast, dis and tokenize.
+PrimeScanResult and the rest) share the base _Value defined here.
 """
 
 import sys
@@ -87,18 +86,27 @@ def __dir__():
 
 
 class _Value:
-    """Base of the package's frozen value classes. A subclass lists its
-    fields in __slots__, in order, and sets them with object.__setattr__ in
-    its own __init__; it then behaves as under @dataclass(frozen=True):
-    equality and hash over the fields, the dataclass repr, AttributeError on
-    assignment and deletion, and pickling and copying through the field
-    tuple."""
+    """Base of the package's frozen value classes, the one place that stores
+    a field. A subclass lists its fields in __slots__, in order; its own
+    __init__ checks and coerces its arguments and then passes every field
+    value, in that order, to _Value.__init__ once. It then behaves as under
+    @dataclass(frozen=True): equality and hash over the fields, the
+    dataclass repr, AttributeError on assignment and deletion, and pickling
+    and copying through the field tuple. It is not a dataclass, whose import
+    loads inspect, ast, dis and tokenize, so dataclasses.asdict, astuple and
+    replace do not apply to it."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         # every value class has two fields or more, so this gives a tuple
         cls._values = attrgetter(*cls.__slots__)
+        # each slot's own setter, which the refusing __setattr__ never reaches
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,5 +132,4 @@ class _Value:
         return self._values(self)
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        _Value.__init__(self, *state)

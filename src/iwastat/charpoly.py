@@ -37,8 +37,7 @@ class CharPoly(_Value):
         cs = tuple(int(c) for c in coeffs)
         if not cs or all(c == 0 for c in cs):
             raise ZeroPolynomial("all coefficients vanish")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", cs)
+        _Value.__init__(self, p, cs)
 
     def __mul__(self, other: "CharPoly") -> "CharPoly":
         if self.p != other.p:

@@ -29,11 +29,8 @@ against is the oracle dp_census_bruteforce in tests/oracles.py.  DpMode,
 d_of_p and dp_table are census's own objects, bound here on first access,
 so that a scan, which reads only the rows, does not load the census.
 
-CurveQ and LocalReduction are frozen __slots__ classes on the package's
-_Value base, not dataclasses: they compare, hash, print, pickle and refuse
-assignment as frozen dataclasses do, and no command that builds a curve
-pays for importing dataclasses (with inspect, ast, dis and tokenize).
-dataclasses.asdict and dataclasses.replace do not apply to them.
+CurveQ and LocalReduction are frozen value classes on the package's _Value
+base, whose docstring states how they store, compare and copy their fields.
 """
 
 from __future__ import annotations
@@ -154,10 +151,7 @@ class CurveQ(_Value):
             raise SingularCurve(f"4*{A}^3 + 27*{B}^2 = 0")
         if not is_minimal_pair(A, B):
             raise NonMinimalModel(f"({A}, {B}) admits a q^4/q^6 reduction")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "height", max(abs(A) ** 3, B**2))
-        object.__setattr__(self, "disc0", d)
+        _Value.__init__(self, A, B, max(abs(A) ** 3, B**2), d)
 
     @property
     def c4(self) -> int:
@@ -186,11 +180,7 @@ class LocalReduction(_Value):
 
     def __init__(self, prime: int, reduction_class: ReductionClass, n_points: int | None,
                  a_p: int | None, anomalous: bool):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "reduction_class", reduction_class)
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "a_p", a_p)
-        object.__setattr__(self, "anomalous", anomalous)
+        _Value.__init__(self, prime, reduction_class, n_points, a_p, anomalous)
 
     @property
     def is_good(self) -> bool:

@@ -198,27 +198,12 @@ class _SweepCounts:
             self.ip_counts[l] = self.ip_counts.get(l, 0) + n
 
 
-def _strict_skip_table(l: int, p: int) -> Tuple[int, List[bool]]:
-    """Strict-mode verdicts at l in {2, 3}, indexed by v = v_l(disc0).
-
-    table[v] is True when the p-part of c_l cannot be certified trivial
-    from v alone; the model Delta adds v_2(16) = 4 at l = 2. Every
-    residue mod 12 has a multiple of p in [p, 12p], so every v >= 12p is
-    uncertifiable and capping v at 12p is exact. Also returns minv, the
-    least v >= 1 with a True verdict, below which nothing is skipped;
-    v_2(disc0) = 1 cannot occur (disc0 is odd when B is odd, 4 | disc0 when
-    B is even), so at l = 2 the search starts at 2.
-    """
-    shift = 4 if l == 2 else 0
-    table = [not _p_part_certifiably_trivial(v + shift, p) for v in range(12 * p + 1)]
-    return table.index(True, 2 if l == 2 else 1), table
-
-
-def _divisor_weights(qs: List[int]) -> List[Tuple[int, int]]:
-    """(mu(d), d^6) for every squarefree d whose primes all lie in qs."""
+def _divisor_weights(qs: List[int], bmax: int) -> List[Tuple[int, int]]:
+    """(mu(d), d^6) for every squarefree d with d^6 <= bmax whose primes all
+    lie in qs."""
     out = [(1, 1)]
     for q in qs:
-        out += [(-mu, d6 * q ** 6) for mu, d6 in out]
+        out += [(-mu, d6 * q ** 6) for mu, d6 in out if d6 * q ** 6 <= bmax]
     return out
 
 
@@ -237,15 +222,18 @@ class _Row:
 
     count(r, m) is the number of B in [-bmax, bmax] with B = r mod m for
     which (A, B) is in the family: a Moebius sum over the squarefree d built
-    from the primes q with q^4 | A of the multiples of d^6 in the class (B = 0
-    is a multiple of every d^6, so no d is dropped), less the singular points
-    A = -3k^2, B = +-2k^3 that pass the minimality test.
+    from the primes q with q^4 | A of the multiples of d^6 in the class, less
+    the singular points A = -3k^2, B = +-2k^3 that pass the minimality test.
+    A d with d^6 > bmax has only B = 0 among its multiples in the box, and
+    the mu(d) over all d sum to 0 when there is a q, so those d together
+    weigh -(the sum of the other mu(d)) on the class of 0: zero_weight.
     """
 
     def __init__(self, A: int, bmax: int, qs: List[int]):
         self.A, self.bmax = A, bmax
         self.qs = [q for q in qs if A % q ** 4 == 0]
-        self.weights = _divisor_weights(self.qs)
+        self.weights = _divisor_weights(self.qs, bmax)
+        self.zero_weight = -sum(mu for mu, _ in self.weights) if self.qs else 0
         self.a3x4 = 4 * A ** 3
         self.singular = []
         k = isqrt(max(-A, 0) // 3)
@@ -261,6 +249,8 @@ class _Row:
                 n += mu * _axis_class_count(self.bmax, *c)
         if self.singular:
             n -= sum(1 for b in self.singular if (b - r) % m == 0)
+        if r % m == 0:
+            n += self.zero_weight
         return n
 
     def disc0(self, b: int) -> Optional[int]:
@@ -324,8 +314,11 @@ def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
 
 
 class _StrictLadder:
-    """The strict-mode skip at one prime l in {2, 3}: B is skipped when
-    v = v_l(disc0) >= minv and table[min(v, cap)] (see _strict_skip_table).
+    """The strict-mode skip at one prime l in {2, 3}: B is skipped when the
+    p-part of c_l cannot be certified trivial from v = v_l(disc0) alone,
+    skip[v]. The model Delta adds v_2(16) = 4 at l = 2, and v_2(disc0) = 1
+    cannot occur (disc0 is odd when B is odd, 4 | disc0 when B is even), so
+    at l = 2 nothing below v = 2 is skipped; at l = 3 nothing at v = 0.
 
     row() walks the classes B = r mod m = l^j of a row. With f(B) = 4A^3 +
     27B^2, f(r + mt) - f(r) = 54 r m t + 27 m^2 t^2, so v_l(f) is w = v_l(f(r))
@@ -338,9 +331,7 @@ class _StrictLadder:
     """
 
     def __init__(self, l: int, p: int, maxdisc: int, bmax: int):
-        minv, table = _strict_skip_table(l, p)
-        self.l, self.minv, self.table = l, minv, table
-        self.cap = len(self.table) - 1
+        self.l = l
         self.vmax = 0
         while l ** (self.vmax + 1) <= maxdisc:
             self.vmax += 1
@@ -349,12 +340,15 @@ class _StrictLadder:
         self.logs = {q: k for k, q in enumerate(self.pows)}
         # skip[w] on a class where v = w; verdicts[b] where v >= b: True when
         # every v in [b, vmax] skips, False when none does, else None
-        self.skip = [self.skips(v) for v in range(self.vmax + 1)]
+        start, shift = (2, 4) if l == 2 else (1, 0)
+        self.skip = [v >= start and not _p_part_certifiably_trivial(v + shift, p)
+                     for v in range(self.vmax + 1)]
         self.verdicts = [t[0] if len(set(t)) == 1 else None
                          for t in (self.skip[b:] for b in range(self.vmax + 1))] + [False]
 
-    def skips(self, v: int) -> bool:
-        return v >= self.minv and self.table[min(v, self.cap)]
+    def skips(self, d: int) -> bool:
+        """Whether strict mode skips a nonzero disc0 d of the box."""
+        return self.skip[self.logs[math.gcd(d, self.pows[self.vmax])]]
 
     def row(self, row: _Row):
         """The row's skipped set as (terms, listed): every family B of a
@@ -397,10 +391,9 @@ def _skipped_in_row(row: _Row, ladders: List[_StrictLadder]) -> int:
             n -= row.count(*_crt(r2, m2, r3, m3))
     for b in set(listed2 + listed3):
         d = row.disc0(b)
-        vs = [valuation(d, ladder.l) for ladder in ladders]
-        shallow = any(b not in listed and ladder.skips(v)
-                      for ladder, (_, listed), v in zip(ladders, walks, vs))
-        n += any(ladder.skips(v) for ladder, v in zip(ladders, vs)) - shallow
+        shallow = any(b not in listed and ladder.skips(d)
+                      for ladder, (_, listed) in zip(ladders, walks))
+        n += any(ladder.skips(d) for ladder in ladders) - shallow
     return n
 
 
@@ -467,7 +460,7 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts
                 if v == p and l in ip_set:
                     out.ip_counts[l] += 1
                 if (v % p == 0 and l in e2_set and legendre(864 * b, l) == 1
-                        and not any(ladder.skips(valuation(d, ladder.l)) for ladder in ladders)):
+                        and not any(ladder.skips(d) for ladder in ladders)):
                     e2_hits.add(b)
         out.e2 += len(e2_hits)
     return out

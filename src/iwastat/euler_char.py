@@ -42,11 +42,7 @@ class ChiInputs(_Value):
                 raise OutOfRange(f"{name} must be a nonnegative integer, got {v!r}")
         if v_reg_excess is not None and not isinstance(v_reg_excess, int):
             raise OutOfRange("v_reg_excess must be an integer when present")
-        object.__setattr__(self, "v_sha", v_sha)
-        object.__setattr__(self, "v_tam", v_tam)
-        object.__setattr__(self, "v_red", v_red)
-        object.__setattr__(self, "v_tors", v_tors)
-        object.__setattr__(self, "v_reg_excess", v_reg_excess)
+        _Value.__init__(self, v_sha, v_tam, v_red, v_tors, v_reg_excess)
 
 
 class GVariant(str, Enum):

@@ -9,9 +9,9 @@ malformed rows are rejected with a per-row error, never silently fixed.
 Importing the module loads neither iwastat.enumeration nor
 iwastat.prime_scan: `enumerate` needs only the density-report writers
 here, and the record reader and scan writers import prime_scan when called.
-Nor does it load dataclasses: the scan's classes are not dataclasses, and
-density_report_dict imports dataclasses.asdict when called, for the one
-dataclass left, enumeration.DensityReport.
+Nor does it load dataclasses: the scan's classes are on the package's
+_Value base (see its docstring), and density_report_dict imports
+dataclasses.asdict when called, for enumeration.DensityReport.
 """
 
 from __future__ import annotations

@@ -64,11 +64,7 @@ class KodairaData(_Value):
 
     def __init__(self, prime: int, symbol: KodairaSymbol, n: int, tamagawa: int,
                  split: Optional[bool] = None):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tamagawa", tamagawa)
-        object.__setattr__(self, "split", split)
+        _Value.__init__(self, prime, symbol, n, tamagawa, split)
         if symbol is KodairaSymbol.In:
             assert n >= 1
             expect = n if split else math.gcd(2, n)

@@ -21,9 +21,9 @@ p = 2 clause is kept for fidelity even though scans start at 5), in_upsilon
 evaluates the same divisor predicate for the supersingular checks, and in_pi
 is p | regulator excess when that datum is present.
 
-CurveRecord and PrimeScanResult are frozen __slots__ classes on the
-package's _Value base, not dataclasses, so a scan never imports
-dataclasses; io.scan_result_dict gives a result's fields as a dict.
+CurveRecord and PrimeScanResult are frozen value classes on the package's
+_Value base (see its docstring); io.scan_result_dict gives a result's
+fields as a dict.
 """
 
 from enum import Enum
@@ -91,13 +91,6 @@ class CurveRecord(_Value):
             curve = CurveQ(*curve)
         if tamagawa_overrides is None:
             tamagawa_overrides = {}
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "sha_order", sha_order)
-        object.__setattr__(self, "torsion_order", torsion_order)
-        object.__setattr__(self, "tamagawa_overrides", tamagawa_overrides)
-        object.__setattr__(self, "regulator_valuations", regulator_valuations)
-        object.__setattr__(self, "label", label)
         if rank < 0:
             raise OutOfRange(f"rank must be nonnegative, got {rank}")
         if torsion_order < 1:
@@ -109,6 +102,8 @@ class CurveRecord(_Value):
                 raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
             if not _is_bad_prime(l, curve.disc0):
                 raise GoodReductionAt(f"Tamagawa override at good prime {l}")
+        _Value.__init__(self, curve, rank, sha_order, torsion_order, tamagawa_overrides,
+                        regulator_valuations, label)
 
 
 class PrimeScanResult(_Value):
@@ -124,18 +119,8 @@ class PrimeScanResult(_Value):
                  in_pi: Optional[bool], conclusion: Conclusion, conditional: bool = False,
                  reason: Reason = Reason.NONE, mu: Optional[int] = None,
                  lam: Optional[int] = None, chi_valuation: Optional[int] = None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "reduction_class", reduction_class)
-        object.__setattr__(self, "in_sigma", in_sigma)
-        object.__setattr__(self, "in_sigma_prime", in_sigma_prime)
-        object.__setattr__(self, "in_upsilon", in_upsilon)
-        object.__setattr__(self, "in_pi", in_pi)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "conditional", conditional)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "chi_valuation", chi_valuation)
+        _Value.__init__(self, p, reduction_class, in_sigma, in_sigma_prime, in_upsilon, in_pi,
+                        conclusion, conditional, reason, mu, lam, chi_valuation)
         if conclusion is Conclusion.SELMER_TRIVIAL:
             assert reduction_class is ReductionClass.GOOD_ORDINARY
             assert not in_sigma and in_sigma_prime is False

@@ -20,7 +20,7 @@ from iwastat.enumeration import (
     _ip_candidates,
     _minimality_primes,
     _power_locus,
-    _strict_skip_table,
+    _StrictLadder,
     _sweep_chunk,
     _SweepCounts,
     box_bounds,
@@ -268,19 +268,23 @@ def test_power_locus_matches_a_full_row(l, p):
         assert sorted(_power_locus(A, l, p, bmax)) == want, (l, p, A)
 
 
-def test_strict_table_is_the_certifiability_ladder():
+@pytest.mark.parametrize("X", [4096, 10 ** 8, 10 ** 15])
+def test_strict_table_is_the_certifiability_ladder(X):
+    amax, bmax = box_bounds(X)
+    maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
     for p in primes_up_to(199):
         if p < 5:
             continue
         for l in (2, 3):
             shift = 4 if l == 2 else 0
-            minv, table = _strict_skip_table(l, p)
-            assert minv == uncertified_min_valuation(l, p), (l, p)
-            assert len(table) == 12 * p + 1 and table[12 * p]
-            if p < 60:
-                want = [any(n % p == 0 for n in range(v + shift, 0, -12))
-                        for v in range(12 * p + 1)]
-                assert list(table) == want, (l, p)
+            vmax = max(v for v in range(200) if l ** v <= maxdisc)
+            want = [v >= (2 if l == 2 else 1) and any(n % p == 0 for n in range(v + shift, 0, -12))
+                    for v in range(vmax + 1)]
+            ladder = _StrictLadder(l, p, maxdisc, bmax)
+            assert ladder.skip == want, (l, p)
+            assert [ladder.skips(-7 * l ** v) for v in range(vmax + 1)] == want, (l, p)
+            if True in want:
+                assert want.index(True) == uncertified_min_valuation(l, p), (l, p)
 
 
 @pytest.mark.parametrize("p", [41, 67])

@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "enumeration": (
         "DensityReport", "brumer_estimate", "count_Ip", "empirical_densities", "lifting_count",
-        "sadek_bounds", "total_weq",
+        "sadek_bounds", "total_weq", "write_density_report",
     ),
     "errors": (
         "BadReductionAt", "EqualPrimes", "GoodReductionAt", "HeaderMismatch", "InvalidPrime",
@@ -42,7 +42,7 @@ _EXPORTS = {
         "ChiInputs", "GVariant", "chi_ordinary_valuation", "chi_supersingular_valuation",
         "g0_valuation",
     ),
-    "io": ("parse_records", "write_density_report", "write_records"),
+    "io": ("parse_records", "write_records"),
     "local_data": (
         "KodairaData", "KodairaSymbol", "bad_primes", "kodaira_tamagawa",
         "local_reduction_raw", "tamagawa_p_part",

@@ -160,10 +160,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .io import density_report_dict
+    from .enumeration import density_report_dict
 
     def write(fh):
-        # the bytes of io.write_density_report, in --out and on stdout alike
+        # the bytes of enumeration.write_density_report, in --out and on
+        # stdout alike
         rep = _cli.empirical_densities(args.prime, args.height, strict=args.strict,
                                        workers=args.workers)
         print(_cli.json.dumps(density_report_dict(rep), indent=2, sort_keys=True), file=fh)

@@ -312,17 +312,17 @@ def frobenius_traces(A: int, B: int, primes: tuple) -> list[int]:
     to _ROW_PRIME_BOUND an a_p is read from the point-count rows of its
     prime, and past it found by point orders (_trace_by_point_orders).
     """
-    return [trace(A, B) for trace in _trace_functions(primes)]
+    return [_trace_by_point_orders(A, B, p) if trace is None else trace(A, B)
+            for p, trace in zip(primes, _row_traces(primes))]
 
 
 @lru_cache(maxsize=16)
-def _trace_functions(primes: tuple) -> tuple:
-    """The (A, B) -> a_p of each p in primes, looked up once per tuple, so
-    that a scan reads each a_p with no cache lookup: the trace of p's rows,
-    or a call of _trace_by_point_orders (looked up when called) past the
-    bound."""
-    return tuple(_point_count_rows(p).trace if p <= _ROW_PRIME_BOUND
-                 else lambda A, B, p=p: _trace_by_point_orders(A, B, p) for p in primes)
+def _row_traces(primes: tuple) -> tuple:
+    """The trace of the rows of each p in primes up to the bound, and None
+    past it, looked up once per tuple, so that a scan reads each a_p with
+    no cache lookup and holds no object per prime past the bound."""
+    return tuple(_point_count_rows(p).trace if p <= _ROW_PRIME_BOUND else None
+                 for p in primes)
 
 
 def count_points(A: int, B: int, p: int) -> int:

@@ -25,15 +25,18 @@ CPUs, rows) parts, sweeps each in a forked child and merges pure counts;
 one part is swept in this process.
 
 zeta10, bound_dp2 and bound_dp3, the closed-form bounds the report
-carries, are defined in census and re-exported here as the same objects;
+carries, are defined in census and imported here, not re-exported;
 sadek_bounds, the congruence sandwich of the I_p count, stays beside the
-sweep it brackets.
+sweep it brackets. The report's JSON (density_report_dict) and its writer
+(write_density_report) live beside DensityReport, so `enumerate` loads no
+scan I/O.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -47,14 +50,13 @@ __all__ = [
     "DensityReport",
     "box_bounds",
     "total_weq",
-    "zeta10",
     "brumer_estimate",
     "count_Ip",
     "sadek_bounds",
     "lifting_count",
-    "bound_dp2",
-    "bound_dp3",
     "empirical_densities",
+    "density_report_dict",
+    "write_density_report",
 ]
 
 # The class counts are exact in Python ints at any height; the cap bounds the
@@ -498,6 +500,20 @@ class DensityReport:
     bound_dp3: float
     d_literal: int
     skipped_uncertified: Optional[int] = None  # strict mode only
+
+
+def density_report_dict(report: DensityReport) -> dict:
+    d = asdict(report)
+    if d.get("skipped_uncertified") is None:
+        d.pop("skipped_uncertified", None)
+    d["ip_counts"] = {str(l): n for l, n in sorted(report.ip_counts.items())}
+    return d
+
+
+def write_density_report(report: DensityReport, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(density_report_dict(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,

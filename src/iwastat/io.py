@@ -1,4 +1,4 @@
-"""CSV ingestion of curve records and report serialization.
+"""CSV ingestion of curve records and the scan's JSON output.
 
 Ingest schema (header names exact, lower-case):
     label,a,b,rank,sha_order,torsion_order,tamagawa_2,tamagawa_3,reg_excess
@@ -6,37 +6,27 @@ label, a, b, rank are required. reg_excess holds "p:v" pairs separated by
 semicolons, e.g. "5:0;7:1". Unknown columns are ignored with a warning;
 malformed rows are rejected with a per-row error, never silently fixed.
 
-Importing the module loads neither iwastat.enumeration nor
-iwastat.prime_scan: `enumerate` needs only the density-report writers
-here, and the record reader and scan writers import prime_scan when called.
-Nor does it load dataclasses: the scan's classes are on the package's
-_Value base (see its docstring), and density_report_dict imports
-dataclasses.asdict when called, for enumeration.DensityReport.
+The module serves the scan alone: its records and results are
+prime_scan's CurveRecord and PrimeScanResult. The density report of
+`enumerate` is written by enumeration.write_density_report.
 """
-
-from __future__ import annotations
 
 import csv
 import json
 import warnings
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
 from .curves import CurveQ
 from .errors import HeaderMismatch, IwastatError, OutOfRange, ParseError, UnknownColumnWarning
-
-if TYPE_CHECKING:
-    from .enumeration import DensityReport
-    from .prime_scan import CurveRecord, PrimeScanResult
+from .prime_scan import CurveRecord, PrimeScanResult
 
 __all__ = [
     "REQUIRED_COLUMNS",
     "KNOWN_COLUMNS",
     "parse_records",
     "write_records",
-    "density_report_dict",
-    "write_density_report",
     "scan_result_dict",
     "scan_entry_text",
     "write_scan_json",
@@ -90,8 +80,6 @@ def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
 
 
 def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
-    from .prime_scan import CurveRecord
-
     header = reader.fieldnames
     if header is None:
         raise HeaderMismatch("empty file, header row required")
@@ -152,23 +140,6 @@ def write_records(records: List[CurveRecord], path) -> None:
             ])
 
 
-def density_report_dict(report: DensityReport) -> dict:
-    # DensityReport is the one dataclass left; a scan never imports dataclasses
-    from dataclasses import asdict
-
-    d = asdict(report)
-    if d.get("skipped_uncertified") is None:
-        d.pop("skipped_uncertified", None)
-    d["ip_counts"] = {str(l): n for l, n in sorted(report.ip_counts.items())}
-    return d
-
-
-def write_density_report(report: DensityReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(density_report_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def scan_result_dict(res: PrimeScanResult) -> dict:
     return {
         "p": res.p,
@@ -188,15 +159,9 @@ def scan_result_dict(res: PrimeScanResult) -> dict:
 
 _ROW_INDENT = " " * 6
 _P_KEY = '"p": '
-
-
-@lru_cache(maxsize=1)
-def _row_key():
-    """The getter of every field of a result but p (the first), in
-    declaration order: the key of a row's text."""
-    from .prime_scan import PrimeScanResult
-
-    return attrgetter(*PrimeScanResult.__slots__[1:])
+# every field of a result but p (the first), in declaration order: the key
+# of a row's text
+_ROW_KEY = attrgetter(*PrimeScanResult.__slots__[1:])
 
 
 @lru_cache(maxsize=256)
@@ -204,8 +169,6 @@ def _row_template(key) -> Tuple[str, str]:
     """The text of a result row in the scan JSON, cut where the value of p
     goes. Rows with equal keys differ only in p, so a scan renders a few
     dozen distinct rows with the json encoder and splices p into them."""
-    from .prime_scan import PrimeScanResult
-
     text = json.dumps(scan_result_dict(PrimeScanResult(-1, *key)), indent=2, sort_keys=True)
     text = _ROW_INDENT + text.replace("\n", "\n" + _ROW_INDENT)
     head, mark, tail = text.partition(_P_KEY + "-1")
@@ -236,7 +199,7 @@ def scan_entry_text(label: str, results: List[PrimeScanResult]) -> str:
     for res in results:
         known = templates.get(id(res))
         if known is None:
-            known = templates[id(res)] = (res, *_row_template(_row_key()(res)))
+            known = templates[id(res)] = (res, *_row_template(_ROW_KEY(res)))
         rows.append(known[1] + str(res.p) + known[2])
     return head + "[\n" + ",\n".join(rows) + "\n    ]\n  }"
 

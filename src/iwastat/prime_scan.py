@@ -189,9 +189,10 @@ def _result(p: int, rank: int, ordinary: Optional[bool], anomalous: bool,
                            Reason.CONDITIONAL if conditional else Reason.NONE, 0, rank, 0)
 
 
-# A scan sieves the primes up to p_max once; the cap bounds that sieve, which
-# takes ~0.5 s and peaks at ~53 MB at 10^7 (2-vCPU Xeon VM, Python 3.11) and
-# grows linearly past it.
+# A scan sieves the primes up to p_max once; the cap bounds that sieve and
+# the a_p dispatch built on its primes (curves._row_traces, one pointer a
+# prime). At 10^7 they take ~0.5 s and ~0.04 s and peak at ~55 MB (VmHWM,
+# 2-vCPU Xeon VM, Python 3.11), and both grow linearly past it.
 _P_MAX_CAP = 10 ** 7
 
 

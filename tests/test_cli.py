@@ -62,8 +62,7 @@ def test_enumerate_json(capsys, tmp_path):
 
 
 def test_enumerate_out_has_the_bytes_of_stdout_and_write_density_report(capsys, tmp_path):
-    from iwastat.enumeration import empirical_densities
-    from iwastat.io import write_density_report
+    from iwastat.enumeration import empirical_densities, write_density_report
 
     argv = ["enumerate", "--height", "100000", "--prime", "7", "--strict"]
     code, out, _ = run(capsys, *argv)

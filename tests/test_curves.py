@@ -595,6 +595,23 @@ def test_frobenius_traces_across_the_row_bound():
         assert frobenius_traces(A, B, (599, 601)) == want, (A, B)
 
 
+def test_the_a_p_dispatch_holds_nothing_per_prime_past_the_row_bound(monkeypatch):
+    # a scan to 2e5 has ~18,000 primes past the bound; their a_p is counted
+    # by point orders when asked, and the dispatch frobenius_traces caches
+    # per tuple of primes may keep a pointer for each of them, not a closure
+    # (~230 bytes each)
+    monkeypatch.setattr(curves, "_trace_by_point_orders", lambda A, B, p: p % 3)
+    primes = tuple(prime_range(curves._ROW_PRIME_BOUND + 1, 2 * 10 ** 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert frobenius_traces(-7, 11, primes) == [p % 3 for p in primes]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * len(primes), (held, len(primes))
+
+
 def test_a_curve_whose_own_points_leave_a_p_open_is_fixed_by_its_twist():
     # y^2 = x^3 + 1 at 601 has 576 points, (Z/24)^2: every point of the
     # curve has order dividing 24, which has four multiples in the Hasse

@@ -1,11 +1,14 @@
-"""Every name a module lists in __all__ must be bound in it, and every name
-the package re-exports from a module must be in that module's __all__.
+"""Every name a module lists in __all__ must be bound in it and defined
+there, and every name the package re-exports from a module must be in that
+module's __all__.
 
 A deletion that leaves its name in an __all__ list breaks
-`from iwastat.<module> import *` and misleads readers; this catches it, and
-a package export its module does not list as public.
+`from iwastat.<module> import *` and misleads readers; this catches it, a
+name a module lists but only imports, and a package export its module does
+not list as public.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -28,6 +31,26 @@ def test_all_names_are_bound(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names unbound {missing}"
+
+
+def _defined_names(path):
+    """The names a module's top level defines: def, class or assignment."""
+    names = set()
+    for node in ast.parse(pathlib.Path(path).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_all_lists_only_names_the_module_defines(name):
+    # the package's own __all__ is its lazy re-exports, so it is left out
+    mod = importlib.import_module(name)
+    foreign = sorted(set(getattr(mod, "__all__", [])) - _defined_names(mod.__file__))
+    assert not foreign, f"{name}.__all__ lists names it does not define: {foreign}"
 
 
 @pytest.mark.parametrize("module", sorted(iwastat._EXPORTS))

@@ -57,7 +57,11 @@ BUDGETS = [
 ]
 
 
-BUDGET_IDS = [argv[0] + " --strict" * ("--strict" in argv) for argv, _, _ in BUDGETS]
+def _command_id(argv):
+    return argv[0] + " --strict" * ("--strict" in argv)
+
+
+BUDGET_IDS = [_command_id(argv) for argv, _, _ in BUDGETS]
 
 
 @pytest.mark.parametrize("argv, only, never", BUDGETS, ids=BUDGET_IDS)
@@ -73,6 +77,22 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, only, never
         assert loaded == only
     else:
         assert not loaded & never, loaded & never
+
+
+SWEEPS = [argv for argv, _, never in BUDGETS if never is UNUSED_BY_SWEEP]
+
+
+@pytest.mark.parametrize("argv", SWEEPS, ids=[_command_id(argv) for argv in SWEEPS])
+def test_the_sweep_commands_load_no_scan_io(tmp_path, argv):
+    # the density report is written by enumeration itself; iwastat.io and
+    # the csv module it reads records with serve the scan alone
+    loaded = _modules_after(tmp_path, textwrap.dedent(f"""
+        import contextlib, io
+        import iwastat.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert iwastat.cli.main({argv!r}) == 0
+    """))
+    assert not loaded & {"iwastat.io", "csv"}, loaded & {"iwastat.io", "csv"}
 
 
 @pytest.mark.parametrize("argv", [

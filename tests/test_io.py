@@ -4,16 +4,10 @@ import warnings
 
 import pytest
 
-from iwastat.enumeration import empirical_densities
+from iwastat.enumeration import density_report_dict, empirical_densities, write_density_report
 from iwastat.errors import HeaderMismatch, OutOfRange, UnknownColumnWarning
 from iwastat.io import (
-    density_report_dict,
-    parse_records,
-    scan_entry_text,
-    scan_result_dict,
-    write_density_report,
-    write_records,
-    write_scan_json,
+    parse_records, scan_entry_text, scan_result_dict, write_records, write_scan_json,
 )
 from iwastat.prime_scan import CurveRecord, scan_primes
 from oracles import write_scan_results

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 
 from . import _bind_on_access, _Value
 from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
-from .primes import factorize, is_prime, iroot, legendre
+from .primes import _TRIAL_LIMIT, factorize, is_prime, iroot, legendre, power_divisors
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass",
@@ -81,46 +81,16 @@ def minimal_mask(A: int, B, qs, ok=True):
     return ok
 
 
-# is_minimal_pair trial-divides while the bound of _free_of_powers is at most
-# this, ~50 ms at the bound (2-vCPU Xeon VM, Python 3.11): |A| below ~2^100
-# when B == 0, |B| below ~2^140 when A == 0 and gcd(A^3, B^2) below ~2^260
-# otherwise. Past it the pair factors gcd(A, B) instead.
-_TRIAL_LIMIT = 1 << 20
-
-
-def _free_of_powers(n: int, k: int) -> bool:
-    """True unless some prime q has q^k | n, for n >= 1.
-
-    Trial division by 2 and the odd d up to the (k+1)-th root of what is
-    left of n takes out every small prime (a composite d never divides: its
-    primes are out by then). What is left then has fewer than k + 1 prime
-    factors, each above that root, so a q^k past the root divides it only
-    as the whole of it, which an exact k-th root shows.
-    """
-    bound = iroot(n, k + 1)
-    d = 2
-    while d <= bound:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e >= k:
-                return False
-            bound = iroot(n, k + 1)
-        d += 1 if d == 2 else 2
-    r = iroot(n, k)
-    return r == 1 or r**k != n
-
-
 def is_minimal_pair(A: int, B: int) -> bool:
     """True unless some prime q has q^4 | A and q^6 | B.
 
     With B == 0 that is q^4 | A, with A == 0 it is q^6 | B, and otherwise it
     is q^12 | gcd(A^3, B^2) (v_q(A^3) = 3 v_q(A) and v_q(B^2) = 2 v_q(B)).
-    That one (n, k) is decided by trial division (_free_of_powers) while its
-    bound is at most _TRIAL_LIMIT; past it the q are the prime factors of
-    gcd(A, B) (factorize raises TooLarge past its proven range).
+    That one (n, k) is decided by trial division (primes.power_divisors)
+    while its bound, the (k+1)-th root of n, is at most primes._TRIAL_LIMIT:
+    |A| below ~2^100 when B == 0, |B| below ~2^140 when A == 0 and
+    gcd(A^3, B^2) below ~2^260 otherwise. Past it the q are the prime
+    factors of gcd(A, B) (factorize raises TooLarge past its proven range).
     """
     if A == 0 and B == 0:
         return False
@@ -131,7 +101,7 @@ def is_minimal_pair(A: int, B: int) -> bool:
     else:
         n, k = gcd(A**3, B**2), 12
     if iroot(n, k + 1) <= _TRIAL_LIMIT:
-        return _free_of_powers(n, k)
+        return not power_divisors(n, k)
     return minimal_mask(A, B, factorize(gcd(A, B)))
 
 

@@ -66,9 +66,13 @@ __all__ = [
 _X_CAP = 10 ** 15
 
 
-def box_bounds(X: int) -> Tuple[int, int]:
+def _require_height(X: int) -> None:
     if X < 1:
         raise OutOfRange(f"height {X} is below 1")
+
+
+def box_bounds(X: int) -> Tuple[int, int]:
+    _require_height(X)
     if X > _X_CAP:
         raise TooLarge(f"height {X} exceeds the cap {_X_CAP}")
     return icbrt(X), isqrt(X)
@@ -82,6 +86,7 @@ def total_weq(X: int) -> int:
 
 def brumer_estimate(X: int) -> float:
     """Leading-term estimate 4 X^(5/6) / zeta(10) for the family count."""
+    _require_height(X)
     return 4.0 * X ** (5.0 / 6.0) / zeta10()
 
 
@@ -104,14 +109,24 @@ def _ip_candidates(p: int, maxdisc: int) -> List[int]:
     return [l for l in primes_up_to(lim) if l ** p <= maxdisc]
 
 
-def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
-    """Exact count of family members with l coprime to A and B and
-    v_l(disc0) = p exactly, for a prime l.  For l >= 5 this is the locus
-    forcing fiber type I_p at l; at l in {2, 3} it is empty. p must be a
-    prime >= 5."""
+def _require_locus_prime(l: int) -> None:
+    if not is_prime(l):
+        raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
+
+
+def _require_locus(l: int, p: int) -> None:
+    """The I_p locus at l is defined for a prime p >= 5 and a prime l != p."""
     _require_census_prime(p)
+    _require_locus_prime(l)
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
+
+
+def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
+    """Exact count of family members with l coprime to A and B and
+    v_l(disc0) = p exactly, for a prime l != p.  For l >= 5 this is the
+    locus forcing fiber type I_p at l; at l in {2, 3} it is empty. p must be
+    a prime >= 5 (_sweep checks both)."""
     counts = _sweep(X, p, ip_primes=[l], densities=False, workers=workers)
     return counts.ip_counts[l]
 
@@ -138,8 +153,10 @@ def lifting_count(l: int, p: int) -> int:
     l^p (l-1)^2 for primes l >= 5. At l = 2, 3 the unit locus is empty at
     every exponent (B odd gives disc0 = 1 mod 2; 3 prime to A gives
     disc0 = A != 0 mod 3), so the count is 0 there, not the closed form.
-    The brute-force count in tests/oracles.py is its oracle.
+    The brute-force count in tests/oracles.py is its oracle. l must be
+    prime; p may be any exponent.
     """
+    _require_locus_prime(l)
     if l in (2, 3):
         return 0
     return l ** p * (l - 1) ** 2
@@ -151,11 +168,9 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
     Evaluates the main term, lifting_count(l, p) residue classes scaled to
     the box, with both floor corrections; the lower bound may be negative
     and is returned as-is. At l = 2, 3 both bounds are 0. p must be a
-    prime >= 5.
+    prime >= 5 and l a prime other than p.
     """
-    _require_census_prime(p)
-    if l == p:
-        raise EqualPrimes("the locus is defined for l != p")
+    _require_locus(l, p)
     x3, x2 = box_bounds(X)
     Lk, lk, used = _primorial_cutoff(X)
     prod = 1
@@ -469,10 +484,9 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts
 
 
 def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> _SweepCounts:
-    amax, bmax = box_bounds(X)
     for l in ip_primes or []:
-        if not is_prime(l):
-            raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
+        _require_locus(l, p)
+    amax, bmax = box_bounds(X)
     # one job per worker that can run at once, and no more jobs than rows
     parts = min(worker_count(workers), 2 * amax + 1)
     edges = [-amax + i * (2 * amax + 1) // parts for i in range(parts + 1)]
@@ -526,6 +540,7 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
     2,3-part cannot be certified trivial and reports how many were dropped.
     e3 counts good-at-p anomalous curves only: the defect is undefined at
     bad primes, and both denominators (total, good_at_p) are in the report.
+    Each of ip_primes must be a prime other than p, as for count_Ip.
     """
     _require_census_prime(p)
     amax, bmax = box_bounds(X)

@@ -19,22 +19,24 @@ reference that shares no code with either a_p engine of iwastat.curves (the
 point-count rows and the point orders by baby steps and giant steps).
 tamagawa_table_by_factoring is the Tamagawa table as it was built by
 factoring disc0, against which the trial-division table of
-iwastat.local_data is checked. refuse_factorize makes factorize raise in
-every iwastat module that binds it, for the tests that pin a path which
-must never factor.
+iwastat.local_data is checked; sympy factors it, since iwastat's primality
+proof stops at psi_13 ~ 2^81 and the table answers larger cofactors.
+refuse_factorize makes factorize raise in every iwastat module that binds
+it, for the tests that pin a path which must never factor.
 """
 
 import json
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
+import sympy
 
 from iwastat.census import DpMode, _require_census_prime
 from iwastat.curves import is_minimal_pair
 from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict
-from iwastat.primes import factorize, primes_up_to
+from iwastat.primes import primes_up_to
 
 
 def iter_curves(X: int) -> Iterator[Tuple[int, int]]:
@@ -217,16 +219,16 @@ def write_scan_results(results: List, path, label: str = "") -> None:
 def tamagawa_table_by_factoring(curve, overrides, allow_23):
     """(product of the override c_l, {p: ((l, computable), ...)}).
 
-    One factorization of disc0 gives every bad l and v_l(Delta) (plus 4 at
-    l = 2, from the 16 in Delta). c_l is known from the override items (a
-    sorted tuple). Every other bad l is listed, ascending, under each prime
-    p >= 5 whose p-part of c_l the v_l(Delta) certificate cannot clear (all
-    of them divide a fibre index, so p <= v_l(Delta)). There Tate's
-    algorithm may compute c_l (computable) at l >= 5 always and at l in
-    {2, 3} when allow_23 is set.
+    One factorization of disc0 (sympy.factorint) gives every bad l and
+    v_l(Delta) (plus 4 at l = 2, from the 16 in Delta). c_l is known from
+    the override items (a sorted tuple). Every other bad l is listed,
+    ascending, under each prime p >= 5 whose p-part of c_l the v_l(Delta)
+    certificate cannot clear (all of them divide a fibre index, so
+    p <= v_l(Delta)). There Tate's algorithm may compute c_l (computable) at
+    l >= 5 always and at l in {2, 3} when allow_23 is set.
     """
     given = dict(overrides)
-    v_delta = factorize(curve.disc0)
+    v_delta = sympy.factorint(abs(curve.disc0))
     v_delta[2] = v_delta.get(2, 0) + 4
     product, blocked = 1, {}
     for l in sorted(v_delta):

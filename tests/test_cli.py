@@ -282,8 +282,8 @@ def test_scan_rows_match_the_point_orders(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_scan_too_large_record_exits_1_and_keeps_the_others(capsys, tmp_path, workers):
-    # the Tamagawa table of "big" raises TooLarge (a 138-bit cofactor after
-    # trial division); it is read only where a Sha order asks for it
+    # the Tamagawa table of "big" raises TooLarge (a 122-bit cofactor after
+    # trial division to 2^20); it is read only where a Sha order asks for it
     A, B = 123456789012345, -98765432109876543
     path = tmp_path / "recs.csv"
     path.write_text(HEADER + "\n" + "\n".join([
@@ -294,7 +294,7 @@ def test_scan_too_large_record_exits_1_and_keeps_the_others(capsys, tmp_path, wo
     ]) + "\n")
     code, out, err = run(capsys, "scan", str(path), "--max-prime", "30", "--workers", workers)
     assert code == 1
-    assert err.startswith("record big: disc0 = ") and "2^80" in err
+    assert err.startswith("record big: disc0 = ") and "2^20" in err
     assert len(err.splitlines()) == 1
     assert [e["label"] for e in json.loads(out)] == ["first", "nosha", "last"]
 

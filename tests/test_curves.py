@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwastat import curves
+from iwastat import curves, primes
 from iwastat.curves import (
     CurveQ,
     DpMode,
@@ -134,13 +134,13 @@ def test_minimal_pair_trial_divides_only_to_the_gcd_bound(monkeypatch):
     # gcd is 1, so a huge A is decided with no division at all
     refuse_factorize(monkeypatch)
     calls = []
-    real = curves._free_of_powers
+    real = curves.power_divisors
 
     def recording(n, k):
         calls.append((n, k))
         return real(n, k)
 
-    monkeypatch.setattr(curves, "_free_of_powers", recording)
+    monkeypatch.setattr(curves, "power_divisors", recording)
     c = CurveQ(10**28 + 1, 1)
     assert c.height == (10**28 + 1) ** 3
     assert calls == [(1, 12)]
@@ -154,7 +154,7 @@ def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monk
     # with B = 0 only q^4 | A matters and with A = 0 only q^6 | B: trial
     # division to |A|^(1/5) or |B|^(1/7), then an exact root of what is left,
     # decides such a pair without factorize while that bound is at most
-    # curves._TRIAL_LIMIT; past it the pair factors
+    # primes._TRIAL_LIMIT; past it the pair factors
     factored = []
 
     def recording_factorize(n):
@@ -177,7 +177,7 @@ def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monk
         CurveQ(0, -5 * q**6)
     assert CurveQ(7 * q**3, 0).height == (7 * q**3) ** 3
     assert CurveQ(0, 5 * q**5).height == (5 * q**5) ** 2
-    limit = curves._TRIAL_LIMIT
+    limit = primes._TRIAL_LIMIT
     with pytest.raises(NonMinimalModel):
         CurveQ(limit**5, 0)
     assert factored == []
@@ -223,7 +223,7 @@ def test_a_zero_coefficient_pair_past_2_to_the_64_is_quick(monkeypatch):
 def test_minimal_pair_factors_the_gcd_when_its_bound_is_large(monkeypatch):
     # the 13th root of gcd(A^3, B^2) is the trial bound: (10^28, 10^42)
     # would trial-divide to ~2.9e6, and a shared prime P to P^(10/13) or
-    # more, both past curves._TRIAL_LIMIT; the q come from the prime factors
+    # more, both past primes._TRIAL_LIMIT; the q come from the prime factors
     # of gcd(A, B) instead
     factored = []
 

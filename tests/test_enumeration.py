@@ -263,6 +263,14 @@ def test_count_Ip_values_and_guards():
     with pytest.raises(EqualPrimes):
         count_Ip(5, 5, 10**6)
 
+    # the sweep's I_p primes are guarded as count_Ip's l is; l = p once came
+    # back as a count ({5: 64, 7: 16} at X = 10^6)
+    for call in (lambda: sadek_bounds(5, 5, 10**6),
+                 lambda: empirical_densities(5, 10**6, ip_primes=[5, 7]),
+                 lambda: empirical_densities(7, 10**5, ip_primes=[7])):
+        with pytest.raises(EqualPrimes, match="^the locus is defined for l != p$"):
+            call()
+
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9])
 def test_ip_locus_needs_a_prime_exponent(p):
@@ -327,6 +335,17 @@ def test_sadek_bounds_empty_locus_at_2_and_3():
 def test_input_errors_are_typed():
     with pytest.raises(OutOfRange):
         box_bounds(0)
+    # brumer_estimate(-8) once came back complex, from (-8)^(5/6)
+    for X in (0, -1, -8):
+        with pytest.raises(OutOfRange, match=f"^height {X} is below 1$"):
+            brumer_estimate(X)
+    # sadek_bounds(4, 5, 10^6) once returned (-0.0476, 3296.8) and
+    # lifting_count(9, 5) 3779136, from the closed form at a composite l
+    for l in (4, 9, 25, 1, 0, -7):
+        for call in (lambda: sadek_bounds(l, 5, 10**6), lambda: lifting_count(l, 5),
+                     lambda: lifting_count(l, 1)):
+            with pytest.raises(InvalidPrime, match=f"^the I_p locus needs a prime l, got {l}$"):
+                call()
     with pytest.raises(OutOfRange):
         empirical_densities(5, 0)
     for p in (2, 3, 9):

@@ -17,7 +17,7 @@ from iwastat.errors import (
     TooLarge,
     UnknownLocalData,
 )
-from iwastat import local_data
+from iwastat import local_data, primes
 from iwastat.local_data import (
     KodairaData,
     KodairaSymbol,
@@ -514,26 +514,41 @@ def test_trial_division_table_finds_fifth_powers(l, e):
     assert local_data._tamagawa_table(Disc0(7 ** 5), (), False) == (1, {5: ((7, True),)})
 
 
-def test_trial_division_table_refuses_a_cofactor_of_2_to_the_80():
-    below, above = sympy.prevprime(2 ** 80), sympy.nextprime(2 ** 80)
+def test_trial_division_table_refuses_a_cofactor_past_the_trial_limit():
+    # trial division stops at 2^20, so it answers a cofactor whose sixth
+    # root is at most 2^20 and refuses one past it
+    edge = (primes._TRIAL_LIMIT + 1) ** 6
+    below, above = sympy.prevprime(edge), sympy.nextprime(edge)
     for small in (1, -1, 2 ** 7, -(3 ** 5) * 7 ** 2, 65521 ** 5):
         curve = Disc0(small * below)
         want = tamagawa_table_by_factoring(curve, ((2, 3),), True)
         assert local_data._tamagawa_table(curve, ((2, 3),), True) == want
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=r"trial division to 2\^20"):
             local_data._tamagawa_table(Disc0(small * above), (), True)
-    # 65537 is the least prime past 2^16: its fifth power is the smallest
-    # l^5 trial division would not reach
-    with pytest.raises(TooLarge):
-        local_data._tamagawa_table(Disc0(65537 ** 5), (), True)
+
+
+@pytest.mark.parametrize("cofactor", [
+    65537 ** 5,  # 65537 is the least prime past 2^16
+    -(65537 ** 5) * 3 ** 2,
+    1048583 ** 5,  # the least prime past the trial limit 2^20
+    7 ** 5 * 1048583 ** 5 * 11,
+    sympy.nextprime(2 ** 80),
+    sympy.nextprime(2 ** 100) * sympy.nextprime(2 ** 15),
+    3 ** 11 * 5 ** 5 * sympy.nextprime(2 ** 90),
+    sympy.prevprime(2 ** 119) * 5 ** 6,
+])
+def test_trial_division_table_answers_cofactors_past_2_to_the_80(cofactor):
+    for overrides in ((), ((2, 4),), ((7, 3),)):
+        for allow_23 in (False, True):
+            want = tamagawa_table_by_factoring(Disc0(cofactor), overrides, allow_23)
+            assert local_data._tamagawa_table(Disc0(cofactor), overrides, allow_23) == want
 
 
 def test_trial_division_table_of_a_semiprime_is_quick():
     # two ~40-bit prime factors took pure-Python rho ~0.37 s; trial division
-    # stops at 2^16 on a cofactor below 2^80
+    # stops at the sixth root of the cofactor, ~2^13.3
     n = (2 ** 40 - 87) * (2 ** 40 - 167)
     assert n < 2 ** 80 and is_prime(2 ** 40 - 87) and is_prime(2 ** 40 - 167)
-    local_data._odd_primes_below(local_data._TRIAL_BITS)  # sieve once, outside the timing
     table = local_data._tamagawa_table.__wrapped__
     best = min(timeit.repeat(lambda: table(Disc0(n), (), False), number=1, repeat=5))
     assert table(Disc0(n), (), False) == (1, {})

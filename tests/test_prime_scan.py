@@ -182,8 +182,9 @@ def test_unknown_local_data_propagates():
     assert scan_at(rec, 5, True).conclusion is scan_at(fixed, 5).conclusion
 
 
-# disc0 = 4 A^3 + 27 B^2 (143 bits) leaves a 138-bit cofactor after trial
-# division to 2^16, so its Tamagawa table raises TooLarge
+# disc0 = 4 A^3 + 27 B^2 (143 bits) = 3^3 * 89977 * 7348667 * P (P of 99
+# bits) leaves the 122-bit cofactor 7348667 * P after trial division to 2^20,
+# whose sixth root is past 2^20, so its Tamagawa table raises TooLarge
 BIG = (123456789012345, -98765432109876543)
 
 

@@ -1,16 +1,19 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwastat.errors import TooLarge
 from iwastat.primes import (
+    _TRIAL_LIMIT,
     factorize,
     icbrt,
     iroot,
     is_prime,
     legendre,
+    power_divisors,
     prime_range,
     primes_up_to,
     valuation,
@@ -214,3 +217,34 @@ def test_factorize_hard_cases_agree_with_sympy():
                      * sympy.nextprime(rng.randrange(2**39, 2**40)))
     for n in cases:
         assert factorize(n) == sympy.factorint(n), n
+
+
+# primes trial division reaches and primes past the limit: 1048583 is the
+# least prime above 2^20, and 2^31 - 1 and 10^9 + 7 are far above it
+LARGE_PRIMES = [65537, 1048573, 1048583, 2**31 - 1, 10**9 + 7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 4, 5, 6, 12]),
+       small=st.lists(st.tuples(st.sampled_from(primes_up_to(200)), st.integers(1, 14)),
+                      max_size=4),
+       large=st.lists(st.tuples(st.sampled_from(LARGE_PRIMES), st.integers(1, 13)),
+                      max_size=1))
+@example(k=5, small=[], large=[(65537, 5)])
+@example(k=5, small=[(3, 7), (7, 2)], large=[(1048583, 5)])
+@example(k=4, small=[(2, 3)], large=[(2**31 - 1, 4)])
+@example(k=12, small=[(5, 12)], large=[(1048583, 12)])
+@example(k=1, small=[(3, 1)], large=[(10**9 + 7, 1), (2**31 - 1, 1)])
+def test_power_divisors_agrees_with_factorize(k, small, large):
+    # the q^k the routine finds are those of the factorization; it refuses
+    # exactly when the primes past the trial limit multiply to (limit + 1)^(k+1)
+    # or more, so that their (k+1)-th root is past the limit
+    n = math.prod(q**e for q, e in small + large)
+    factors = factorize(n)
+    past = math.prod(q**e for q, e in factors.items() if q > _TRIAL_LIMIT)
+    got = power_divisors(n, k)
+    if past >= (_TRIAL_LIMIT + 1) ** (k + 1):
+        assert got is None
+    else:
+        assert got == {q: e for q, e in factors.items() if e >= k}
+        assert list(got) == sorted(got)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import InvalidPrime, OutOfRange
-from .primes import is_prime, primes_up_to
+from .errors import OutOfRange
+from .primes import primes_up_to, require_prime
 
 __all__ = ["DpMode", "d_of_p", "dp_table", "zeta10", "bound_dp2", "bound_dp3"]
 
@@ -78,11 +78,6 @@ def _coerce_mode(mode) -> DpMode:
         raise OutOfRange(f"unknown census mode {mode!r}") from None
 
 
-def _require_census_prime(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise InvalidPrime(f"{p} is not a prime >= 5")
-
-
 def _reduced_forms(D: int) -> tuple[int, int]:
     """(6 H(D), number of reduced forms) over the forms (a, b, c) with
     b^2 - 4ac = -D, primitive or not, for D > 0 with D = 0, 3 mod 4.
@@ -123,7 +118,7 @@ def _trace_pair_count(p: int, t: int) -> int:
 
 def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
     """Census count at p in the requested normalization, from class numbers."""
-    _require_census_prime(p)
+    require_prime(p, 5)
     mode = _coerce_mode(mode)
     if mode is DpMode.TRACE_ONE_CLASSES:
         return _reduced_forms(4 * p - 1)[1]
@@ -145,24 +140,27 @@ def zeta10() -> float:
     return math.pi ** 10 / 93555
 
 
-def bound_dp2(p: int, tol: float = 1e-8) -> float:
-    """Sum over primes l != p of (l-1)^2 / l^(p+2), certified below tol.
+_DP2_TOL = 1e-8  # bound_dp2 sums the primes to 80 at p = 5, to 10 from p = 11 on
+
+
+def bound_dp2(p: int) -> float:
+    """Sum over primes l != p of (l-1)^2 / l^(p+2), certified below _DP2_TOL.
 
     The tail over primes > L is dominated by sum_{n > L} n^(-p)
-    < L^(1-p)/(p-1), so L grows until that bound clears tol.
+    < L^(1-p)/(p-1), so L grows until that bound clears _DP2_TOL.
     """
-    _require_census_prime(p)
-    if not tol > 0:
-        raise OutOfRange(f"tolerance {tol} is not positive")
+    require_prime(p, 5)
     L = 10
-    while L ** (1 - p) / (p - 1) >= tol:
+    while L ** (1 - p) / (p - 1) >= _DP2_TOL:
         L *= 2
     return sum((l - 1) ** 2 / l ** (p + 2) for l in primes_up_to(L) if l != p)
 
 
 def bound_dp3(p: int, d_value: int) -> float:
     """Density bound zeta(10) * d(p) / p^2 for the anomalous locus."""
-    _require_census_prime(p)
+    require_prime(p, 5)
     if d_value < 0:
         raise OutOfRange(f"census count {d_value} is negative")
+    if d_value > p * p:
+        raise OutOfRange(f"census count {d_value} exceeds the {p * p} pairs mod {p}")
     return zeta10() * d_value / (p * p)

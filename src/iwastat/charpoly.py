@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import _Value
 from .errors import InvalidPrime, ZeroPolynomial
-from .primes import is_prime, valuation
+from .primes import require_prime, valuation
 
 __all__ = [
     "CharPoly", "iwasawa_invariants", "vanishing_order",
@@ -32,8 +32,7 @@ class CharPoly(_Value):
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        if not is_prime(p):
-            raise InvalidPrime(f"p={p} is not prime")
+        require_prime(p)
         cs = tuple(int(c) for c in coeffs)
         if not cs or all(c == 0 for c in cs):
             raise ZeroPolynomial("all coefficients vanish")

@@ -211,12 +211,12 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ip_count(args) -> int:
-    from .enumeration import count_Ip, sadek_bounds
+    from .enumeration import _SANDWICH_FLOOR, count_Ip, sadek_bounds
 
     n = count_Ip(args.l, args.p, args.height, workers=args.workers)
-    lo, up = sadek_bounds(args.l, args.p, args.height) if args.height >= 4096 else (None, None)
     print(f"count = {n}")
-    if lo is not None:
+    if args.height >= _SANDWICH_FLOOR:
+        lo, up = sadek_bounds(args.l, args.p, args.height)
         print(f"lower = {lo:.6g}")
         print(f"upper = {up:.6g}")
         assert lo <= n <= up, "sandwich bound violated"

@@ -42,8 +42,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from . import _bind_on_access, _Value
-from .errors import BadReductionAt, InvalidPrime, NonMinimalModel, SingularCurve
-from .primes import _TRIAL_LIMIT, factorize, is_prime, iroot, legendre, power_divisors
+from .errors import BadReductionAt, NonMinimalModel, SingularCurve
+from .primes import _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, require_prime
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass",
@@ -136,6 +136,11 @@ class CurveQ(_Value):
         return -16 * self.disc0
 
 
+def _as_curve(curve) -> CurveQ:
+    """curve if it is a CurveQ, else the CurveQ of its pair (A, B)."""
+    return curve if isinstance(curve, CurveQ) else CurveQ(*curve)
+
+
 class ReductionClass(str, Enum):
     GOOD_ORDINARY = "GoodOrdinary"
     GOOD_SUPERSINGULAR = "GoodSupersingular"
@@ -155,11 +160,6 @@ class LocalReduction(_Value):
     @property
     def is_good(self) -> bool:
         return self.reduction_class is not ReductionClass.BAD
-
-
-def _require_odd_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise InvalidPrime(f"{p} is not an odd prime")
 
 
 # frobenius_traces reads a_p from the point-count rows of primes up to this
@@ -298,7 +298,7 @@ def _row_traces(primes: tuple) -> tuple:
 def count_points(A: int, B: int, p: int) -> int:
     """#E(F_p) including the point at infinity, for an odd prime of good
     reduction.  Raises BadReductionAt when p divides disc0."""
-    _require_odd_prime(p)
+    require_prime(p, 3)
     if disc0_of(A % p, B % p) % p == 0:
         raise BadReductionAt(f"p={p} divides disc0")
     return p + 1 - frobenius_traces(A, B, (p,))[0]
@@ -317,10 +317,8 @@ def classify_reduction(curve: CurveQ | tuple[int, int], p: int,
     still make sense there but several downstream statements do not, so the
     caller must opt in.  p = 2 is always rejected.
     """
-    if isinstance(curve, tuple):
-        curve = CurveQ(*curve)
-    if not is_prime(p) or p < 3 or (p == 3 and not allow_p3):
-        raise InvalidPrime(f"p={p} not admitted (allow_p3={allow_p3})")
+    curve = _as_curve(curve)
+    require_prime(p, 3 if allow_p3 else 5)
     if curve.disc0 % p == 0:
         return LocalReduction(p, ReductionClass.BAD, None, None, False)
     n = count_points(curve.A, curve.B, p)
@@ -497,7 +495,7 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
     2p - count(a0, b s), so there the representative's b with
     count = 1 (mod p) are kept, not those with count = p - 1.
     """
-    _require_odd_prime(p)
+    require_prime(p, 3)
     counts = _point_count_rows(p)
     anomalous = {}  # (row index, sign) -> the sorted anomalous b of its representative
     out = []

@@ -40,11 +40,11 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .census import DpMode, _require_census_prime, bound_dp2, bound_dp3, d_of_p, zeta10
+from .census import DpMode, bound_dp2, bound_dp3, d_of_p, zeta10
 from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
-from .errors import EqualPrimes, InvalidPrime, OutOfRange, TooLarge
+from .errors import EqualPrimes, OutOfRange, TooLarge
 from .parallel import fan_out, worker_count
-from .primes import icbrt, iroot, is_prime, isqrt, legendre, primes_up_to, valuation
+from .primes import icbrt, iroot, isqrt, legendre, primes_up_to, require_prime, valuation
 
 __all__ = [
     "DensityReport",
@@ -69,12 +69,12 @@ _X_CAP = 10 ** 15
 def _require_height(X: int) -> None:
     if X < 1:
         raise OutOfRange(f"height {X} is below 1")
+    if X > _X_CAP:
+        raise TooLarge(f"height {X} exceeds the cap {_X_CAP}")
 
 
 def box_bounds(X: int) -> Tuple[int, int]:
     _require_height(X)
-    if X > _X_CAP:
-        raise TooLarge(f"height {X} exceeds the cap {_X_CAP}")
     return icbrt(X), isqrt(X)
 
 
@@ -109,15 +109,10 @@ def _ip_candidates(p: int, maxdisc: int) -> List[int]:
     return [l for l in primes_up_to(lim) if l ** p <= maxdisc]
 
 
-def _require_locus_prime(l: int) -> None:
-    if not is_prime(l):
-        raise InvalidPrime(f"the I_p locus needs a prime l, got {l}")
-
-
 def _require_locus(l: int, p: int) -> None:
     """The I_p locus at l is defined for a prime p >= 5 and a prime l != p."""
-    _require_census_prime(p)
-    _require_locus_prime(l)
+    require_prime(p, 5)
+    require_prime(l)
     if l == p:
         raise EqualPrimes("the locus is defined for l != p")
 
@@ -131,9 +126,12 @@ def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
     return counts.ip_counts[l]
 
 
+_SANDWICH_FLOOR = 2 ** 12  # the least X with L_1 = 2 <= X^(1/12), for sadek_bounds
+
+
 def _primorial_cutoff(X: int):
     # greedy maximal primorial L_k = 2*3*...*l_k with L_k <= X^(1/12)
-    if X < 4096:
+    if X < _SANDWICH_FLOOR:
         raise OutOfRange(f"height {X} is below 2^12, so not even L_1 = 2 fits")
     Lk, lk, used = 1, None, []
     for q in primes_up_to(64):
@@ -156,7 +154,7 @@ def lifting_count(l: int, p: int) -> int:
     The brute-force count in tests/oracles.py is its oracle. l must be
     prime; p may be any exponent.
     """
-    _require_locus_prime(l)
+    require_prime(l)
     if l in (2, 3):
         return 0
     return l ** p * (l - 1) ** 2
@@ -167,23 +165,29 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
 
     Evaluates the main term, lifting_count(l, p) residue classes scaled to
     the box, with both floor corrections; the lower bound may be negative
-    and is returned as-is. At l = 2, 3 both bounds are 0. p must be a
-    prime >= 5 and l a prime other than p.
+    and is returned as-is, a term too small for a float as 0.0. At l = 2, 3
+    both bounds are 0. p must be a prime >= 5 and l a prime other than p.
     """
     _require_locus(l, p)
-    x3, x2 = box_bounds(X)
+    amax, bmax = box_bounds(X)
     Lk, lk, used = _primorial_cutoff(X)
     prod = 1
     for q in used:
         prod *= q ** 10 - 1
     C = 4 * lifting_count(l, p) * prod
-    main = C * (x3 // (l ** (p + 1) * Lk ** 4)) * (x2 // (l ** (p + 1) * Lk ** 6))
-    lower = main - C * X ** (5 / 6) / (9 * l ** (2 * p + 2) * Lk ** 10 * lk ** 9)
-    upper = main + C * (
-        X ** (1 / 3) / (3 * l ** (p + 1) * Lk ** 4 * lk ** 3)
-        + X ** (1 / 2) / (5 * l ** (p + 1) * Lk ** 6 * lk ** 5)
-    )
-    return lower, upper
+    m = l ** (p + 1)
+    main = C * (amax // (m * Lk ** 4)) * (bmax // (m * Lk ** 6))
+    d5 = 9 * m * m * Lk ** 10 * lk ** 9
+    d3, d2 = 3 * m * Lk ** 4 * lk ** 3, 5 * m * Lk ** 6 * lk ** 5
+    x5, x3, x2 = X ** (5 / 6), X ** (1 / 3), X ** (1 / 2)
+    try:
+        return main - C * x5 / d5, main + C * (x3 / d3 + x2 / d2)
+    except OverflowError:
+        # C or m^2 is past the float range, though l^p cancels in each term:
+        # form each term exactly from the floats' integer ratios, rounded once
+        (n5, e5), (n3, e3), (n2, e2) = (x.as_integer_ratio() for x in (x5, x3, x2))
+        return (main - C * n5 / (e5 * d5),
+                main + C * (n3 * e2 * d2 + n2 * e3 * d3) / (e3 * d3 * e2 * d2))
 
 
 def _axis_class_count(M: int, a: int, p: int) -> int:
@@ -542,7 +546,7 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
     bad primes, and both denominators (total, good_at_p) are in the report.
     Each of ip_primes must be a prime other than p, as for count_Ip.
     """
-    _require_census_prime(p)
+    require_prime(p, 5)
     amax, bmax = box_bounds(X)
     if ip_primes is None:
         maxdisc = 4 * amax ** 3 + 27 * bmax ** 2

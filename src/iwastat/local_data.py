@@ -28,12 +28,11 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _Value
-from .curves import CurveQ, _p_part_certifiably_trivial, disc0_of
-from .errors import (
-    GoodReductionAt, InvalidPrime, OutOfRange, SingularCurve, TooLarge, UnknownLocalData,
-)
+from .curves import CurveQ, _as_curve, _p_part_certifiably_trivial, disc0_of
+from .errors import GoodReductionAt, OutOfRange, SingularCurve, TooLarge, UnknownLocalData
 from .primes import (
-    _TRIAL_LIMIT, factorize, is_prime, legendre, power_divisors, primes_up_to, valuation,
+    _TRIAL_LIMIT, factorize, is_prime, legendre, power_divisors, primes_up_to, require_prime,
+    valuation,
 )
 
 __all__ = [
@@ -237,8 +236,7 @@ def local_reduction_raw(A, B, l):
     have good reduction at l on the minimal model). A non-prime l raises
     InvalidPrime and a singular pair SingularCurve.
     """
-    if not is_prime(l):
-        raise InvalidPrime(f"l must be prime, got {l}")
+    require_prime(l)
     if disc0_of(A, B) == 0:
         raise SingularCurve(f"disc0 vanishes for ({A}, {B})")
     return _tate(A, B, l)
@@ -361,10 +359,8 @@ def kodaira_tamagawa(curve, l, allow_23=False) -> KodairaData:
     expects callers to supply ingested Tamagawa overrides instead and
     raises UnknownLocalData. A non-prime l raises InvalidPrime.
     """
-    if not isinstance(curve, CurveQ):
-        curve = CurveQ(*curve)
-    if not is_prime(l):
-        raise InvalidPrime(f"l must be prime, got {l}")
+    curve = _as_curve(curve)
+    require_prime(l)
     if l >= 5 and curve.disc0 % l:
         raise GoodReductionAt(f"curve has good reduction at {l}")
     if l < 5 and not allow_23:
@@ -447,13 +443,8 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     overrides at good primes are ignored. p < 5 or a non-prime p raises
     InvalidPrime and an override below 1 raises OutOfRange.
     """
-    if p < 5:
-        raise InvalidPrime(f"tau_p is defined for p >= 5 here, got {p}")
-    if not is_prime(p):
-        raise InvalidPrime(f"tau_p needs a prime p, got {p}")
-    curve = getattr(record_or_curve, "curve", record_or_curve)
-    if not isinstance(curve, CurveQ):
-        curve = CurveQ(*curve)
+    require_prime(p, 5)
+    curve = _as_curve(getattr(record_or_curve, "curve", record_or_curve))
     if overrides is None:
         overrides = getattr(record_or_curve, "tamagawa_overrides", None) or {}
     for l, c in overrides.items():

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional
 
 from . import _bind_on_access, _Value
-from .curves import CurveQ, ReductionClass, frobenius_traces
+from .curves import CurveQ, ReductionClass, _as_curve, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, TooLarge
 from .local_data import _is_bad_prime, _p_part, _tamagawa_table, tamagawa_p_part
 from .primes import prime_range
@@ -87,8 +87,7 @@ class CurveRecord(_Value):
     def __init__(self, curve: CurveQ, rank: int, sha_order: Optional[int] = None,
                  torsion_order: int = 1, tamagawa_overrides: Optional[Dict[int, int]] = None,
                  regulator_valuations: Optional[Dict[int, int]] = None, label: str = ""):
-        if not isinstance(curve, CurveQ):
-            curve = CurveQ(*curve)
+        curve = _as_curve(curve)
         if tamagawa_overrides is None:
             tamagawa_overrides = {}
         if rank < 0:

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from .errors import InvalidPrime, TooLarge
 
 __all__ = [
-    "is_prime", "primes_up_to", "prime_range",
+    "is_prime", "require_prime", "primes_up_to", "prime_range",
     "factorize", "power_divisors", "valuation", "isqrt", "icbrt", "iroot",
     "legendre",
 ]
@@ -70,6 +70,12 @@ def is_prime(n: int) -> bool:
         raise TooLarge(f"{n} passes every Miller-Rabin witness up to 41, which "
                        f"proves primality only below {_MR_PSI[-1]}")
     return True
+
+
+def require_prime(n: int, least: int = 2) -> None:
+    """Raise InvalidPrime unless n is a prime >= least: every prime argument's check."""
+    if n < least or not is_prime(n):
+        raise InvalidPrime(f"{n} is not a prime >= {least}")
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -31,12 +31,12 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 import sympy
 
-from iwastat.census import DpMode, _require_census_prime
+from iwastat.census import DpMode
 from iwastat.curves import is_minimal_pair
 from iwastat.enumeration import _axis_class_count, box_bounds, total_weq
 from iwastat.errors import OutOfRange, TooLarge
 from iwastat.io import scan_result_dict
-from iwastat.primes import primes_up_to
+from iwastat.primes import primes_up_to, require_prime
 
 
 def iter_curves(X: int) -> Iterator[Tuple[int, int]]:
@@ -96,7 +96,7 @@ def dp_census_bruteforce(p: int) -> dict:
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
-    _require_census_prime(p)
+    require_prime(p, 5)
     xs = np.arange(p, dtype=np.int64)
     ys2 = (xs * xs) % p
     bs = np.arange(p, dtype=np.int64)

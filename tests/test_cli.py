@@ -158,6 +158,15 @@ def test_bad_census_input_exits_1(capsys, argv):
     assert err.startswith("error: ") and err.strip() != "error:"
 
 
+@pytest.mark.parametrize("l, p", [("5", "223"), ("7", "179"), ("1009", "53")])
+def test_ip_count_sandwich_past_the_float_range(capsys, l, p):
+    # sadek_bounds once raised OverflowError here, so the command exited 2
+    # with "internal error: int too large to convert to float"
+    code, out, err = run(capsys, "ip-count", "--l", l, "--p", p, "--height", "1000000")
+    assert (code, err) == (0, "")
+    assert out.startswith("count = 0\nlower = ") and "\nupper = " in out
+
+
 @pytest.mark.parametrize("p", ["0", "1", "4", "9"])
 def test_ip_count_non_prime_exponent_exits_1(capsys, p):
     code, out, err = run(capsys, "ip-count", "--l", "7", "--p", p, "--height", "5000")

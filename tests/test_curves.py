@@ -257,6 +257,9 @@ def test_classify_reduction_cases():
     r = classify_reduction(CurveQ(1, 5), 7)  # disc0 = 679 = 7 * 97
     assert r.reduction_class is ReductionClass.BAD
     assert r.n_points is None and r.a_p is None
+    # any (A, B) pair is a curve, a list too; [-1, 0] once raised AttributeError
+    assert classify_reduction([-1, 0], 5) == classify_reduction((-1, 0), 5)
+    assert classify_reduction([-1, 0], 5).a_p == -2
 
 
 def test_classify_reduction_prime_policy():

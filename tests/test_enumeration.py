@@ -289,6 +289,25 @@ def test_sadek_sandwich_frozen():
         sadek_bounds(7, 5, 1000)  # box too small for the primorial cutoff
 
 
+@pytest.mark.parametrize("l, p", [(5, 223), (7, 179), (1009, 53), (5, 503)])
+def test_sadek_bounds_past_the_float_range(l, p):
+    # l^(2p+2), and at (5, 503) C = 4 l^p (l-1)^2 (2^10 - 1) too, is past the
+    # float range: these once raised OverflowError. At X = 10^6, L_k = l_k = 2
+    # and the main term is 0, so each bound is one correction term, exact
+    # and rounded once
+    X = 10**6
+    C = 4 * l**p * (l - 1) ** 2 * (2**10 - 1)
+    m = l ** (p + 1)
+    lower = C * Fraction(X ** (5 / 6)) / (9 * m * m * 2**10 * 2**9)
+    upper = C * (Fraction(X ** (1 / 3)) / (3 * m * 2**4 * 2**3)
+                 + Fraction(X ** (1 / 2)) / (5 * m * 2**6 * 2**5))
+    lo, hi = sadek_bounds(l, p, X)
+    assert (lo, hi) == (0 - float(lower), float(upper))
+    assert lo <= count_Ip(l, p, X) == 0 <= hi
+    if p == 503:
+        assert lo == 0.0  # the lower term is below the float range
+
+
 def test_lifting_counts():
     # the unit-locus count matches the closed form once l is large enough
     # for the discriminant gradient to stay nonzero on units
@@ -344,7 +363,7 @@ def test_input_errors_are_typed():
     for l in (4, 9, 25, 1, 0, -7):
         for call in (lambda: sadek_bounds(l, 5, 10**6), lambda: lifting_count(l, 5),
                      lambda: lifting_count(l, 1)):
-            with pytest.raises(InvalidPrime, match=f"^the I_p locus needs a prime l, got {l}$"):
+            with pytest.raises(InvalidPrime, match=f"^{l} is not a prime >= 2$"):
                 call()
     with pytest.raises(OutOfRange):
         empirical_densities(5, 0)
@@ -356,9 +375,18 @@ def test_input_errors_are_typed():
         with pytest.raises(InvalidPrime):
             empirical_densities(p, 10**5)
     with pytest.raises(OutOfRange):
-        bound_dp2(5, tol=0)
-    with pytest.raises(OutOfRange):
         bound_dp3(5, -1)
+    # a census count lies in [0, p^2]; 10^400 once raised OverflowError
+    assert bound_dp3(5, 25) == pytest.approx(zeta10(), rel=1e-15)
+    for d in (26, 10**400):
+        with pytest.raises(OutOfRange, match=f"^census count {d} exceeds the 25 pairs mod 5$"):
+            bound_dp3(5, d)
+    # brumer_estimate refuses the heights box_bounds refuses; 10^400 once
+    # raised OverflowError
+    assert brumer_estimate(10**15) == pytest.approx(4 * 10**12.5 / zeta10(), rel=1e-12)
+    for X in (10**15 + 1, 10**400):
+        with pytest.raises(TooLarge, match=f"^height {X} exceeds the cap {10**15}$"):
+            brumer_estimate(X)
 
 
 def test_unknown_choices_are_typed():

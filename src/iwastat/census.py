@@ -140,6 +140,14 @@ def zeta10() -> float:
     return math.pi ** 10 / 93555
 
 
+def _over_power(n: int, d: int, l: int, k: int) -> float:
+    """n / (d l^k) correctly rounded, for n >= 0, d >= 1 and l >= 2; 0.0,
+    without building l^k, where bit lengths put it at most 2^-1075."""
+    if n.bit_length() - d.bit_length() + 1 - k * (l.bit_length() - 1) <= -1075:
+        return 0.0
+    return n / (d * l ** k)
+
+
 _DP2_TOL = 1e-8  # bound_dp2 sums the primes to 80 at p = 5, to 10 from p = 11 on
 
 
@@ -147,13 +155,14 @@ def bound_dp2(p: int) -> float:
     """Sum over primes l != p of (l-1)^2 / l^(p+2), certified below _DP2_TOL.
 
     The tail over primes > L is dominated by sum_{n > L} n^(-p)
-    < L^(1-p)/(p-1), so L grows until that bound clears _DP2_TOL.
+    < L^(1-p)/(p-1), so L grows until that bound clears _DP2_TOL. Past
+    p ~ 1073 every term rounds to 0.0, which _over_power sees from bit lengths.
     """
     require_prime(p, 5)
     L = 10
     while L ** (1 - p) / (p - 1) >= _DP2_TOL:
         L *= 2
-    return sum((l - 1) ** 2 / l ** (p + 2) for l in primes_up_to(L) if l != p)
+    return sum(_over_power((l - 1) ** 2, 1, l, p + 2) for l in primes_up_to(L) if l != p)
 
 
 def bound_dp3(p: int, d_value: int) -> float:

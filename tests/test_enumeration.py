@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -289,23 +290,41 @@ def test_sadek_sandwich_frozen():
         sadek_bounds(7, 5, 1000)  # box too small for the primorial cutoff
 
 
-@pytest.mark.parametrize("l, p", [(5, 223), (7, 179), (1009, 53), (5, 503)])
+@pytest.mark.parametrize("l, p", [(5, 223), (7, 179), (1009, 53), (5, 503), (5, 1000003)])
 def test_sadek_bounds_past_the_float_range(l, p):
     # l^(2p+2), and at (5, 503) C = 4 l^p (l-1)^2 (2^10 - 1) too, is past the
     # float range: these once raised OverflowError. At X = 10^6, L_k = l_k = 2
     # and the main term is 0, so each bound is one correction term, exact
-    # and rounded once
+    # and rounded once. The oracle keeps every l^p; Fraction would spend
+    # ~20 s on the gcds of its ~5-Mbit terms at p = 1000003, so each term is
+    # an integer pair rounded by int true division, which rounds correctly
+    # as float(Fraction) does
     X = 10**6
     C = 4 * l**p * (l - 1) ** 2 * (2**10 - 1)
     m = l ** (p + 1)
-    lower = C * Fraction(X ** (5 / 6)) / (9 * m * m * 2**10 * 2**9)
-    upper = C * (Fraction(X ** (1 / 3)) / (3 * m * 2**4 * 2**3)
-                 + Fraction(X ** (1 / 2)) / (5 * m * 2**6 * 2**5))
+    (n5, e5), (n3, e3), (n2, e2) = ((X ** e).as_integer_ratio() for e in (5 / 6, 1 / 3, 1 / 2))
+    d5, d3, d2 = 9 * m * m * 2**10 * 2**9, 3 * m * 2**4 * 2**3, 5 * m * 2**6 * 2**5
+    lower = C * n5 / (e5 * d5)
+    upper = C * (n3 * e2 * d2 + n2 * e3 * d3) / (e3 * d3 * e2 * d2)
     lo, hi = sadek_bounds(l, p, X)
-    assert (lo, hi) == (0 - float(lower), float(upper))
+    assert (lo, hi) == (0 - lower, upper)
     assert lo <= count_Ip(l, p, X) == 0 <= hi
-    if p == 503:
+    if p >= 503:
         assert lo == 0.0  # the lower term is below the float range
+
+
+def test_closed_forms_take_bounded_time_at_large_p():
+    # l^p cancels in every sandwich term and each term of bound_dp2 rounds
+    # to 0.0 past p ~ 1073: neither builds an l^p there (0.7 s for
+    # bound_dp2 at 1000003 once, and no answer in 120 s for the sandwich at
+    # 10^7 + 19)
+    start = time.perf_counter()
+    assert sadek_bounds(5, 10**7 + 19, 10**6) == sadek_bounds(5, 1000003, 10**6)
+    values = [bound_dp2(p) for p in (1069, 1087, 1000003, 10**7 + 19)]
+    assert time.perf_counter() - start < 1.0
+    # only l = 2 is left at p = 1069, a subnormal; a float 0.0 past it
+    assert values[0] == 2.0**-1071
+    assert all(type(v) is float and v == 0.0 for v in values[1:])
 
 
 def test_lifting_counts():

@@ -162,6 +162,16 @@ def test_sigma_prime_membership():
     assert scan_at(tam5, 11).conclusion is Conclusion.SELMER_TRIVIAL
 
 
+@pytest.mark.parametrize("p", [0, 1, 3, 4, 6, 9, 25, -5])
+def test_sigma_prime_membership_checks_its_prime(p):
+    # the prime is checked before Sha is read: with Sha of order 4, p = 0
+    # once raised ZeroDivisionError and p = 1 and 4 answered True
+    sha4 = CurveRecord(curve=(-1, 0), rank=0, sha_order=4)
+    with pytest.raises(InvalidPrime, match=f"^{p} is not a prime >= 5$"):
+        sigma_prime_membership(sha4, p)
+    assert sigma_prime_membership(sha4, 2) is True
+
+
 def test_divisor_hit_is_inconclusive():
     sha5 = CurveRecord(curve=(-1, 0), rank=0, sha_order=5)
     one = scan_at(sha5, 5)

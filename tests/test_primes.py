@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iwastat.census import dp_table
 from iwastat.errors import TooLarge
 from iwastat.primes import (
+    _SIEVE_CAP,
     _TRIAL_LIMIT,
     factorize,
     icbrt,
@@ -84,6 +86,20 @@ def test_primes_up_to_and_range():
     assert prime_range(10, 30) == [11, 13, 17, 19, 23, 29]
     assert prime_range(5, 6) == [5]
     assert prime_range(24, 29) == []
+
+
+def test_every_sieve_has_the_one_cap():
+    # past the cap a sieve raises TooLarge before it allocates; dp_table once
+    # raised a bare OverflowError at 2 * 10^20 and asked for 1 GB at 10^9
+    cap = _SIEVE_CAP
+    for n in (cap + 1, 10**9, 2 * 10**20):
+        with pytest.raises(TooLarge, match=f"^sieve up to {n} exceeds the cap {cap}$"):
+            primes_up_to(n)
+    with pytest.raises(TooLarge):
+        prime_range(5, cap + 2)
+    for p_max in (10**9 + 2, 2 * 10**20):
+        with pytest.raises(TooLarge):
+            dp_table(p_max)
 
 
 def test_is_prime_small_and_carmichael():

@@ -3,11 +3,14 @@
 row_scan_chunk is the sweep as it was before the e2 and I_p loci were
 solved by Hensel lifting: it tests disc % l^k over whole rows and walks
 each hit with its own valuation loop, and it re-derives the strict-mode
-ladder inline. It must agree with _sweep_chunk on every count.
+ladder inline. It must agree with _sweep_chunk on every count. Both give a
+Counter with every tally and I_p prime as a key, compared as dicts, since
+Counter equality would let a missing key pass for a zero tally.
 """
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from iwastat.enumeration import (
     _power_locus,
     _StrictLadder,
     _sweep_chunk,
-    _SweepCounts,
     box_bounds,
     count_Ip,
     empirical_densities,
@@ -55,18 +57,19 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
     strict2 = uncertified_min_valuation(2, p) if strict else None
     strict3 = uncertified_min_valuation(3, p) if strict else None
 
-    out = _SweepCounts(ip_counts={l: 0 for l in ip_set + ip_zero})
+    tallies = ("total", "good_at_p", "e2", "e3", "skipped", *ip_set, *ip_zero)
+    out = Counter(dict.fromkeys(tallies, 0))
     for A in range(a_lo, a_hi):
         disc = 4 * A ** 3 + Bsq27
         ok = minimal_mask(A, B, qs, disc != 0)
         n_ok = int(np.count_nonzero(ok))
         if n_ok == 0:
             continue
-        out.total += n_ok
+        out["total"] += n_ok
         good = ok & (disc % p != 0)
-        out.good_at_p += int(np.count_nonzero(good))
+        out["good_at_p"] += int(np.count_nonzero(good))
         if densities:
-            out.e3 += int(np.count_nonzero(good & anom[A % p][Bmodp]))
+            out["e3"] += int(np.count_nonzero(good & anom[A % p][Bmodp]))
 
         skip_mask = None
         if strict:
@@ -82,7 +85,7 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
                     shift = 4 if l == 2 else 0
                     if any(n % p == 0 for n in range(v + shift, 0, -12)):
                         skip_mask[i] = True
-            out.skipped += int(np.count_nonzero(skip_mask))
+            out["skipped"] += int(np.count_nonzero(skip_mask))
 
         if densities:
             e2_mask = np.zeros(len(B), dtype=bool)
@@ -100,13 +103,13 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
                         e2_mask[i] = True
             if strict:
                 e2_mask &= ~skip_mask
-            out.e2 += int(np.count_nonzero(e2_mask))
+            out["e2"] += int(np.count_nonzero(e2_mask))
 
         for l in ip_set:
             if A % l == 0:
                 continue
             m = ok & ((B % l) != 0) & (disc % l ** p == 0) & (disc % l ** (p + 1) != 0)
-            out.ip_counts[l] += int(np.count_nonzero(m))
+            out[l] += int(np.count_nonzero(m))
     return out
 
 
@@ -127,7 +130,7 @@ def test_full_boxes_match_row_scan(X, p):
     ip = ip_primes_for(p, X)
     for strict in (False, True):
         args = (X, p, -amax, amax + 1, ip, True, strict)
-        assert _sweep_chunk(*args) == row_scan_chunk(*args), (X, p, strict)
+        assert dict(_sweep_chunk(*args)) == dict(row_scan_chunk(*args)), (X, p, strict)
 
 
 # seeded 20-row slices of the 10^8 box; between them they hold I_p hits
@@ -139,17 +142,17 @@ def test_row_slices_of_the_1e8_box_match_row_scan():
     X, p = 10 ** 8, 5
     amax, _ = box_bounds(X)
     ip = ip_primes_for(p, X)
-    seen = _SweepCounts(ip_counts={l: 0 for l in ip})
+    seen = Counter()
     for seed in _SLICE_SEEDS:
         a_lo = random.Random(seed).randrange(-amax, amax + 1 - 20)
         for strict in (False, True):
             args = (X, p, a_lo, a_lo + 20, ip, True, strict)
             want = row_scan_chunk(*args)
-            assert _sweep_chunk(*args) == want, (seed, strict)
+            assert dict(_sweep_chunk(*args)) == dict(want), (seed, strict)
             if strict:
-                seen.merge(want)
-    assert all(seen.ip_counts[l] > 0 for l in (7, 11, 13)), seen.ip_counts
-    assert seen.e2 > 0 and seen.skipped > 0
+                seen.update(want)
+    assert all(seen[l] > 0 for l in (7, 11, 13)), seen
+    assert seen["e2"] > 0 and seen["skipped"] > 0
 
 
 _IP_POOL = primes_up_to(100)
@@ -171,7 +174,7 @@ def sweep_args(draw):
 @settings(max_examples=80, deadline=None)
 @given(sweep_args())
 def test_random_boxes_match_row_scan(args):
-    assert _sweep_chunk(*args) == row_scan_chunk(*args)
+    assert dict(_sweep_chunk(*args)) == dict(row_scan_chunk(*args))
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -190,7 +193,8 @@ def test_one_row_of_the_1e13_box_stays_small(strict):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.total > 0 and out.e3 > 0 and out.e2 > 0 and out.skipped == (395284 if strict else 0)
+    assert out["total"] > 0 and out["e3"] > 0 and out["e2"] > 0
+    assert out["skipped"] == (395284 if strict else 0)
     assert peak < 16 * 2 ** 20, peak
 
 
@@ -226,9 +230,10 @@ _FROZEN_ROWS = (
 
 @pytest.mark.parametrize("X, p, a_lo, a_hi, counts, ip_counts", _FROZEN_ROWS)
 def test_frozen_rows_of_the_large_boxes(X, p, a_lo, a_hi, counts, ip_counts):
-    out = _sweep_chunk(X, p, a_lo, a_hi, ip_primes_for(p, X), True, True)
-    assert (out.total, out.good_at_p, out.e2, out.e3, out.skipped) == counts
-    assert {l: n for l, n in out.ip_counts.items() if n} == ip_counts
+    ip = ip_primes_for(p, X)
+    out = _sweep_chunk(X, p, a_lo, a_hi, ip, True, True)
+    assert tuple(out[k] for k in ("total", "good_at_p", "e2", "e3", "skipped")) == counts
+    assert {l: out[l] for l in ip if out[l]} == ip_counts
 
 
 def test_power_locus_past_int64():

@@ -10,17 +10,18 @@ classes of B and never walks the B of a row:
   B = +-2k^3;
 - good_at_p leaves out the 0-2 classes of B mod p with p | disc0, and e3
   adds up the anomalous classes of the row A mod p;
-- the strict skips come from one walk over the classes of B mod l^j at
-  l = 2 and 3: a class whose every B has the same v_l(disc0), or whose
-  every possible v_l(disc0) gets the same verdict, is decided whole, and
-  the rest split into l subclasses until a class holds at most one B, whose
-  valuation is then taken exactly;
+- the strict skips are the term classes of one walk over the classes of B
+  mod l^j at l = 2 and 3: a class whose every B has the same v_l(disc0),
+  or whose every possible v_l(disc0) gets the same verdict, is decided
+  whole, the rest split into l subclasses, and a class with at most one B
+  in the box takes that B's verdict; the 2- and 3-terms meet by CRT;
 - the e2 and I_p loci at a prime l >= 5 with l^p at most the box's largest
   |disc0| (an exact iroot) are the 0 or 2 classes of the Hensel-lifted
   square roots of -4A^3/27 mod l^p, and their few hits are tested one by one.
 
-A row costs O(classes + hits) in time and memory. The tallies are the keys
-of one collections.Counter. A worker count n > 1, from --workers or
+A sweep works out what its rows share once (_Box), and a row costs
+O(classes + hits) in time and memory. The tallies are the keys of one
+collections.Counter. A worker count n > 1, from --workers or
 IWASTAT_THREADS, cuts the A-range into min(n, usable CPUs, rows) parts,
 sweeps each in a forked child and adds up their Counters; one part is swept
 in this process.
@@ -93,22 +94,7 @@ def brumer_estimate(X: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the family
-
-
-def _minimality_primes(amax: int, bmax: int) -> List[int]:
-    """Every prime q that can make a nonsingular pair of the box non-minimal:
-    q^4 <= amax (A != 0) or q^6 <= bmax (A = 0)."""
-    return primes_up_to(max(iroot(amax, 4), iroot(bmax, 6)))
-
-
-# ---------------------------------------------------------------------------
 # I_p loci and the congruence bounds
-
-
-def _ip_candidates(p: int, maxdisc: int) -> List[int]:
-    """The primes l with l^p <= maxdisc."""
-    return primes_up_to(iroot(maxdisc, p))
 
 
 def _require_locus(l: int, p: int) -> None:
@@ -323,7 +309,8 @@ class _StrictLadder:
     v_l(27) + 2j at r = 0 and v_l(54 r) + j elsewhere, so a subclass's bound
     is its class's plus 1, but plus 2 for 0 and 1 + v_l(2) for the others
     below r = 0. No nonzero |disc0| <= maxdisc has l^(vmax + 1) | disc0, so
-    past vmax only a singular B is left.
+    past vmax only a singular B is left. A class wider than the box holds at
+    most one B, and its verdict is that B's own.
     """
 
     def __init__(self, l: int, p: int, maxdisc: int, bmax: int):
@@ -346,64 +333,82 @@ class _StrictLadder:
         """Whether strict mode skips a nonzero disc0 d of the box."""
         return self.skip[self.logs[math.gcd(d, self.pows[self.vmax])]]
 
-    def row(self, row: _Row):
-        """The row's skipped set as (terms, listed): every family B of a
-        term class (r, m) is skipped, and listed holds the family B of the
-        undecided classes wider than the box, one B each."""
-        l, a3x4, last = self.l, row.a3x4, self.vmax + 1
+    def row(self, a3x4: int) -> List[Tuple[int, int]]:
+        """The term classes (r, m) of the row with 4A^3 = a3x4: strict mode
+        skips every family B of each, and no other B of the row."""
+        l, last, bmax = self.l, self.vmax + 1, self.bmax
         pows, logs, skip, verdicts = self.pows, self.logs, self.skip, self.verdicts
-        terms, listed = [], []
+        terms = []
         todo = [(0, 1, valuation(27, l))]  # (r, m, bound)
         while todo:
             r, m, bound = todo.pop()
             b = bound if bound < last else last
             w = logs[math.gcd(a3x4 + 27 * r * r, pows[b])]  # min(v_l(f(r)), b)
             verdict = skip[w] if w < b else verdicts[b]
+            if verdict is None and m > 2 * bmax:
+                x = -bmax + (r + bmax) % m  # the class's one B in the box, if any
+                d = a3x4 + 27 * x * x
+                verdict = x <= bmax and d != 0 and self.skips(d)
             if verdict is not None:
                 if verdict:
                     terms.append((r, m))
-            elif m > 2 * self.bmax:
-                x = -self.bmax + (r + self.bmax) % m
-                if x <= self.bmax and row.disc0(x) is not None:
-                    listed.append(x)
             elif r:
                 todo += [(r + i * m, m * l, bound + 1) for i in range(l)]
             else:
                 todo += [(i * m, m * l, bound + (1 + (l == 2) if i else 2)) for i in range(l)]
-        return terms, listed
+        return terms
 
 
 def _skipped_in_row(row: _Row, ladders: List[_StrictLadder]) -> int:
-    """Family B of the row that strict mode skips at l = 2 or 3.
-
-    |U2 u U3| = |U2| + |U3| - |U2 n U3| over the term classes (the 2- and
-    3-classes meet by CRT), then each listed point, which no term at its
-    own l holds, is counted from its exact valuations instead.
-    """
-    (terms2, listed2), (terms3, listed3) = walks = [ladder.row(row) for ladder in ladders]
+    """Family B of the row that strict mode skips at l = 2 or 3:
+    |U2 u U3| = |U2| + |U3| - |U2 n U3| over the term classes, where the 2-
+    and 3-classes meet by CRT."""
+    terms2, terms3 = (ladder.row(row.a3x4) for ladder in ladders)
     n = sum(row.count(r, m) for r, m in terms2 + terms3)
     for r2, m2 in terms2:
         for r3, m3 in terms3:
             n -= row.count(*_crt(r2, m2, r3, m3))
-    for b in set(listed2 + listed3):
-        d = row.disc0(b)
-        shallow = any(b not in listed and ladder.skips(d)
-                      for ladder, (_, listed) in zip(ladders, walks))
-        n += any(ladder.skips(d) for ladder in ladders) - shallow
     return n
 
 
-def _locus_primes(p, maxdisc, ip_primes, densities):
-    """(e2 primes, I_p primes): the l >= 5 with l^p <= maxdisc. No larger l^p
-    divides a disc0 of the box, and the unit locus at l = 2, 3 is empty (B
-    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3)."""
-    reach = {l for l in _ip_candidates(p, maxdisc) if l >= 5}
-    return reach if densities else set(), reach.intersection(ip_primes or [])
+_TALLIES = ("total", "good_at_p", "e2", "e3", "skipped")
 
 
-def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> Counter:
-    """The family counts over the rows a_lo <= A < a_hi of the height-X box:
-    total, good_at_p, e2, e3, skipped and each I_p prime l, all from 0.
+class _Box:
+    """What every row of the height-X box at p shares, built once per sweep
+    and inherited by forked workers: the primes qs that can make a pair
+    non-minimal (q^4 <= amax, or q^6 <= bmax at A = 0); the e2 and I_p
+    primes, the l >= 5 with l^p <= maxdisc by an exact iroot (no larger l^p
+    divides a disc0 of the box, and the unit locus at l = 2, 3 is empty: B
+    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3); the anomalous
+    classes of each residue A mod p of the rows; the strict ladders; and
+    _root_table(p). ip_primes may be any list, None for every such l but p;
+    with the five counts they are the tallies, each chunk's Counter keys.
+    """
+
+    def __init__(self, X, p, ip_primes, densities, strict):
+        self.amax, self.bmax = amax, bmax = box_bounds(X)
+        maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
+        self.p, self.densities = p, densities
+        self.qs = primes_up_to(max(iroot(amax, 4), iroot(bmax, 6)))
+        reach = {l for l in primes_up_to(iroot(maxdisc, p)) if l >= 5}
+        if ip_primes is None:
+            ip_primes = sorted(reach - {p})
+        self.tallies = (*_TALLIES, *ip_primes)
+        self.e2_set = reach if densities else set()
+        self.ip_set = reach.intersection(ip_primes)
+        self.locus_primes = sorted(self.e2_set | self.ip_set)
+        self.anom = {}
+        if densities:
+            residues = sorted({A % p for A in range(-amax, min(amax + 1, p - amax))})
+            self.anom = dict(zip(residues, anomalous_residue_table(p, residues)))
+        self.ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
+        self.p_roots = _root_table(p)
+
+
+def _sweep_chunk(box: _Box, a_lo: int, a_hi: int) -> Counter:
+    """The family counts over the rows a_lo <= A < a_hi of the box: total,
+    good_at_p, e2, e3, skipped and each I_p prime l, all from 0.
 
     Each row is counted by residue classes (see _Row), never B by B:
     total and good_at_p from the 0-2 classes of B mod p with p | disc0, e3
@@ -413,37 +418,25 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> Counter:
     few hits are tested one by one. e2 and e3 are counted only when
     densities is set.
     """
-    amax, bmax = box_bounds(X)
-    qs = _minimality_primes(amax, bmax)
-    maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_set, ip_set = _locus_primes(p, maxdisc, ip_primes, densities)
-    locus_primes = sorted(e2_set | ip_set)
-    anom = {}
-    if densities:
-        residues = sorted({A % p for A in range(a_lo, min(a_hi, a_lo + p))})
-        anom = dict(zip(residues, anomalous_residue_table(p, residues)))
-    ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
-    p_roots = _root_table(p)
-
-    tallies = ("total", "good_at_p", "e2", "e3", "skipped", *(ip_primes or []))
-    out = Counter(dict.fromkeys(tallies, 0))
+    p, bmax, ladders = box.p, box.bmax, box.ladders
+    out = Counter(dict.fromkeys(box.tallies, 0))
     for A in range(a_lo, a_hi):
-        row = _Row(A, bmax, qs)
+        row = _Row(A, bmax, box.qs)
         n_ok = row.count(0, 1)
         if n_ok == 0:
             continue
         out["total"] += n_ok
         a = A % p
-        r = p_roots[a] if a else 0
+        r = box.p_roots[a] if a else 0
         bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
         out["good_at_p"] += n_ok - sum(row.count(b, p) for b in bad)
-        if densities:
-            out["e3"] += sum(row.count(b, p) for b in anom[a])
-        if strict:
+        if box.densities:
+            out["e3"] += sum(row.count(b, p) for b in box.anom[a])
+        if ladders:
             out["skipped"] += _skipped_in_row(row, ladders)
 
         e2_hits = set()
-        for l in locus_primes:
+        for l in box.locus_primes:
             if A % l == 0:
                 continue  # outside the I_p locus; l | disc0 is additive, c_l <= 4 < p
             for b in _power_locus(A, l, p, bmax):
@@ -451,9 +444,9 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> Counter:
                 if d is None:
                     continue
                 v = valuation(d, l)
-                if v == p and l in ip_set:
+                if v == p and l in box.ip_set:
                     out[l] += 1
-                if (v % p == 0 and l in e2_set and legendre(864 * b, l) == 1
+                if (v % p == 0 and l in box.e2_set and legendre(864 * b, l) == 1
                         and not any(ladder.skips(d) for ladder in ladders)):
                     e2_hits.add(b)
         out["e2"] += len(e2_hits)
@@ -463,14 +456,13 @@ def _sweep_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict) -> Counter:
 def _sweep(X, p, ip_primes=None, densities=True, strict=False, workers=None) -> Counter:
     for l in ip_primes or []:
         _require_locus(l, p)
-    amax, bmax = box_bounds(X)
+    box = _Box(X, p, ip_primes, densities, strict)
     # one job per worker that can run at once, and no more jobs than rows
-    parts = min(worker_count(workers), 2 * amax + 1)
-    edges = [-amax + i * (2 * amax + 1) // parts for i in range(parts + 1)]
-    jobs = [(X, p, lo, hi, ip_primes, densities, strict)
-            for lo, hi in zip(edges, edges[1:])]
+    rows = 2 * box.amax + 1
+    parts = min(worker_count(workers), rows)
+    edges = [-box.amax + i * rows // parts for i in range(parts + 1)]
     counts = Counter()
-    for part in fan_out(_sweep_chunk, jobs, parts):
+    for part in fan_out(_sweep_chunk, [(box, lo, hi) for lo, hi in zip(edges, edges[1:])], parts):
         counts.update(part)
     return counts
 
@@ -516,13 +508,11 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
     2,3-part cannot be certified trivial and reports how many were dropped.
     e3 counts good-at-p anomalous curves only: the defect is undefined at
     bad primes, and both denominators (total, good_at_p) are in the report.
-    Each of ip_primes must be a prime other than p, as for count_Ip.
+    Each of ip_primes must be a prime other than p, as for count_Ip; by
+    default they are every l >= 5 but p whose l^p the box can reach (_Box).
     """
     require_prime(p, 5)
-    amax, bmax = box_bounds(X)
-    if ip_primes is None:
-        maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-        ip_primes = [l for l in _ip_candidates(p, maxdisc) if l >= 5 and l != p]
+    _require_height(X)  # before _sweep checks ip_primes
     counts = _sweep(X, p, ip_primes=ip_primes, strict=strict, workers=workers)
     d_lit = d_of_p(p, DpMode.LITERAL_PAIRS)
     return DensityReport(
@@ -533,7 +523,7 @@ def empirical_densities(p: int, X: int, ip_primes: Optional[List[int]] = None,
         good_at_p=counts["good_at_p"],
         e2=counts["e2"],
         e3=counts["e3"],
-        ip_counts={l: counts[l] for l in sorted(ip_primes)},
+        ip_counts={l: counts[l] for l in sorted(counts.keys() - _TALLIES)},
         brumer_estimate=brumer_estimate(X),
         bound_dp2=bound_dp2(p),
         bound_dp3=bound_dp3(p, d_lit),

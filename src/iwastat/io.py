@@ -71,8 +71,9 @@ def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
 def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
     """Read the ingest CSV. Returns (records, errors); errors carry
     (1-based line number, message) and leave the other rows intact.
-    A file that is not UTF-8 text raises ParseError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    A file that is not UTF-8 text raises ParseError; a leading byte-order
+    mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return _parse_rows(csv.DictReader(fh))
         except UnicodeDecodeError as e:
@@ -116,13 +117,18 @@ def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
 def write_records(records: List[CurveRecord], path) -> None:
     """Emit records in the ingest schema; parse(write(records)) round-trips.
 
-    The schema holds Tamagawa overrides at l = 2 and 3 only; a record with
-    one at another l raises OutOfRange before the file is opened."""
+    The schema holds Tamagawa overrides at l = 2 and 3 only, and the parser
+    strips each label; a record with an override at another l, or a label
+    with leading or trailing whitespace, raises OutOfRange before the file
+    is opened."""
     for r in records:
         unwritable = sorted(set(r.tamagawa_overrides) - {2, 3})
         if unwritable:
             raise OutOfRange(f"record {r.label!r}: the ingest schema has no column "
                              f"for a Tamagawa override at l={unwritable[0]}")
+        if r.label != r.label.strip():
+            raise OutOfRange(f"record {r.label!r}: the ingest schema strips a label's "
+                             "leading and trailing whitespace")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(KNOWN_COLUMNS)

@@ -259,7 +259,7 @@ def _tate(A, B, l) -> KodairaData:
         a1, a2, a3, a4, a6 = a
         assert a3 % l == 0 and a4 % l == 0 and a6 % l == 0
 
-        b2 = a1 * a1 + 4 * a2
+        b2, _, b6, b8 = _b_invariants(*a)
         if b2 % l:
             # node: multiplicative, I_n with n = current v(Delta)
             if l == 2:
@@ -271,10 +271,8 @@ def _tate(A, B, l) -> KodairaData:
 
         if a6 % l ** 2:
             return KodairaData(l, KodairaSymbol.II, 0, 1)
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         if b8 % l ** 3:
             return KodairaData(l, KodairaSymbol.III, 0, 2)
-        b6 = a3 * a3 + 4 * a6
         if b6 % l ** 3:
             Q = _trim([-(a6 // l ** 2), a3 // l, 1], l)
             assert _repeated_root(Q, l) is None, "IV requires a separable tangent quadratic"
@@ -432,6 +430,12 @@ def _p_part(curve, table, p):
     return p ** valuation(product, p)
 
 
+def _require_override(l, c) -> None:
+    """A Tamagawa override c at l is a Tamagawa number, so at least 1."""
+    if c < 1:
+        raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
+
+
 def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     """tau_p: the product over bad primes l of p^{v_p(c_l)}, for p >= 5.
 
@@ -448,6 +452,5 @@ def tamagawa_p_part(record_or_curve, p, overrides=None, allow_23=False) -> int:
     if overrides is None:
         overrides = getattr(record_or_curve, "tamagawa_overrides", None) or {}
     for l, c in overrides.items():
-        if c < 1:
-            raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
+        _require_override(l, c)
     return _p_part(curve, _tamagawa_table(curve, tuple(sorted(overrides.items())), allow_23), p)

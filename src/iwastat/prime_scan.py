@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from . import _bind_on_access, _Value
 from .curves import CurveQ, ReductionClass, _as_curve, frobenius_traces
 from .errors import GoodReductionAt, InvalidPrime, MissingSha, OutOfRange, TooLarge
-from .local_data import _is_bad_prime, _p_part, _tamagawa_table, tamagawa_p_part
+from .local_data import _is_bad_prime, _p_part, _require_override, _tamagawa_table, tamagawa_p_part
 from .primes import _SIEVE_CAP, prime_range, require_prime
 
 __all__ = [
@@ -97,8 +97,7 @@ class CurveRecord(_Value):
         if sha_order is not None and sha_order < 1:
             raise OutOfRange(f"sha_order must be positive, got {sha_order}")
         for l, c in tamagawa_overrides.items():
-            if c < 1:
-                raise OutOfRange(f"Tamagawa override at {l} must be positive, got {c}")
+            _require_override(l, c)
             if not _is_bad_prime(l, curve.disc0):
                 raise GoodReductionAt(f"Tamagawa override at good prime {l}")
         _Value.__init__(self, curve, rank, sha_order, torsion_order, tamagawa_overrides,

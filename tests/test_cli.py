@@ -116,6 +116,18 @@ def test_scan_csv(capsys, tmp_path):
     assert rows[0]["conclusion"] == "CharElementIsTr"
 
 
+def test_scan_reads_a_file_with_a_byte_order_mark_as_without(capsys, tmp_path):
+    text = HEADER + "\n389a,-1,1,2,1,1,,,5:0\nbad,-1,0,zero,,,,,\nb,-1,0,0,,,4,,\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    want = run(capsys, "scan", str(plain), "--max-prime", "30")
+    assert want[0] == 1 and "row 3" in want[2]
+    assert json.loads(want[1])[0]["label"] == "389a"
+    assert run(capsys, "scan", str(marked), "--max-prime", "30") == (
+        want[0], want[1], want[2].replace(str(plain), str(marked)))
+
+
 def test_scan_row_errors_return_nonzero(capsys, tmp_path):
     path = tmp_path / "recs.csv"
     path.write_text(HEADER + "\nok,-1,0,0,1,,,,\nbad,-1,0,zero,,,,,\n")

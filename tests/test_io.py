@@ -123,6 +123,33 @@ def test_write_refuses_an_override_the_schema_cannot_hold(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("label", [" padded ", "trail\t", "\nline"])
+def test_write_refuses_a_label_the_parser_would_strip(tmp_path, label):
+    # the parser strips each label, so " padded " would come back "padded"
+    recs = [
+        CurveRecord(curve=(-1, 0), rank=0, label="in side"),
+        CurveRecord(curve=(-1, 1), rank=1, label=label),
+    ]
+    path = tmp_path / "out.csv"
+    write_records(recs[:1], path)
+    assert parse_records(path) == (recs[:1], [])
+    path.unlink()
+    with pytest.raises(OutOfRange, match="strips a label's leading and trailing whitespace"):
+        write_records(recs, path)
+    assert not path.exists()
+
+
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path):
+    text = HEADER + "\n389a,-1,1,2,1,1,,,5:0\nbad,-1,0,zero,,,,,\nb,-1,0,0,,,4,,\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want = parse_records(plain)
+    assert [r.label for r in want[0]] == ["389a", "b"] and len(want[1]) == 1
+    assert parse_records(marked) == want
+
+
 def test_missing_required_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,a,b\nx,1,2\n")

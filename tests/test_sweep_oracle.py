@@ -2,10 +2,11 @@
 
 row_scan_chunk is the sweep as it was before the e2 and I_p loci were
 solved by Hensel lifting: it tests disc % l^k over whole rows and walks
-each hit with its own valuation loop, and it re-derives the strict-mode
-ladder inline. It must agree with _sweep_chunk on every count. Both give a
-Counter with every tally and I_p prime as a key, compared as dicts, since
-Counter equality would let a missing key pass for a zero tally.
+each hit with its own valuation loop, and it derives the minimality primes,
+the locus primes and the strict-mode ladder from their definitions, not
+from the sweep's _Box. It must agree with _sweep_chunk on every count.
+Both give a Counter with every tally and I_p prime as a key, compared as
+dicts, since Counter equality would let a missing key pass for a zero tally.
 """
 
 import random
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 from iwastat import cli, parallel
 from iwastat.curves import anomalous_residue_table, minimal_mask
 from iwastat.enumeration import (
-    _ip_candidates,
-    _minimality_primes,
+    _Box,
     _power_locus,
     _StrictLadder,
     _sweep_chunk,
@@ -43,14 +43,27 @@ def uncertified_min_valuation(l, p):
     raise AssertionError("unreachable for p <= 199")
 
 
+def minimality_primes(amax, bmax):
+    # the primes q that can make a nonsingular pair non-minimal: q^4 | A != 0
+    # or q^6 | B with A = 0
+    return [q for q in primes_up_to(amax + bmax) if q ** 4 <= amax or q ** 6 <= bmax]
+
+
+def locus_candidates(p, maxdisc):
+    # the primes l whose p-th power some |disc0| of the box can reach; 10^4
+    # is past every such l up to the height cap
+    assert (10 ** 4) ** p > maxdisc
+    return [l for l in primes_up_to(10 ** 4) if l ** p <= maxdisc]
+
+
 def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
     amax, bmax = box_bounds(X)
     B = np.arange(-bmax, bmax + 1, dtype=np.int64)
     Bsq27 = 27 * B * B
     Bmodp = B % p
-    qs = _minimality_primes(amax, bmax)
+    qs = minimality_primes(amax, bmax)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    e2_cands = [l for l in _ip_candidates(p, maxdisc) if l >= 5] if densities else []
+    e2_cands = [l for l in locus_candidates(p, maxdisc) if l >= 5] if densities else []
     ip_set = sorted(l for l in set(ip_primes or []) if l ** p <= maxdisc)
     ip_zero = sorted(set(ip_primes or []) - set(ip_set))
     anom = anomalous_bool_table(anomalous_residue_table(p), p) if densities else None
@@ -118,7 +131,7 @@ def ip_primes_for(p, X):
     # locus), l = p and a prime whose p-th power no disc0 in the box reaches
     amax, bmax = box_bounds(X)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    cands = _ip_candidates(p, maxdisc)
+    cands = locus_candidates(p, maxdisc)
     beyond = next(l for l in primes_up_to(10 ** 4) if l ** p > maxdisc)
     return sorted(set(cands) | {2, 3, p, beyond})
 
@@ -130,7 +143,8 @@ def test_full_boxes_match_row_scan(X, p):
     ip = ip_primes_for(p, X)
     for strict in (False, True):
         args = (X, p, -amax, amax + 1, ip, True, strict)
-        assert dict(_sweep_chunk(*args)) == dict(row_scan_chunk(*args)), (X, p, strict)
+        got = _sweep_chunk(_Box(X, p, ip, True, strict), -amax, amax + 1)
+        assert dict(got) == dict(row_scan_chunk(*args)), (X, p, strict)
 
 
 # seeded 20-row slices of the 10^8 box; between them they hold I_p hits
@@ -148,7 +162,8 @@ def test_row_slices_of_the_1e8_box_match_row_scan():
         for strict in (False, True):
             args = (X, p, a_lo, a_lo + 20, ip, True, strict)
             want = row_scan_chunk(*args)
-            assert dict(_sweep_chunk(*args)) == dict(want), (seed, strict)
+            box = _Box(X, p, ip, True, strict)
+            assert dict(_sweep_chunk(box, a_lo, a_lo + 20)) == dict(want), (seed, strict)
             if strict:
                 seen.update(want)
     assert all(seen[l] > 0 for l in (7, 11, 13)), seen
@@ -174,7 +189,9 @@ def sweep_args(draw):
 @settings(max_examples=80, deadline=None)
 @given(sweep_args())
 def test_random_boxes_match_row_scan(args):
-    assert dict(_sweep_chunk(*args)) == dict(row_scan_chunk(*args))
+    X, p, a_lo, a_hi, ip, densities, strict = args
+    box = _Box(X, p, ip, densities, strict)
+    assert dict(_sweep_chunk(box, a_lo, a_hi)) == dict(row_scan_chunk(*args))
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -184,12 +201,12 @@ def test_one_row_of_the_1e13_box_stays_small(strict):
     X, p = 10 ** 13, 5
     amax, bmax = box_bounds(X)
     maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
-    ip = [l for l in _ip_candidates(p, maxdisc) if l != p]
+    ip = [l for l in locus_candidates(p, maxdisc) if l != p]
     a = 2 ** 12 * 3  # A = 3 mod 5 holds anomalous classes; 2^4 | A drops B with 2^6 | B
     # 395284 is the row scan's skip count for this row (too big to rerun here)
     tracemalloc.start()
     try:
-        out = _sweep_chunk(X, p, a, a + 1, ip, True, strict)
+        out = _sweep_chunk(_Box(X, p, ip, True, strict), a, a + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,7 +248,7 @@ _FROZEN_ROWS = (
 @pytest.mark.parametrize("X, p, a_lo, a_hi, counts, ip_counts", _FROZEN_ROWS)
 def test_frozen_rows_of_the_large_boxes(X, p, a_lo, a_hi, counts, ip_counts):
     ip = ip_primes_for(p, X)
-    out = _sweep_chunk(X, p, a_lo, a_hi, ip, True, True)
+    out = _sweep_chunk(_Box(X, p, ip, True, True), a_lo, a_hi)
     assert tuple(out[k] for k in ("total", "good_at_p", "e2", "e3", "skipped")) == counts
     assert {l: out[l] for l in ip if out[l]} == ip_counts
 

@@ -25,9 +25,7 @@ The anomalous residue table (anomalous_residue_table) reads the same
 rows.  dp_census lists its pairs beside the census counts of d_of_p, which
 come from Hurwitz class numbers, not from point counts (see the census
 module docstring); the O(p^3) sweep over F_p^2 that the tests check both
-against is the oracle dp_census_bruteforce in tests/oracles.py.  DpMode,
-d_of_p and dp_table are census's own objects, bound here on first access,
-so that a scan, which reads only the rows, does not load the census.
+against is the oracle dp_census_bruteforce in tests/oracles.py.
 
 CurveQ and LocalReduction are frozen value classes on the package's _Value
 base, whose docstring states how they store, compare and copy their fields.
@@ -41,7 +39,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
-from . import _bind_on_access, _Value
+from . import _Value
 from .errors import BadReductionAt, NonMinimalModel, SingularCurve
 from .primes import _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, require_prime
 
@@ -51,9 +49,6 @@ __all__ = [
     "classify_reduction",
     "minimal_mask", "is_minimal_pair", "dp_census", "anomalous_residue_table",
 ]
-
-# the census's own objects under their old import path, bound on first access
-__getattr__ = _bind_on_access(__name__, dict.fromkeys(("DpMode", "d_of_p", "dp_table"), "census"))
 
 
 def disc0_of(A: int, B: int) -> int:

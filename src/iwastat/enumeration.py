@@ -20,8 +20,10 @@ classes of B and never walks the B of a row:
   square roots of -4A^3/27 mod l^p, and their few hits are tested one by one.
 
 A sweep works out what its rows share once (_Box), and a row costs
-O(classes + hits) in time and memory. The tallies are the keys of one
-collections.Counter. A worker count n > 1, from --workers or
+O(classes + hits) in time and memory. Only the density report counts total,
+good_at_p, e2, e3 and the skips, from tables at p that only it builds, so
+count_Ip tests its I_p hits alone, at any prime p. The tallies are the keys
+of one collections.Counter. A worker count n > 1, from --workers or
 IWASTAT_THREADS, cuts the A-range into min(n, usable CPUs, rows) parts,
 sweeps each in a forked child and adds up their Counters; one part is swept
 in this process.
@@ -380,10 +382,11 @@ class _Box:
     non-minimal (q^4 <= amax, or q^6 <= bmax at A = 0); the e2 and I_p
     primes, the l >= 5 with l^p <= maxdisc by an exact iroot (no larger l^p
     divides a disc0 of the box, and the unit locus at l = 2, 3 is empty: B
-    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3); the anomalous
-    classes of each residue A mod p of the rows; the strict ladders; and
-    _root_table(p). ip_primes may be any list, None for every such l but p;
-    with the five counts they are the tallies, each chunk's Counter keys.
+    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3). ip_primes may
+    be any list, None for every such l but p; with the five counts they are
+    the tallies, each chunk's Counter keys. Only the report (densities) reads
+    the tables at p, so only it builds them: _root_table(p), the anomalous
+    classes of each residue A mod p of the rows, and the strict ladders.
     """
 
     def __init__(self, X, p, ip_primes, densities, strict):
@@ -398,12 +401,12 @@ class _Box:
         self.e2_set = reach if densities else set()
         self.ip_set = reach.intersection(ip_primes)
         self.locus_primes = sorted(self.e2_set | self.ip_set)
-        self.anom = {}
+        self.anom, self.p_roots, self.ladders = {}, (), []
         if densities:
             residues = sorted({A % p for A in range(-amax, min(amax + 1, p - amax))})
             self.anom = dict(zip(residues, anomalous_residue_table(p, residues)))
-        self.ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
-        self.p_roots = _root_table(p)
+            self.p_roots = _root_table(p)
+            self.ladders = [_StrictLadder(l, p, maxdisc, bmax) for l in (2, 3)] if strict else []
 
 
 def _sweep_chunk(box: _Box, a_lo: int, a_hi: int) -> Counter:
@@ -415,25 +418,23 @@ def _sweep_chunk(box: _Box, a_lo: int, a_hi: int) -> Counter:
     from the anomalous classes of the row A mod p, the strict skips from the
     classes of B mod 2^j and 3^j that decide v_l(disc0) (_StrictLadder), and
     the e2 and I_p loci from the Hensel-lifted classes of _power_locus, whose
-    few hits are tested one by one. e2 and e3 are counted only when
-    densities is set.
+    few hits are tested one by one. total, good_at_p, e2, e3 and skipped are
+    counted only when densities is set; without it a row costs its I_p hits.
     """
     p, bmax, ladders = box.p, box.bmax, box.ladders
     out = Counter(dict.fromkeys(box.tallies, 0))
     for A in range(a_lo, a_hi):
         row = _Row(A, bmax, box.qs)
-        n_ok = row.count(0, 1)
-        if n_ok == 0:
-            continue
-        out["total"] += n_ok
-        a = A % p
-        r = box.p_roots[a] if a else 0
-        bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
-        out["good_at_p"] += n_ok - sum(row.count(b, p) for b in bad)
         if box.densities:
+            n_ok = row.count(0, 1)
+            out["total"] += n_ok
+            a = A % p
+            r = box.p_roots[a] if a else 0
+            bad = [] if r is None else {r, -r % p}  # the B mod p with p | disc0
+            out["good_at_p"] += n_ok - sum(row.count(b, p) for b in bad)
             out["e3"] += sum(row.count(b, p) for b in box.anom[a])
-        if ladders:
-            out["skipped"] += _skipped_in_row(row, ladders)
+            if ladders:
+                out["skipped"] += _skipped_in_row(row, ladders)
 
         e2_hits = set()
         for l in box.locus_primes:

@@ -96,6 +96,8 @@ class CurveRecord(_Value):
             raise OutOfRange(f"torsion_order must be positive, got {torsion_order}")
         if sha_order is not None and sha_order < 1:
             raise OutOfRange(f"sha_order must be positive, got {sha_order}")
+        if not isinstance(label, str):
+            raise OutOfRange(f"label must be a str, got {label!r}")
         for l, c in tamagawa_overrides.items():
             _require_override(l, c)
             if not _is_bad_prime(l, curve.disc0):

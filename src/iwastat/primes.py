@@ -228,8 +228,8 @@ def iroot(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
+    if k >= n.bit_length():
+        return min(n, 1)  # n < 2^k: the root is 0 or 1, and Newton would form 2^(k-1)
     r = 1 << -(-n.bit_length() // k)
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from iwastat.census import DpMode, d_of_p, dp_table
 from iwastat.charpoly import (
     CharPoly,
     is_trivial_shape,
@@ -24,7 +25,7 @@ from iwastat.charpoly import (
     truncated_chi_valuation,
     vanishing_order,
 )
-from iwastat.curves import DpMode, classify_reduction, d_of_p, dp_table, trace_frobenius
+from iwastat.curves import classify_reduction, trace_frobenius
 from iwastat.enumeration import (
     bound_dp2,
     count_Ip,

@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 from iwastat import curves, primes
 from iwastat.curves import (
     CurveQ,
-    DpMode,
     ReductionClass,
     anomalous_residue_table,
     classify_reduction,
     count_points,
-    d_of_p,
     disc0_of,
     dp_census,
-    dp_table,
     frobenius_traces,
     is_minimal_pair,
     trace_frobenius,
 )
-from iwastat.census import _reduced_forms
+from iwastat.census import DpMode, _reduced_forms, d_of_p, dp_table
 from iwastat.curves import _orders_in, _trace_by_point_orders
 from iwastat.enumeration import empirical_densities
 from iwastat.errors import (

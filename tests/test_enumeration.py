@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwastat import enumeration, parallel
-from iwastat.curves import d_of_p, disc0_of, is_minimal_pair, minimal_mask
+from iwastat.census import d_of_p
+from iwastat.curves import disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
     DensityReport,
     bound_dp2,
@@ -271,6 +272,20 @@ def test_count_Ip_values_and_guards():
                  lambda: empirical_densities(7, 10**5, ip_primes=[7])):
         with pytest.raises(EqualPrimes, match="^the locus is defined for l != p$"):
             call()
+
+
+def test_count_Ip_reads_no_table_at_p(monkeypatch):
+    # only the density report reads the square roots and the anomalous
+    # classes mod p, p-entry tables; an I_p count reads neither
+    roots, anomalous = [], []
+    root_table, anomalous_table = enumeration._root_table, enumeration.anomalous_residue_table
+    monkeypatch.setattr(enumeration, "_root_table", lambda l: roots.append(l) or root_table(l))
+    monkeypatch.setattr(enumeration, "anomalous_residue_table",
+                        lambda *a: anomalous.append(a) or anomalous_table(*a))
+    assert count_Ip(5, 1000003, 10**6) == 0
+    assert 1000003 not in roots and anomalous == []
+    empirical_densities(5, 10**4, workers=1)  # the report reads both
+    assert 5 in roots and anomalous
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9])

@@ -80,15 +80,21 @@ def test_star_import_and_dir_cover_the_package_all():
         iwastat.no_such_name
 
 
-@pytest.mark.parametrize("module, names", [
-    ("curves", ("DpMode", "d_of_p", "dp_table")),
-    ("enumeration", ("bound_dp2", "bound_dp3", "zeta10")),
-])
-def test_moved_census_names_are_one_object(module, names):
+def test_moved_census_names_are_one_object():
     # the census and its bounds have one implementation, in iwastat.census;
-    # the old import paths re-export the same objects
+    # enumeration imports the bounds its report carries, the same objects
     census = importlib.import_module("iwastat.census")
-    mod = importlib.import_module(f"iwastat.{module}")
-    for name in names:
-        assert getattr(mod, name) is getattr(census, name), f"iwastat.{module}.{name}"
+    enumeration = importlib.import_module("iwastat.enumeration")
+    for name in ("bound_dp2", "bound_dp3", "zeta10"):
+        assert getattr(enumeration, name) is getattr(census, name), f"iwastat.enumeration.{name}"
+        assert getattr(iwastat, name) is getattr(census, name), f"iwastat.{name}"
+
+
+def test_curves_does_not_re_export_the_census():
+    # one import path per name: the census's own objects come from
+    # iwastat.census or the package, no longer from curves
+    census = importlib.import_module("iwastat.census")
+    curves = importlib.import_module("iwastat.curves")
+    for name in ("DpMode", "d_of_p", "dp_table"):
+        assert not hasattr(curves, name), f"iwastat.curves.{name}"
         assert getattr(iwastat, name) is getattr(census, name), f"iwastat.{name}"

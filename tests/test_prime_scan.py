@@ -37,6 +37,10 @@ def test_record_validation():
     assert isinstance(r.curve, CurveQ)
     with pytest.raises(OutOfRange, match="^sha_order must be positive, got 0$"):
         CurveRecord(curve=(-1, 0), rank=0, sha_order=0)
+    # a label is a str: write_records would fail on these with a bare AttributeError
+    for label in (None, 5):
+        with pytest.raises(OutOfRange, match=rf"^label must be a str, got {label}$"):
+            CurveRecord(curve=(-1, 0), rank=0, label=label)
     with pytest.raises(OutOfRange, match="^Tamagawa override at 2 must be positive, got 0$"):
         CurveRecord(curve=(-1, 0), rank=0, tamagawa_overrides={2: 0})
     # 7 is a good prime for disc0 = -4; so are 4 (not prime) and 3

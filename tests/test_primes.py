@@ -63,6 +63,17 @@ def test_iroot_bracket_property():
         assert r**k <= n < (r + 1) ** k
 
 
+def test_iroot_past_the_bit_length():
+    # 1 <= n < 2^k, so the root is 1, found without the Newton start
+    # 2^(k-1), which does not fit in memory at k = 10^12 + 39, the exponent
+    # of a sweep at that prime
+    assert iroot(10**20, 10**12 + 39) == 1
+    for n in (1, 2, 3, 255, 2**64 - 1, 10**20):
+        for k in range(n.bit_length(), n.bit_length() + 4):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 12])
 @pytest.mark.parametrize("n", [2**1024 + 1, 2**4000, 10**103 + 1])
 def test_iroot_past_the_float_range(n, k):

@@ -78,14 +78,14 @@ def row_scan_chunk(X, p, a_lo, a_hi, ip_primes, densities, strict):
         n_ok = int(np.count_nonzero(ok))
         if n_ok == 0:
             continue
-        out["total"] += n_ok
-        good = ok & (disc % p != 0)
-        out["good_at_p"] += int(np.count_nonzero(good))
         if densities:
+            out["total"] += n_ok
+            good = ok & (disc % p != 0)
+            out["good_at_p"] += int(np.count_nonzero(good))
             out["e3"] += int(np.count_nonzero(good & anom[A % p][Bmodp]))
 
         skip_mask = None
-        if strict:
+        if strict and densities:
             skip_mask = np.zeros(len(B), dtype=bool)
             for l, minv in ((2, strict2), (3, strict3)):
                 hit = ok & (disc % l ** minv == 0)

@@ -43,7 +43,8 @@ CENSUS_PRIMES = primes_up_to(10**4)[2:]
 
 # a prime argument: the census primes, and 0, 1, negatives and composites
 # around them; the large values are all even, so no census runs at a prime
-# past 10^4
+# past 10^4 (the ip-count example at 10^12 + 39 sweeps for its I_p hits
+# alone, and runs no census)
 primes = st.one_of(
     st.sampled_from(CENSUS_PRIMES),
     st.integers(-10, 10),
@@ -168,6 +169,7 @@ def test_census_and_invariants_commands_never_exit_2(p, mode, coeffs):
 @settings(max_examples=60, deadline=None)
 @given(l=primes, p=primes, X=sweep_heights)
 @example(l=5, p=223, X=10**6)
+@example(l=5, p=1000000000039, X=10**6)
 def test_ip_count_never_exits_2(l, p, X):
     _exits_0_or_1(["ip-count", "--l", str(l), "--p", str(p), "--height", str(X), "--workers", "1"])
 

@@ -60,21 +60,15 @@ class DpMode(str, Enum):
     TRACE_ONE_CLASSES = "TraceOneClasses"
 
 
+_MODE_ALIASES = {"literal": DpMode.LITERAL_PAIRS, "trace-pairs": DpMode.TRACE_ONE_PAIRS,
+                 "trace-classes": DpMode.TRACE_ONE_CLASSES}
+
+
 def _coerce_mode(mode) -> DpMode:
-    if isinstance(mode, DpMode):
-        return mode
+    """mode as a DpMode: a DpMode, its value, or its CLI alias."""
     try:
-        return DpMode(mode)
-    except ValueError:
-        pass
-    alias = {
-        "literal": DpMode.LITERAL_PAIRS,
-        "trace-pairs": DpMode.TRACE_ONE_PAIRS,
-        "trace-classes": DpMode.TRACE_ONE_CLASSES,
-    }
-    try:
-        return alias[str(mode)]
-    except KeyError:
+        return DpMode(_MODE_ALIASES.get(mode, mode))
+    except (TypeError, ValueError):
         raise OutOfRange(f"unknown census mode {mode!r}") from None
 
 

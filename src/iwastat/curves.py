@@ -22,10 +22,11 @@ the Hasse interval, on the curve or its twist (Shanks-Mestre baby steps and
 giant steps, _trace_by_point_orders), in O(p^(1/4)) group operations.
 
 The anomalous residue table (anomalous_residue_table) reads the same
-rows.  dp_census lists its pairs beside the census counts of d_of_p, which
-come from Hurwitz class numbers, not from point counts (see the census
-module docstring); the O(p^3) sweep over F_p^2 that the tests check both
-against is the oracle dp_census_bruteforce in tests/oracles.py.
+rows, shared up to the bound and its own past it, to the census-prime cap
+_CENSUS_PRIME_CAP.  dp_census lists its pairs beside the census counts of
+d_of_p, which come from Hurwitz class numbers, not from point counts (see
+the census module docstring); the O(p^3) sweep over F_p^2 that the tests
+check both against is the oracle dp_census_bruteforce in tests/oracles.py.
 
 CurveQ and LocalReduction are frozen value classes on the package's _Value
 base, whose docstring states how they store, compare and copy their fields.
@@ -40,7 +41,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from . import _Value
-from .errors import BadReductionAt, NonMinimalModel, SingularCurve
+from .errors import BadReductionAt, NonMinimalModel, SingularCurve, TooLarge
 from .primes import _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, require_prime
 
 __all__ = [
@@ -474,6 +475,19 @@ def _point_count_rows(p: int) -> _PointCountRows:
     return _PointCountRows(p)
 
 
+# anomalous_residue_table (so the report) and dp_census refuse primes past
+# this: a row is a product of p slots, and the census lists ~p^1.5 pairs. At
+# 49999 the report at X = 10^4 took ~0.6-0.9 s and dp_census ~1.4-2.0 s at a
+# ~280 MB peak, at 100003 ~1.8 s and ~8.6 s at ~1.3 GB (2-vCPU Xeon VM).
+_CENSUS_PRIME_CAP = 5 * 10 ** 4
+
+
+def _require_census_prime(p: int, least: int) -> None:
+    require_prime(p, least)
+    if p > _CENSUS_PRIME_CAP:
+        raise TooLarge(f"prime {p} exceeds the census cap {_CENSUS_PRIME_CAP}")
+
+
 def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
     """The anomalous residue pairs mod p, row by row: entry i is the sorted
     tuple of the b in 0..p-1 for which (a, b) with a = rows[i] is
@@ -484,14 +498,16 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
 
     The rows come from the point-count rows of p (_PointCountRows): a = 0,
     1 and g, at most three rows in all and fewer where the asked rows meet
-    fewer of their orbits, each one big-integer product in pure Python. A
+    fewer of their orbits, each one big-integer product in pure Python: up
+    to _ROW_PRIME_BOUND the cached rows a scan reuses, past it rows of this
+    call's own, and past _CENSUS_PRIME_CAP TooLarge before any is built. A
     row a with count(a, b) = count(a0, b s) has the anomalous b of its
     representative a0 times s^-1; on a twisted coset the count is
     2p - count(a0, b s), so there the representative's b with
     count = 1 (mod p) are kept, not those with count = p - 1.
     """
-    require_prime(p, 3)
-    counts = _point_count_rows(p)
+    _require_census_prime(p, 3)
+    counts = _point_count_rows(p) if p <= _ROW_PRIME_BOUND else _PointCountRows(p)
     anomalous = {}  # (row index, sign) -> the sorted anomalous b of its representative
     out = []
     for a in (range(p) if rows is None else rows):
@@ -518,13 +534,14 @@ def dp_census(p: int) -> dict:
     The counts are d_of_p's, from class numbers; the pairs are the rows of
     anomalous_residue_table, a ascending, then b. The O(p^3) sweep over
     F_p^2 they are checked against is the test oracle dp_census_bruteforce
-    in tests/oracles.py.
+    in tests/oracles.py. Past _CENSUS_PRIME_CAP, TooLarge before d_of_p.
 
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
     from .census import DpMode, d_of_p
 
+    _require_census_prime(p, 5)
     counts = {mode.value: d_of_p(p, mode) for mode in DpMode}
     pairs = [(a, b) for a, row in enumerate(anomalous_residue_table(p)) for b in row]
     # the rows and the class numbers count the same literal pairs

@@ -19,21 +19,19 @@ classes of B and never walks the B of a row:
   |disc0| (an exact iroot) are the 0 or 2 classes of the Hensel-lifted
   square roots of -4A^3/27 mod l^p, and their few hits are tested one by one.
 
-A sweep works out what its rows share once (_Box), and a row costs
-O(classes + hits) in time and memory. Only the density report counts total,
-good_at_p, e2, e3 and the skips, from tables at p that only it builds, so
+A sweep builds every table its rows read once (_Box): per locus prime l
+the roots mod l, l^p and -4/27 mod l^p, and for the density report alone
+the tables at p. The box holds them, and no table outlives the sweep; the
+module keeps no cache. A row costs O(classes + hits) in time and memory, and
 count_Ip tests its I_p hits alone, at any prime p. The tallies are the keys
 of one collections.Counter. A worker count n > 1, from --workers or
 IWASTAT_THREADS, cuts the A-range into min(n, usable CPUs, rows) parts,
 sweeps each in a forked child and adds up their Counters; one part is swept
 in this process.
 
-zeta10, bound_dp2 and bound_dp3, the closed-form bounds the report
-carries, are defined in census and imported here, not re-exported;
-sadek_bounds, the congruence sandwich of the I_p count, stays beside the
-sweep it brackets. The report's JSON (density_report_dict) and its writer
-(write_density_report) live beside DensityReport, so `enumerate` loads no
-scan I/O.
+The closed-form bounds the report carries (zeta10, bound_dp2, bound_dp3)
+are census's; sadek_bounds, the sandwich of the I_p count, and the report's
+JSON writer stay here, so `enumerate` loads no scan I/O.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .census import DpMode, _over_power, bound_dp2, bound_dp3, d_of_p, zeta10
@@ -245,12 +242,11 @@ class _Row:
         return d
 
 
-@lru_cache(maxsize=1024)
 def _root_table(l: int) -> Tuple[Optional[int], ...]:
     """For each a mod a prime l >= 5, a square root of -4a^3/27 mod l, or
     None where it is a non-residue. Every square mod l is x^2 for exactly
     one x in [0, l/2], so the roots are read off one table of those squares,
-    built once per l, not once per row."""
+    built once per box (_Box), not once per row, and dropped with the box."""
     roots: List[Optional[int]] = [None] * l
     for x in range(l // 2 + 1):
         roots[x * x % l] = x
@@ -270,26 +266,26 @@ def _hensel_sqrt(c: int, r: int, l: int, M: int) -> int:
     return r
 
 
-@lru_cache(maxsize=1024)
-def _locus_modulus(l: int, p: int) -> Tuple[int, int]:
-    """l^p and -4/27 mod l^p."""
+def _locus(l: int, p: int) -> Tuple[int, Tuple[Optional[int], ...], int, int]:
+    """(l, _root_table(l), l^p, -4/27 mod l^p): what _power_locus reads."""
     M = l ** p
-    return M, -4 * pow(27, -1, M) % M
+    return l, _root_table(l), M, -4 * pow(27, -1, M) % M
 
 
-def _power_locus(A: int, l: int, p: int, bmax: int) -> List[int]:
-    """Every B in [-bmax, bmax] with l^p | 4A^3 + 27B^2, for a prime
-    l >= 5 that does not divide A.
+def _power_locus(A: int, locus, bmax: int) -> List[int]:
+    """Every B in [-bmax, bmax] with l^p | 4A^3 + 27B^2, for the prime
+    l >= 5 of locus = _locus(l, p), which must not divide A.
 
     The condition is B^2 = c mod l^p with c = -4A^3 / 27 a unit. c has 0
-    or 2 square roots mod l, and each lifts to exactly one root mod l^p
-    (Hensel: the derivative 2B is a unit), so the B fill 0 or 2 residue
-    classes. The moduli stay Python ints, so no l^p overflows.
+    or 2 square roots mod l, read off the root table, and each lifts to
+    exactly one root mod l^p (Hensel: the derivative 2B is a unit), so the
+    B fill 0 or 2 residue classes. The moduli stay Python ints, so no l^p
+    overflows.
     """
-    r = _root_table(l)[A % l]
+    l, roots, M, k = locus
+    r = roots[A % l]
     if r is None:
         return []
-    M, k = _locus_modulus(l, p)
     r = _hensel_sqrt(k * A ** 3 % M, r, l, M)
     hits = []
     for s in (r, M - r):
@@ -377,16 +373,16 @@ _TALLIES = ("total", "good_at_p", "e2", "e3", "skipped")
 
 
 class _Box:
-    """What every row of the height-X box at p shares, built once per sweep
-    and inherited by forked workers: the primes qs that can make a pair
-    non-minimal (q^4 <= amax, or q^6 <= bmax at A = 0); the e2 and I_p
-    primes, the l >= 5 with l^p <= maxdisc by an exact iroot (no larger l^p
-    divides a disc0 of the box, and the unit locus at l = 2, 3 is empty: B
-    odd makes disc0 odd, 3 prime to A makes disc0 = A mod 3). ip_primes may
-    be any list, None for every such l but p; with the five counts they are
-    the tallies, each chunk's Counter keys. Only the report (densities) reads
-    the tables at p, so only it builds them: _root_table(p), the anomalous
-    classes of each residue A mod p of the rows, and the strict ladders.
+    """Every table the rows of the height-X box at p read, built once per
+    sweep, inherited by forked workers and dropped with the sweep: qs, the
+    primes that can make a pair non-minimal (q^4 <= amax, or q^6 <= bmax at
+    A = 0); per locus prime l, an l >= 5 with l^p <= maxdisc by an exact
+    iroot (the unit locus at l = 2, 3 is empty), (_locus(l, p), whether l
+    counts toward e2, whether toward I_p); and for the report (densities)
+    alone the tables at p: _root_table(p), the anomalous classes of each
+    residue A mod p of the rows, and the strict ladders. In the report every
+    locus prime counts toward e2. ip_primes may be any list, None for every
+    locus prime but p; with the five counts they are the Counter keys.
     """
 
     def __init__(self, X, p, ip_primes, densities, strict):
@@ -394,13 +390,12 @@ class _Box:
         maxdisc = 4 * amax ** 3 + 27 * bmax ** 2
         self.p, self.densities = p, densities
         self.qs = primes_up_to(max(iroot(amax, 4), iroot(bmax, 6)))
-        reach = {l for l in primes_up_to(iroot(maxdisc, p)) if l >= 5}
+        reach = [l for l in primes_up_to(iroot(maxdisc, p)) if l >= 5]
         if ip_primes is None:
-            ip_primes = sorted(reach - {p})
+            ip_primes = [l for l in reach if l != p]
         self.tallies = (*_TALLIES, *ip_primes)
-        self.e2_set = reach if densities else set()
-        self.ip_set = reach.intersection(ip_primes)
-        self.locus_primes = sorted(self.e2_set | self.ip_set)
+        self.loci = [(_locus(l, p), densities, l in ip_primes) for l in reach
+                     if densities or l in ip_primes]
         self.anom, self.p_roots, self.ladders = {}, (), []
         if densities:
             residues = sorted({A % p for A in range(-amax, min(amax + 1, p - amax))})
@@ -410,16 +405,10 @@ class _Box:
 
 
 def _sweep_chunk(box: _Box, a_lo: int, a_hi: int) -> Counter:
-    """The family counts over the rows a_lo <= A < a_hi of the box: total,
-    good_at_p, e2, e3, skipped and each I_p prime l, all from 0.
-
-    Each row is counted by residue classes (see _Row), never B by B:
-    total and good_at_p from the 0-2 classes of B mod p with p | disc0, e3
-    from the anomalous classes of the row A mod p, the strict skips from the
-    classes of B mod 2^j and 3^j that decide v_l(disc0) (_StrictLadder), and
-    the e2 and I_p loci from the Hensel-lifted classes of _power_locus, whose
-    few hits are tested one by one. total, good_at_p, e2, e3 and skipped are
-    counted only when densities is set; without it a row costs its I_p hits.
+    """The tallies over the rows a_lo <= A < a_hi of the box, all from 0,
+    each row counted by residue classes (_Row) as the module docstring
+    lists. total, good_at_p, e2, e3 and skipped are counted only when
+    densities is set; without it a row costs its I_p hits.
     """
     p, bmax, ladders = box.p, box.bmax, box.ladders
     out = Counter(dict.fromkeys(box.tallies, 0))
@@ -437,17 +426,18 @@ def _sweep_chunk(box: _Box, a_lo: int, a_hi: int) -> Counter:
                 out["skipped"] += _skipped_in_row(row, ladders)
 
         e2_hits = set()
-        for l in box.locus_primes:
+        for locus, e2, ip in box.loci:
+            l = locus[0]
             if A % l == 0:
                 continue  # outside the I_p locus; l | disc0 is additive, c_l <= 4 < p
-            for b in _power_locus(A, l, p, bmax):
+            for b in _power_locus(A, locus, bmax):
                 d = row.disc0(b)
                 if d is None:
                     continue
                 v = valuation(d, l)
-                if v == p and l in box.ip_set:
+                if ip and v == p:
                     out[l] += 1
-                if (v % p == 0 and l in box.e2_set and legendre(864 * b, l) == 1
+                if (e2 and v % p == 0 and legendre(864 * b, l) == 1
                         and not any(ladder.skips(d) for ladder in ladders)):
                     e2_hits.add(b)
         out["e2"] += len(e2_hits)

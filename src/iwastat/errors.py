@@ -67,7 +67,7 @@ class ParseError(IwastatError):
 
 
 class HeaderMismatch(IwastatError):
-    """The CSV header lacks required columns."""
+    """The CSV header lacks required columns or names a column twice."""
 
 
 class NegativeValuationWarning(UserWarning):

@@ -116,15 +116,7 @@ def g0_valuation(
             "ingested, never computed here"
         )
     variant = GVariant(variant)
+    val = inputs.v_reg_excess + inputs.v_sha + inputs.v_tam
     if variant is GVariant.ORDINARY:
-        v_tors = _effective_torsion(inputs, p)
-        val = (
-            inputs.v_reg_excess
-            + inputs.v_sha
-            + inputs.v_tam
-            + 2 * inputs.v_red
-            - 2 * v_tors
-        )
-    else:
-        val = inputs.v_reg_excess + inputs.v_sha + inputs.v_tam
+        val += 2 * inputs.v_red - 2 * _effective_torsion(inputs, p)
     return _flag_negative(val, f"{variant.value} leading coefficient valuation")

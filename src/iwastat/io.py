@@ -69,10 +69,11 @@ def _parse_reg_excess(raw: Optional[str]) -> Optional[Dict[int, int]]:
 
 
 def parse_records(path) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
-    """Read the ingest CSV. Returns (records, errors); errors carry
-    (1-based line number, message) and leave the other rows intact.
-    A file that is not UTF-8 text raises ParseError; a leading byte-order
-    mark is skipped."""
+    """Read the ingest CSV. Returns (records, errors); errors carry (line,
+    message), the line of the file where the row ends (its last, where a
+    quoted field holds a newline), and leave the other rows intact. A bad
+    header raises HeaderMismatch, a file that is not UTF-8 text ParseError;
+    a leading byte-order mark is skipped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return _parse_rows(csv.DictReader(fh))
@@ -87,13 +88,19 @@ def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise HeaderMismatch(f"missing required columns: {missing}")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise HeaderMismatch(f"column {repeated[0]!r} appears more than once")
     unknown = [c for c in header if c not in KNOWN_COLUMNS]
     if unknown:
         warnings.warn(f"ignoring unknown columns: {unknown}", UnknownColumnWarning)
 
     records, errors = [], []
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
         try:
+            if None in raw:  # DictReader's key for the fields past the header
+                raise ParseError(f"{len(header) + len(raw[None])} fields, "
+                                 f"the header has {len(header)}")
             # every column is parsed, in schema order, before the curve is
             # built, so the message names a row's first malformed column
             a, b, rank = (_parse_int(raw.get(c) or "", c) for c in ("a", "b", "rank"))
@@ -110,7 +117,7 @@ def _parse_rows(reader) -> Tuple[List[CurveRecord], List[Tuple[int, str]]]:
                 label=(raw.get("label") or "").strip(),
             ))
         except IwastatError as e:
-            errors.append((lineno, str(e) or type(e).__name__))
+            errors.append((reader.line_num, str(e) or type(e).__name__))
     return records, errors
 
 

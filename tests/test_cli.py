@@ -564,6 +564,24 @@ def test_scan_out_memory_stays_below_the_output_size(capsys, tmp_path, workers):
     assert peak < size / 4, (peak, size)
 
 
+def test_enumerate_refuses_a_prime_past_the_census_cap_before_it_allocates(tmp_path):
+    # a child under a 2 GB address-space limit: the report's tables at
+    # p = 10^12 + 39 would need p slots, and a failed allocation exits 2
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        import iwastat.cli
+        print(iwastat.cli.main(["enumerate", "--height", "1000000",
+                                "--prime", "1000000000039"]))
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout == "1\n", out.stderr
+    assert out.stderr == "error: prime 1000000000039 exceeds the census cap 50000\n"
+
+
 def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):
     # a fresh interpreter: this one has numpy loaded by the tests already
     script = textwrap.dedent("""

@@ -27,6 +27,7 @@ from iwastat.errors import (
     InvalidPrime,
     NonMinimalModel,
     SingularCurve,
+    TooLarge,
 )
 from iwastat.primes import factorize, prime_range, primes_up_to
 from oracles import (
@@ -463,6 +464,23 @@ def test_census_does_not_run_the_oracle(monkeypatch):
     assert d_of_p(5) == 3
     t = dp_table(50)
     assert [t[p][DpMode.TRACE_ONE_CLASSES.value] for p in (5, 7, 11, 43)] == [1, 2, 1, 5]
+
+
+def test_the_census_tables_refuse_a_prime_past_the_cap(monkeypatch):
+    import iwastat.census as census
+
+    def census_called(*args):
+        raise AssertionError("dp_census must refuse the prime before d_of_p runs")
+
+    monkeypatch.setattr(census, "d_of_p", census_called)
+    cap = curves._CENSUS_PRIME_CAP
+    past = next(n for n in range(cap + 1, 2 * cap) if primes.is_prime(n))
+    for p in (past, 10**12 + 39):
+        for call in (anomalous_residue_table, dp_census, lambda p: empirical_densities(p, 10**4)):
+            with pytest.raises(TooLarge, match=f"^prime {p} exceeds the census cap {cap}$"):
+                call(p)
+    below = max(primes_up_to(cap))
+    assert len(anomalous_residue_table(below, [0])) == 1
 
 
 SCAN_PRIMES = tuple(p for p in primes_up_to(200) if p >= 5)

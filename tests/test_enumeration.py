@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwastat import enumeration, parallel
+from iwastat import curves, enumeration, parallel
 from iwastat.census import d_of_p
 from iwastat.curves import disc0_of, is_minimal_pair, minimal_mask
 from iwastat.enumeration import (
@@ -286,6 +287,23 @@ def test_count_Ip_reads_no_table_at_p(monkeypatch):
     assert 1000003 not in roots and anomalous == []
     empirical_densities(5, 10**4, workers=1)  # the report reads both
     assert 5 in roots and anomalous
+
+
+def test_a_report_past_the_row_bound_keeps_no_table():
+    # a report's tables at p (the point-count rows, the anomalous classes,
+    # the square roots mod p and mod each locus prime) live as long as its
+    # sweep; the point-count rows are shared only up to the row bound
+    cached = curves._point_count_rows.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in (10009, 10037):
+            empirical_densities(p, 10**4, workers=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
+    assert curves._point_count_rows.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9])

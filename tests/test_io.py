@@ -182,6 +182,33 @@ def test_bad_rows_isolated(tmp_path):
     assert "good prime" in msgs[6]
 
 
+def test_row_errors_name_physical_lines(tmp_path):
+    # a blank line counts, and a row whose quoted label holds a newline is
+    # named by its last line
+    path = write_csv(tmp_path, "good,-1,0,0,,,,,", "", "bad,-1,0,zero,,,,,")
+    assert [n for n, _ in parse_records(path)[1]] == [4]
+    path = write_csv(tmp_path, '"two\nlines",-1,0,zero,,,,,', "bad,-1,0,x,,,,,")
+    records, errors = parse_records(path)
+    assert records == [] and [n for n, _ in errors] == [3, 4]
+
+
+def test_a_repeated_header_column_is_refused(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("label,a,b,rank,a\nx,1,1,0,5\n")
+    with pytest.raises(HeaderMismatch, match="'a' appears more than once"):
+        parse_records(path)
+
+
+def test_a_row_with_more_fields_than_the_header_is_a_row_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("label,a,b,rank\nx,-1,0,0,7\ny,-1,1,1\nz,-1,0\n")
+    records, errors = parse_records(path)
+    assert [r.label for r in records] == ["y"]
+    # a row with fewer fields reads the missing ones as empty
+    assert errors == [(2, "5 fields, the header has 4"),
+                      (4, "column rank: '' is not an integer")]
+
+
 def test_density_report_serialization(tmp_path):
     r = empirical_densities(5, 10**4, ip_primes=[7])
     d = density_report_dict(r)

@@ -22,6 +22,7 @@ from iwastat import cli, parallel
 from iwastat.curves import anomalous_residue_table, minimal_mask
 from iwastat.enumeration import (
     _Box,
+    _locus,
     _power_locus,
     _StrictLadder,
     _sweep_chunk,
@@ -267,7 +268,7 @@ def test_power_locus_past_int64():
     phi = l ** (p - 1) * (l - 1)
     A0 = pow(-27 * B0 * B0 * pow(4, -1, M) % M, pow(3, -1, phi), M)
     for A in [A0] + list(range(1, 60)):
-        hits = _power_locus(A, l, p, bmax)
+        hits = _power_locus(A, _locus(l, p), bmax)
         assert len(set(hits)) == len(hits)
         for b in hits:
             assert -bmax <= b <= bmax
@@ -276,7 +277,7 @@ def test_power_locus_past_int64():
         for w in windows:
             for b in w:
                 assert ((4 * A ** 3 + 27 * b * b) % M == 0) == (b in hit_set), (A, b)
-    assert B0 in _power_locus(A0, l, p, bmax)
+    assert B0 in _power_locus(A0, _locus(l, p), bmax)
 
 
 @pytest.mark.parametrize("l, p", [(5, 2), (7, 3), (11, 2), (13, 3), (5, 7)])
@@ -287,7 +288,7 @@ def test_power_locus_matches_a_full_row(l, p):
         if A % l == 0:
             continue
         want = B[(4 * A ** 3 + 27 * B * B) % l ** p == 0].tolist()
-        assert sorted(_power_locus(A, l, p, bmax)) == want, (l, p, A)
+        assert sorted(_power_locus(A, _locus(l, p), bmax)) == want, (l, p, A)
 
 
 @pytest.mark.parametrize("X", [4096, 10 ** 8, 10 ** 15])

@@ -44,7 +44,8 @@ CENSUS_PRIMES = primes_up_to(10**4)[2:]
 # a prime argument: the census primes, and 0, 1, negatives and composites
 # around them; the large values are all even, so no census runs at a prime
 # past 10^4 (the ip-count example at 10^12 + 39 sweeps for its I_p hits
-# alone, and runs no census)
+# alone, and runs no census; the enumerate example there is refused by the
+# census-prime cap)
 primes = st.one_of(
     st.sampled_from(CENSUS_PRIMES),
     st.integers(-10, 10),
@@ -249,6 +250,7 @@ def test_scan_never_exits_2(rows, max_prime, allow_23):
 @settings(max_examples=40, deadline=None)
 @given(X=sweep_heights, p=primes, strict=st.booleans())
 @example(X=10**15 + 1, p=5, strict=False)
+@example(X=10**6, p=1000000000039, strict=False)
 def test_enumerate_never_exits_2(X, p, strict):
     argv = ["enumerate", "--height", str(X), "--prime", str(p), "--workers", "1"]
     _exits_0_or_1(argv + ["--strict"] if strict else argv)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import OutOfRange
+from .errors import OutOfRange, TooLarge
 from .primes import primes_up_to, require_prime
 
 __all__ = ["DpMode", "d_of_p", "dp_table", "zeta10", "bound_dp2", "bound_dp3"]
@@ -110,9 +110,19 @@ def _trace_pair_count(p: int, t: int) -> int:
     return pairs
 
 
+# d_of_p refuses primes past this: its walk over the reduced forms is linear
+# in p. At 9999991 `dp` took ~0.34 s and `bounds` (three walks) ~0.9-1.2 s, at
+# 100000007 ~2.7 s and ~8.2 s (fresh CLI, 2-vCPU Xeon VM, Python 3.11). It is
+# the sieve's cap too, so dp_table never meets it.
+_CLASS_NUMBER_PRIME_CAP = 10 ** 7
+
+
 def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
-    """Census count at p in the requested normalization, from class numbers."""
+    """Census count at p in the requested normalization, from class numbers;
+    TooLarge past _CLASS_NUMBER_PRIME_CAP."""
     require_prime(p, 5)
+    if p > _CLASS_NUMBER_PRIME_CAP:
+        raise TooLarge(f"prime {p} exceeds the class-number cap {_CLASS_NUMBER_PRIME_CAP}")
     mode = _coerce_mode(mode)
     if mode is DpMode.TRACE_ONE_CLASSES:
         return _reduced_forms(4 * p - 1)[1]

@@ -219,7 +219,8 @@ def _cmd_ip_count(args) -> int:
         lo, up = sadek_bounds(args.l, args.p, args.height)
         print(f"lower = {lo:.6g}")
         print(f"upper = {up:.6g}")
-        assert lo <= n <= up, "sandwich bound violated"
+        if not lo <= n <= up:
+            raise RuntimeError("sandwich bound violated")
     return 0
 
 

@@ -42,7 +42,9 @@ from math import gcd, isqrt
 
 from . import _Value
 from .errors import BadReductionAt, NonMinimalModel, SingularCurve, TooLarge
-from .primes import _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, require_prime
+from .primes import (
+    _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, primes_up_to, require_prime,
+)
 
 __all__ = [
     "CurveQ", "LocalReduction", "ReductionClass",
@@ -56,11 +58,12 @@ def disc0_of(A: int, B: int) -> int:
     return 4 * A**3 + 27 * B**2
 
 
-def _p_part_certifiably_trivial(v_delta: int, p: int) -> bool:
-    # p >= 5 divides c_l only for split I_n with p | n, and n on the minimal
-    # model is v_l(Delta) - 12k for some k >= 0. If no such candidate is a
-    # positive multiple of p, the p-part is 1 regardless of the fine local type.
-    return all(n % p for n in range(v_delta, 0, -12))
+def _uncertified_primes(l: int, v: int) -> list[int]:
+    # the primes p >= 5 for which v = v_l(disc0) cannot clear the p-part of
+    # c_l: p divides c_l only for split I_n with p | n, and n on the minimal
+    # model is v_l(Delta) - 12k, k >= 0, with v_l(Delta) = v + 4 at l = 2
+    v += 4 if l == 2 else 0
+    return [p for p in primes_up_to(v)[2:] if any(n % p == 0 for n in range(v, 0, -12))]
 
 
 def minimal_mask(A: int, B, qs, ok=True):
@@ -86,7 +89,8 @@ def is_minimal_pair(A: int, B: int) -> bool:
     while its bound, the (k+1)-th root of n, is at most primes._TRIAL_LIMIT:
     |A| below ~2^100 when B == 0, |B| below ~2^140 when A == 0 and
     gcd(A^3, B^2) below ~2^260 otherwise. Past it the q are the prime
-    factors of gcd(A, B) (factorize raises TooLarge past its proven range).
+    factors of gcd(A, B) (factorize raises TooLarge past its proven range
+    or its rho step cap).
     """
     if A == 0 and B == 0:
         return False

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .census import DpMode, _over_power, bound_dp2, bound_dp3, d_of_p, zeta10
-from .curves import _p_part_certifiably_trivial, anomalous_residue_table, minimal_mask
+from .curves import _uncertified_primes, anomalous_residue_table, minimal_mask
 from .errors import EqualPrimes, OutOfRange, TooLarge
 from .parallel import fan_out, worker_count
 from .primes import icbrt, iroot, isqrt, legendre, primes_up_to, require_prime, valuation
@@ -294,11 +294,11 @@ def _power_locus(A: int, locus, bmax: int) -> List[int]:
 
 
 class _StrictLadder:
-    """The strict-mode skip at one prime l in {2, 3}: B is skipped when the
-    p-part of c_l cannot be certified trivial from v = v_l(disc0) alone,
-    skip[v]. The model Delta adds v_2(16) = 4 at l = 2, and v_2(disc0) = 1
-    cannot occur (disc0 is odd when B is odd, 4 | disc0 when B is even), so
-    at l = 2 nothing below v = 2 is skipped; at l = 3 nothing at v = 0.
+    """The strict-mode skip at one prime l in {2, 3}: B is skipped when p
+    is among the primes v = v_l(disc0) cannot clear from c_l
+    (curves._uncertified_primes), skip[v]. v_2(disc0) = 1 cannot occur
+    (disc0 is odd when B is odd, 4 | disc0 when B is even), so at l = 2
+    nothing below v = 2 is skipped; at l = 3 nothing at v = 0.
 
     row() walks the classes B = r mod m = l^j of a row. With f(B) = 4A^3 +
     27B^2, f(r + mt) - f(r) = 54 r m t + 27 m^2 t^2, so v_l(f) is w = v_l(f(r))
@@ -321,9 +321,8 @@ class _StrictLadder:
         self.logs = {q: k for k, q in enumerate(self.pows)}
         # skip[w] on a class where v = w; verdicts[b] where v >= b: True when
         # every v in [b, vmax] skips, False when none does, else None
-        start, shift = (2, 4) if l == 2 else (1, 0)
-        self.skip = [v >= start and not _p_part_certifiably_trivial(v + shift, p)
-                     for v in range(self.vmax + 1)]
+        start = 2 if l == 2 else 1
+        self.skip = [v >= start and p in _uncertified_primes(l, v) for v in range(self.vmax + 1)]
         self.verdicts = [t[0] if len(set(t)) == 1 else None
                          for t in (self.skip[b:] for b in range(self.vmax + 1))] + [False]
 

@@ -12,12 +12,14 @@ IV (I0*, I_n*, IV*, III*, II*), all from polynomial gcds over F_l
 (_repeated_root, _root_count), so no step at odd l searches F_l and each
 takes O(log l) operations.
 
-tamagawa_p_part never factors disc0. A prime p >= 5 divides c_l only for
-split I_n with p | n <= v_l(Delta), so only l = 2 and the odd l with
-l^5 | disc0 can add to tau_p; those come from primes.power_divisors, trial
-division that stops at primes._TRIAL_LIMIT = 2^20. It answers every odd
-part of disc0 below about 2^120, and more where small factors come out;
-past it, where an l^5 with l > 2^20 could hide, TooLarge is raised.
+tamagawa_p_part never factors disc0, and runs Tate's algorithm only where
+the certificate curves._uncertified_primes(l, v_l(disc0)) fails. That needs
+v_l(Delta) >= 5, so only l = 2 and the odd l with l^5 | disc0 can add to
+tau_p; those come from primes.power_divisors, trial division that stops at
+primes._TRIAL_LIMIT = 2^20. It answers every odd part of disc0 below about
+2^120, and more where small factors come out; past it, where an l^5 with
+l > 2^20 could hide, TooLarge is raised. The table's lru_cache is the
+module's only cache: it serves tamagawa_p_part called prime by prime.
 bad_primes factors disc0; it is public, and neither a record nor a scan
 calls it.
 """
@@ -28,10 +30,10 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _Value
-from .curves import CurveQ, _as_curve, _p_part_certifiably_trivial, disc0_of
+from .curves import CurveQ, _as_curve, _uncertified_primes, disc0_of
 from .errors import GoodReductionAt, OutOfRange, SingularCurve, TooLarge, UnknownLocalData
 from .primes import (
-    _TRIAL_LIMIT, factorize, is_prime, legendre, power_divisors, primes_up_to, require_prime,
+    _TRIAL_LIMIT, factorize, is_prime, legendre, power_divisors, require_prime,
     valuation,
 )
 
@@ -93,7 +95,8 @@ def bad_primes(curve) -> frozenset:
     """Primes dividing the discriminant -16*disc0 of the given model.
 
     2 is always present (the -16 factor); the rest come from exact
-    factorization of disc0. A singular pair raises SingularCurve.
+    factorization of disc0, which raises TooLarge where factorize gives up.
+    A singular pair raises SingularCurve.
     """
     disc0 = curve.disc0 if isinstance(curve, CurveQ) else disc0_of(*curve)
     if disc0 == 0:
@@ -378,15 +381,13 @@ def _tamagawa_table(curve, overrides, allow_23):
 
     c_l is known from the override items (a sorted tuple) at l = 2 and at
     each prime l | disc0; an override anywhere else is ignored. Every other
-    bad l is listed, ascending, under each prime p >= 5 whose p-part of c_l
-    the v_l(Delta) certificate cannot clear (all of them divide a fibre
-    index, so p <= v_l(Delta)). That needs v_l(Delta) >= 5, so only l = 2
-    and the odd l with l^5 | disc0 are looked at: v_2(Delta) = v_2(disc0) +
-    4 (from the 16 in Delta) comes from the low bits, and the odd l with
-    v_l(Delta) = v_l(disc0) from power_divisors on the odd part of disc0,
-    which raises TooLarge where that routine cannot answer; disc0 is never
-    factored. There Tate's algorithm may compute c_l (computable) at l >= 5
-    always and at l in {2, 3} when allow_23 is set.
+    bad l is listed, ascending, under each prime of
+    curves._uncertified_primes(l, v_l(disc0)). Only l = 2 and the odd l
+    with l^5 | disc0 can have one: v_2(disc0) comes from the low bits, and
+    the odd l from power_divisors on the odd part of disc0, which raises
+    TooLarge where that routine cannot answer; disc0 is never factored.
+    There Tate's algorithm may compute c_l (computable) at l >= 5 always
+    and at l in {2, 3} when allow_23 is set.
     """
     disc0, given = curve.disc0, dict(overrides)
     n = abs(disc0)
@@ -396,29 +397,22 @@ def _tamagawa_table(curve, overrides, allow_23):
         raise TooLarge(f"disc0 = {disc0} is past the Tamagawa table's trial division to "
                        f"2^{_TRIAL_LIMIT.bit_length() - 1}, where an l^5 | disc0 could hide")
     product, blocked = 1, {}
-    for l, v in ((2, v2 + 4), *odd.items()):
+    for l, v in ((2, v2), *odd.items()):
         if l in given:
             continue
-        for p in primes_up_to(v):
-            if p >= 5 and not _p_part_certifiably_trivial(v, p):
-                blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
+        for p in _uncertified_primes(l, v):
+            blocked.setdefault(p, []).append((l, l >= 5 or allow_23))
     for l, c in given.items():
         if _is_bad_prime(l, disc0):
             product *= c
     return product, {p: tuple(ls) for p, ls in blocked.items()}
 
 
-@lru_cache(maxsize=1024)
-def _tamagawa_number(curve, l):
-    return _tate(curve.A, curve.B, l).tamagawa
-
-
 def _p_part(curve, table, p):
     """tau_p (p >= 5 prime) of the curve from its Tamagawa table
-    (_tamagawa_table): the override product times c_l at each bad l the
-    v_l(Delta) certificate cannot clear at p. Only there is c_l computed
-    (each once, by Tate's algorithm), or UnknownLocalData raised where it
-    may not be."""
+    (_tamagawa_table): the override product times c_l at each bad l whose
+    certificate fails at p. Only there is c_l computed, by Tate's algorithm
+    on each call, or UnknownLocalData raised where it may not be."""
     product, blocked = table
     for l, computable in blocked.get(p, ()):
         if not computable:
@@ -426,7 +420,7 @@ def _p_part(curve, table, p):
                 f"cannot certify the {p}-part of c_{l}; supply an override "
                 f"or pass allow_23=True"
             )
-        product *= _tamagawa_number(curve, l)
+        product *= _tate(curve.A, curve.B, l).tamagawa
     return p ** valuation(product, p)
 
 

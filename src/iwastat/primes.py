@@ -4,7 +4,8 @@ and quadratic characters.
 Everything here is exact integer arithmetic.  factorize divides out the
 Miller-Rabin witness primes (those up to 41), then splits what is left with
 Brent's variant of Pollard rho, which is adequate for discriminants of
-desk-scale curves (well below 2^80).  power_divisors finds the primes q with
+desk-scale curves (well below 2^80) and gives up with TooLarge past
+_RHO_STEP_CAP steps.  power_divisors finds the primes q with
 q^k | n by trial division alone, up to _TRIAL_LIMIT; it decides minimality
 (curves.is_minimal_pair) and finds the l with l^5 | disc0 for the Tamagawa
 table (local_data._tamagawa_table) without factoring.
@@ -102,8 +103,18 @@ def prime_range(lo: int, hi: int) -> list[int]:
     return [p for p in primes_up_to(hi - 1) if p >= lo]
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle variant; n must be composite (a prime power is fine)
+# factorize takes at most this many Brent rho steps (squarings mod n) in all,
+# then raises TooLarge. Products of two 38- to 42-bit primes took 0.2-3.9
+# million steps, ~0.3 us each. A step costs more as n grows: giving up took
+# ~3.0-3.7 s on a 112- or 128-bit n, ~5.9 s at 256 bits and ~16 s at 512
+# (2-vCPU Xeon VM, Python 3.11).
+_RHO_STEP_CAP = 1 << 23
+
+
+def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
+    # Brent's cycle variant; n must be composite (a prime power is fine).
+    # Returns a factor and what is left of steps, and raises TooLarge before
+    # a round that could overrun them
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -111,6 +122,8 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps < 2 * r:
+                raise TooLarge(f"no factor of {n} within {_RHO_STEP_CAP} Pollard rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -122,18 +135,22 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps -= r + min(k, r)
             r *= 2
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
+                steps -= 1
         if g != n:
-            return g
+            return g, steps
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.  n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}.  n must be nonzero.
+    TooLarge past _RHO_STEP_CAP rho steps, or where is_prime cannot prove a
+    factor."""
     if n == 0:
         raise ValueError("0 has no factorization")
     n = abs(n)
@@ -143,6 +160,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     rng = random.Random(0xC0FFEE ^ n)
+    steps = _RHO_STEP_CAP
     stack = [n]
     while stack:
         m = stack.pop()
@@ -158,7 +176,7 @@ def factorize(n: int) -> dict[int, int]:
                 stack.extend([r] * e)
                 break
         else:
-            g = _pollard_rho(m, rng)
+            g, steps = _pollard_rho(m, rng, steps)
             stack.append(g)
             stack.append(m // g)
     return out

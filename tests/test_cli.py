@@ -101,6 +101,24 @@ def test_ip_count(capsys):
     assert code == 0 and "count = " in out and "lower" not in out
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_ip_count_exits_2_on_a_violated_sandwich(tmp_path, flags):
+    # a fresh interpreter, with and without -O: the check is no assert, so
+    # bounds that exclude the count (16 at l = 7, p = 5, X = 10^6) print the
+    # three lines and exit 2
+    script = textwrap.dedent("""
+        import iwastat.cli, iwastat.enumeration
+        iwastat.enumeration.sadek_bounds = lambda l, p, X: (17.0, 18.0)
+        print(iwastat.cli.main(["ip-count", "--l", "7", "--p", "5", "--height", "1000000"]))
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, *flags, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines() == ["count = 16", "lower = 17", "upper = 18", "2"], out.stderr
+    assert out.stderr == "internal error: sandwich bound violated\n"
+
+
 def test_scan_csv(capsys, tmp_path):
     path = tmp_path / "recs.csv"
     path.write_text(HEADER + "\n389a,-1,1,2,1,1,,,5:0\n")
@@ -580,6 +598,57 @@ def test_enumerate_refuses_a_prime_past_the_census_cap_before_it_allocates(tmp_p
                          capture_output=True, text=True, timeout=60)
     assert out.stdout == "1\n", out.stderr
     assert out.stderr == "error: prime 1000000000039 exceeds the census cap 50000\n"
+
+
+def test_dp_and_bounds_refuse_a_prime_past_the_class_number_cap(capsys, monkeypatch):
+    import iwastat.census as census
+    from iwastat.primes import is_prime
+
+    def walked(D):
+        raise AssertionError("d_of_p must refuse the prime before it walks the forms")
+
+    monkeypatch.setattr(census, "_reduced_forms", walked)
+    cap = census._CLASS_NUMBER_PRIME_CAP
+    past = next(n for n in range(cap + 1, 2 * cap) if is_prime(n))
+    for p in (past, 10**12 + 39):
+        for command in ("dp", "bounds"):
+            assert run(capsys, command, "--prime", str(p)) == (
+                1, "", f"error: prime {p} exceeds the class-number cap {cap}\n")
+
+
+def test_a_pair_rho_cannot_split_is_refused_and_its_row_is_a_row_error(tmp_path):
+    # g = P Q with P, Q the primes after 2^56 and 2^56 + 2^50: past the trial
+    # bound CurveQ(g^2, g^3) factors gcd(A, B) = g^2, and rho would split g
+    # only after ~2^28 steps. A fresh interpreter, as without the step cap it
+    # does not return; the scan runs on a smaller cap, which refuses the row
+    # the same way sooner
+    from iwastat.primes import is_prime
+
+    P, Q = (next(n for n in range(m + 1, 2 * m) if is_prime(n)) for m in (2**56, 2**56 + 2**50))
+    g = P * Q
+    (tmp_path / "recs.csv").write_text(
+        f"{HEADER}\na,-1,0,0,1,4,,,\nbig,{g**2},{g**3},0,1,1,1,1,\nb,-1,1,1,1,1,,,5:0\n")
+    script = textwrap.dedent(f"""
+        import time
+        import iwastat.cli, iwastat.primes
+        from iwastat.curves import CurveQ
+        from iwastat.errors import TooLarge
+        start = time.perf_counter()
+        try:
+            CurveQ({g**2}, {g**3})
+        except TooLarge as e:
+            print(e, time.perf_counter() - start < 30)
+        iwastat.primes._RHO_STEP_CAP = 1 << 16
+        print(iwastat.cli.main(["scan", "recs.csv", "--max-prime", "20", "--out", "out.json"]))
+    """)
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines() == [
+        f"no factor of {g} within {1 << 23} Pollard rho steps True", "1"], out.stderr
+    assert out.stderr == f"row 3: no factor of {g} within {1 << 16} Pollard rho steps\n"
+    assert [r["label"] for r in json.loads((tmp_path / "out.json").read_text())] == ["a", "b"]
 
 
 def test_closed_form_commands_load_neither_numpy_nor_the_pool(tmp_path):

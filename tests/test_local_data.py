@@ -558,18 +558,17 @@ def test_trial_division_table_of_a_semiprime_is_quick():
 def test_tate_runs_only_where_the_certificate_fails(monkeypatch):
     # disc0 = 7^5 * 17^2 for (-17, 425): v_7 = 5 and v_17 = 2, so only the
     # 5-part asks for c_7 (split I5, c_7 = 5); every other p >= 5 is cleared
-    # by the certificates, and c_7 is computed once
+    # by the certificates, and c_7 is computed once per call that asks for it
     calls = []
     tate = local_data._tate
     monkeypatch.setattr(local_data, "_tate", lambda A, B, l: calls.append(l) or tate(A, B, l))
     local_data._tamagawa_table.cache_clear()
-    local_data._tamagawa_number.cache_clear()
     curve, overrides = CurveQ(-17, 425), {2: 1, 3: 1}
     assert [tamagawa_p_part(curve, p, overrides) for p in (7, 11, 13, 17, 19)] == [1] * 5
     assert calls == []
     assert tamagawa_p_part(curve, 5, overrides) == tamagawa_p_part(curve, 5, overrides) == 5
     assert tamagawa_p_part((-17, 425), 5) == 5
-    assert calls == [7]
+    assert calls == [7, 7, 7]
 
 
 def test_local_input_errors_are_typed():

@@ -83,6 +83,7 @@ def _answers(f, *args, **kwargs):
 @given(p=primes, d=counts, mode=st.sampled_from(["literal", *DpMode, "nope"]))
 @example(p=5, d=10**400, mode="literal")
 @example(p=1000003, d=0, mode="literal")
+@example(p=10000019, d=0, mode="literal")
 def test_census_functions_answer_or_raise_typed(p, d, mode):
     _answers(d_of_p, p, mode)
     _answers(bound_dp2, p)

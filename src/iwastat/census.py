@@ -11,10 +11,10 @@ p >= 5 and |t| < 2 sqrt(p), p not dividing t, the number of nonsingular
 
 where H is the Hurwitz class number (reduced forms weighted 1/2, 1/3 for
 the forms of a(x^2 + y^2), a(x^2 + xy + y^2), 1 otherwise), and the number
-of F_p-isomorphism classes is the unweighted count of those forms.  This is
-O(p) per prime.  curves.dp_census assembles those counts with the pairs of
-the anomalous residue table; the O(p^3) sweep over F_p^2 that the tests
-check both against is the oracle dp_census_bruteforce in tests/oracles.py.
+of F_p-isomorphism classes is the unweighted count of those forms.  _census
+reads all three modes off one O(p) walk over the forms of 1 - 4p for d_of_p,
+dp_table, `bounds` and curves.dp_census; the tests check them against the
+O(p^3) sweep over F_p^2 of the oracle dp_census_bruteforce (tests/oracles.py).
 
 bound_dp3 = zeta(10) d(p) / p^2 and bound_dp2 are the paper's density
 bounds for the anomalous and the Tamagawa-divisible loci.
@@ -46,13 +46,11 @@ class DpMode(str, Enum):
     TraceOneClasses   TraceOnePairs counted up to the F_p-isomorphism action
                       (a, b) ~ (u^4 a, u^6 b), u in F_p^*.
 
-    d_of_p evaluates each mode from class numbers (Schoof 1987, see the
-    module docstring): TraceOnePairs = (p-1)/2 * H(4p - 1), TraceOneClasses
-    = the unweighted number of reduced forms of discriminant 1 - 4p, and
-    LiteralPairs sums the pair count over every t = 1 mod p with t^2 < 4p,
-    which adds t = -4 at p = 5.  curves.dp_census returns all three with the
-    literal pairs; the brute-force oracle is dp_census_bruteforce in
-    tests/oracles.py.
+    _census evaluates all three from one walk over the reduced forms of
+    discriminant 1 - 4p (Schoof 1987, see the module docstring):
+    TraceOnePairs = (p-1)/2 * H(4p - 1), TraceOneClasses = the unweighted
+    number of those forms, and LiteralPairs = TraceOnePairs plus, at p = 5
+    alone, the (5-1)/2 * H(4) = 1 pair of trace -4.
     """
 
     LITERAL_PAIRS = "LiteralPairs"
@@ -101,42 +99,41 @@ def _reduced_forms(D: int) -> tuple[int, int]:
     return weighted, forms
 
 
-def _trace_pair_count(p: int, t: int) -> int:
-    """Number of nonsingular (a, b) in F_p^2 with trace t, for p >= 5 and
-    t^2 < 4p not divisible by p: (p - 1)/2 * H(4p - t^2)."""
-    weighted, _ = _reduced_forms(4 * p - t * t)
-    pairs, rem = divmod((p - 1) * weighted, 12)
-    assert rem == 0, f"(p-1)/2 * H(4p - t^2) not integral at p={p}, t={t}"
-    return pairs
-
-
-# d_of_p refuses primes past this: its walk over the reduced forms is linear
-# in p. At 9999991 `dp` took ~0.34 s and `bounds` (three walks) ~0.9-1.2 s, at
-# 100000007 ~2.7 s and ~8.2 s (fresh CLI, 2-vCPU Xeon VM, Python 3.11). It is
-# the sieve's cap too, so dp_table never meets it.
+# _census refuses primes past this, the sieve's cap too, so dp_table never
+# meets it: its walk is linear in p, ~0.4 s at 9999991 for `dp` or `bounds`
+# (fresh CLI, see README Caveats).
 _CLASS_NUMBER_PRIME_CAP = 10 ** 7
+
+
+def _require_class_number_prime(p: int) -> None:
+    require_prime(p, 5)
+    if p > _CLASS_NUMBER_PRIME_CAP:
+        raise TooLarge(f"prime {p} exceeds the class-number cap {_CLASS_NUMBER_PRIME_CAP}")
+
+
+def _census(p: int) -> dict:
+    """The census at p in every mode, {"p": p, mode value: count, ...}."""
+    _require_class_number_prime(p)
+    weighted, forms = _reduced_forms(4 * p - 1)
+    pairs, rem = divmod((p - 1) * weighted, 12)  # (p - 1)/2 * H(4p - 1)
+    assert rem == 0, f"(p-1)/2 * H(4p - 1) not integral at p={p}"
+    # t = -4 = 1 - p is the other literal trace at p = 5: (5 - 1)/2 * H(4) = 1
+    return {"p": p, DpMode.LITERAL_PAIRS.value: pairs + 1 if p == 5 else pairs,
+            DpMode.TRACE_ONE_PAIRS.value: pairs, DpMode.TRACE_ONE_CLASSES.value: forms}
 
 
 def d_of_p(p: int, mode=DpMode.LITERAL_PAIRS) -> int:
     """Census count at p in the requested normalization, from class numbers;
     TooLarge past _CLASS_NUMBER_PRIME_CAP."""
-    require_prime(p, 5)
-    if p > _CLASS_NUMBER_PRIME_CAP:
-        raise TooLarge(f"prime {p} exceeds the class-number cap {_CLASS_NUMBER_PRIME_CAP}")
-    mode = _coerce_mode(mode)
-    if mode is DpMode.TRACE_ONE_CLASSES:
-        return _reduced_forms(4 * p - 1)[1]
-    if mode is DpMode.TRACE_ONE_PAIRS:
-        return _trace_pair_count(p, 1)
-    # t = 1 mod p with t^2 < 4p: t = 1 always, t = 1 - p only at p = 5
-    return sum(_trace_pair_count(p, t) for t in (1, 1 - p) if t * t < 4 * p)
+    _require_class_number_prime(p)
+    mode = _coerce_mode(mode)  # before the walk, as a bad prime is
+    return _census(p)[mode.value]
 
 
 def dp_table(p_max: int, p_min: int = 5) -> dict[int, dict]:
     """The census in all three modes for every prime p_min <= p < p_max,
     as {p: {"p": p, mode value: count, ...}} by ascending prime."""
-    ps = [p for p in primes_up_to(p_max - 1) if p >= p_min]
-    return {p: {"p": p, **{mode.value: d_of_p(p, mode) for mode in DpMode}} for p in ps}
+    return {p: _census(p) for p in primes_up_to(p_max - 1) if p >= p_min}
 
 
 def zeta10() -> float:

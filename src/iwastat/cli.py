@@ -174,14 +174,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .census import DpMode, bound_dp2, bound_dp3, d_of_p
+    from .census import DpMode, _census, bound_dp2, bound_dp3
 
     # every value is computed before the first line is printed, so a bad
     # prime leaves stdout empty
     p = args.prime
     lines = [f"bound_dp2({p}) = {bound_dp2(p):.10g}"]
+    census = _census(p)
     for mode in DpMode:
-        d = d_of_p(p, mode)
+        d = census[mode.value]
         lines.append(f"bound_dp3({p}, d={d} [{mode.value}]) = {bound_dp3(p, d):.10g}")
     print("\n".join(lines))
     return 0

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 from . import _Value
 from .errors import BadReductionAt, NonMinimalModel, SingularCurve, TooLarge
 from .primes import (
-    _TRIAL_LIMIT, factorize, iroot, legendre, power_divisors, primes_up_to, require_prime,
+    _TRIAL_LIMIT, _power_divisor_walk, factorize, iroot, legendre, primes_up_to, require_prime,
 )
 
 __all__ = [
@@ -85,12 +85,12 @@ def is_minimal_pair(A: int, B: int) -> bool:
 
     With B == 0 that is q^4 | A, with A == 0 it is q^6 | B, and otherwise it
     is q^12 | gcd(A^3, B^2) (v_q(A^3) = 3 v_q(A) and v_q(B^2) = 2 v_q(B)).
-    That one (n, k) is decided by trial division (primes.power_divisors)
-    while its bound, the (k+1)-th root of n, is at most primes._TRIAL_LIMIT:
-    |A| below ~2^100 when B == 0, |B| below ~2^140 when A == 0 and
-    gcd(A^3, B^2) below ~2^260 otherwise. Past it the q are the prime
-    factors of gcd(A, B) (factorize raises TooLarge past its proven range
-    or its rho step cap).
+    That one (n, k) is decided by trial division to its first q^k (the walk
+    of primes.power_divisors) while its bound, the (k+1)-th root of n, is at
+    most primes._TRIAL_LIMIT: |A| below ~2^100 when B == 0, |B| below ~2^140
+    when A == 0 and gcd(A^3, B^2) below ~2^260 otherwise. Past it the q are
+    the prime factors of gcd(A, B) (factorize raises TooLarge past its
+    proven range or its rho step cap).
     """
     if A == 0 and B == 0:
         return False
@@ -101,7 +101,7 @@ def is_minimal_pair(A: int, B: int) -> bool:
     else:
         n, k = gcd(A**3, B**2), 12
     if iroot(n, k + 1) <= _TRIAL_LIMIT:
-        return not power_divisors(n, k)
+        return next(_power_divisor_walk(n, k), None) is None
     return minimal_mask(A, B, factorize(gcd(A, B)))
 
 
@@ -535,19 +535,19 @@ def anomalous_residue_table(p: int, rows=None) -> list[tuple[int, ...]]:
 def dp_census(p: int) -> dict:
     """All three census counts at p, with the literal pairs listed.
 
-    The counts are d_of_p's, from class numbers; the pairs are the rows of
-    anomalous_residue_table, a ascending, then b. The O(p^3) sweep over
-    F_p^2 they are checked against is the test oracle dp_census_bruteforce
-    in tests/oracles.py. Past _CENSUS_PRIME_CAP, TooLarge before d_of_p.
+    The counts are census._census's, from class numbers; the pairs are the
+    rows of anomalous_residue_table, a ascending, then b. The tests check
+    both against the O(p^3) sweep over F_p^2 of dp_census_bruteforce in
+    tests/oracles.py. Past _CENSUS_PRIME_CAP, TooLarge before the census.
 
     Returns {"p": p, "LiteralPairs": n1, "TraceOnePairs": n2,
     "TraceOneClasses": n3, "literal_pairs": [(a, b), ...]}.
     """
-    from .census import DpMode, d_of_p
+    from .census import _census
 
     _require_census_prime(p, 5)
-    counts = {mode.value: d_of_p(p, mode) for mode in DpMode}
+    census = _census(p)
     pairs = [(a, b) for a, row in enumerate(anomalous_residue_table(p)) for b in row]
     # the rows and the class numbers count the same literal pairs
-    assert len(pairs) == counts[DpMode.LITERAL_PAIRS.value], f"census mismatch at p={p}"
-    return {"p": p, **counts, "literal_pairs": pairs}
+    assert len(pairs) == census["LiteralPairs"], f"census mismatch at p={p}"
+    return {**census, "literal_pairs": pairs}

@@ -105,16 +105,20 @@ def prime_range(lo: int, hi: int) -> list[int]:
 
 # factorize takes at most this many Brent rho steps (squarings mod n) in all,
 # then raises TooLarge. Products of two 38- to 42-bit primes took 0.2-3.9
-# million steps, ~0.3 us each. A step costs more as n grows: giving up took
-# ~3.0-3.7 s on a 112- or 128-bit n, ~5.9 s at 256 bits and ~16 s at 512
-# (2-vCPU Xeon VM, Python 3.11).
+# million steps, ~0.3 us each. A step mod an n of b > 128 bits costs more and
+# counts as (b / 128)^2 steps, which outgrows its cost: giving up takes ~3-4.4 s
+# at 112-128 bits and less past them, ~1.2 s at 512 bits against ~16-18 s with
+# each step counted once (2-vCPU Xeon VM, Python 3.11).
 _RHO_STEP_CAP = 1 << 23
 
 
 def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
     # Brent's cycle variant; n must be composite (a prime power is fine).
     # Returns a factor and what is left of steps, and raises TooLarge before
-    # a round that could overrun them
+    # a round that could overrun them; steps are counted at 128 bits, so n
+    # gets steps * (128 / b)^2 squarings of its own
+    weight = max(n.bit_length(), 128) ** 2
+    steps = allowed = steps * 128**2 // weight
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -123,7 +127,7 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
         x = ys = y
         while g == 1:
             if steps < 2 * r:
-                raise TooLarge(f"no factor of {n} within {_RHO_STEP_CAP} Pollard rho steps")
+                raise TooLarge(f"no factor of {n} within {allowed} Pollard rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -144,7 +148,7 @@ def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
                 g = math.gcd(abs(x - ys), n)
                 steps -= 1
         if g != n:
-            return g, steps
+            return g, steps * weight // 128**2
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -190,16 +194,23 @@ _TRIAL_LIMIT = 1 << 20
 
 def power_divisors(n: int, k: int) -> dict[int, int] | None:
     """{q: v_q(n)} for every prime q with q^k | n, for n >= 1 and k >= 1, or
-    None when a q^k past _TRIAL_LIMIT could hide in what is left.
+    None when a q^k past _TRIAL_LIMIT could hide in what is left."""
+    found = list(_power_divisor_walk(n, k))
+    return None if None in found else dict(found)
+
+
+def _power_divisor_walk(n: int, k: int):
+    """Yields (q, v_q(n)) for each prime q with q^k | n, q ascending, then
+    None when a q^k past _TRIAL_LIMIT could hide in what is left; a caller
+    that needs only the first q^k stops there.
 
     Trial division by 2 and the odd d up to the (k+1)-th root of what is
     left of n takes out every small prime (a composite d never divides: its
     primes are out by then). What is left then has fewer than k + 1 prime
     factors, each above that root, so a q^k past the root divides it only
     as the whole of it, which an exact k-th root shows. The division stops
-    at _TRIAL_LIMIT; None means the root of what is left is still past it.
+    at _TRIAL_LIMIT.
     """
-    out = {}
     stop = min(iroot(n, k + 1), _TRIAL_LIMIT)
     d = 2
     while d <= stop:
@@ -209,15 +220,15 @@ def power_divisors(n: int, k: int) -> dict[int, int] | None:
                 n //= d
                 e += 1
             if e >= k:
-                out[d] = e
+                yield d, e
             stop = min(iroot(n, k + 1), _TRIAL_LIMIT)
         d += 1 if d == 2 else 2
     if iroot(n, k + 1) > _TRIAL_LIMIT:
-        return None
+        yield None
+        return
     r = iroot(n, k)
     if r > 1 and r**k == n:
-        out[r] = k
-    return out
+        yield r, k
 
 
 def valuation(n: int, p: int) -> int:

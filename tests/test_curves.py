@@ -1,4 +1,6 @@
 import random
+import statistics
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ from iwastat.errors import (
     BadReductionAt,
     InvalidPrime,
     NonMinimalModel,
+    OutOfRange,
     SingularCurve,
     TooLarge,
 )
@@ -132,13 +135,13 @@ def test_minimal_pair_trial_divides_only_to_the_gcd_bound(monkeypatch):
     # gcd is 1, so a huge A is decided with no division at all
     refuse_factorize(monkeypatch)
     calls = []
-    real = curves.power_divisors
+    real = curves._power_divisor_walk
 
     def recording(n, k):
         calls.append((n, k))
         return real(n, k)
 
-    monkeypatch.setattr(curves, "power_divisors", recording)
+    monkeypatch.setattr(curves, "_power_divisor_walk", recording)
     c = CurveQ(10**28 + 1, 1)
     assert c.height == (10**28 + 1) ** 3
     assert calls == [(1, 12)]
@@ -146,6 +149,17 @@ def test_minimal_pair_trial_divides_only_to_the_gcd_bound(monkeypatch):
     # gcd 97^12, and what is left is 97^12 exactly
     assert not is_minimal_pair(97**4 * 10**10, 97**6 * 7)
     assert calls[-1] == (97**12, 12)
+
+
+def test_a_non_minimal_pair_is_refused_at_its_first_q_power():
+    # 2^4 | 16 P with B = 0 decides the pair at d = 2; trial division on to
+    # the fifth root of P, the prime after 2^80, took ~2 ms a call, and
+    # stopping at the first q^k takes ~5 us
+    P = next(n for n in range(2**80 + 1, 2**81) if primes.is_prime(n))
+    assert not is_minimal_pair(16 * P, 0) and is_minimal_pair(8 * P, 0)
+    per_call = [t / 20 for t in timeit.repeat(lambda: is_minimal_pair(16 * P, 0),
+                                               number=20, repeat=51)]
+    assert statistics.median(per_call) < 1e-4, statistics.median(per_call)
 
 
 def test_minimal_pair_with_a_zero_coefficient_trial_divides_below_the_limit(monkeypatch):
@@ -466,13 +480,42 @@ def test_census_does_not_run_the_oracle(monkeypatch):
     assert [t[p][DpMode.TRACE_ONE_CLASSES.value] for p in (5, 7, 11, 43)] == [1, 2, 1, 5]
 
 
+def test_every_census_reader_walks_the_forms_once_per_prime(monkeypatch):
+    # every mode is read off the reduced forms of discriminant 1 - 4p, so
+    # bounds, dp_census and dp_table walk them once per prime, and d_of_p
+    # refuses an unknown mode before it walks
+    import iwastat.census as census
+    from iwastat import cli
+
+    walked = []
+    real = census._reduced_forms
+
+    def counting(D):
+        walked.append(D)
+        return real(D)
+
+    monkeypatch.setattr(census, "_reduced_forms", counting)
+    for p in (5, 7, 457):
+        for call in (lambda p: cli.main(["bounds", "--prime", str(p)]), dp_census, d_of_p):
+            walked.clear()
+            call(p)
+            assert walked == [4 * p - 1], (p, call)
+    walked.clear()
+    table = dp_table(500)
+    assert walked == [4 * p - 1 for p in table]
+    walked.clear()
+    with pytest.raises(OutOfRange):
+        d_of_p(7, "nope")
+    assert walked == []
+
+
 def test_the_census_tables_refuse_a_prime_past_the_cap(monkeypatch):
     import iwastat.census as census
 
     def census_called(*args):
-        raise AssertionError("dp_census must refuse the prime before d_of_p runs")
+        raise AssertionError("dp_census must refuse the prime before the census runs")
 
-    monkeypatch.setattr(census, "d_of_p", census_called)
+    monkeypatch.setattr(census, "_census", census_called)
     cap = curves._CENSUS_PRIME_CAP
     past = next(n for n in range(cap + 1, 2 * cap) if primes.is_prime(n))
     for p in (past, 10**12 + 39):

@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import iwastat
 from iwastat.census import dp_table
 from iwastat.errors import TooLarge
 from iwastat.primes import (
@@ -244,6 +249,22 @@ def test_factorize_hard_cases_agree_with_sympy():
                      * sympy.nextprime(rng.randrange(2**39, 2**40)))
     for n in cases:
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_rho_gives_up_on_a_512_bit_semiprime_within_seconds(tmp_path):
+    # a step mod a 512-bit n counts as (512 / 128)^2 = 16, so rho gives up
+    # after 2^19 squarings, ~1 s; counting each once it ran all 2^23, ~16-18 s.
+    # A fresh interpreter, so that the timeout can stop it
+    sympy = pytest.importorskip("sympy")
+    n = sympy.nextprime(2**255) * sympy.nextprime(2**256 + 2**250)
+    assert n.bit_length() == 512
+    script = ("from iwastat.errors import TooLarge\nfrom iwastat.primes import factorize\n"
+              f"try:\n    factorize({n})\nexcept TooLarge as e:\n    print(e)\n")
+    src = pathlib.Path(iwastat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=8)
+    assert out.stdout == f"no factor of {n} within {1 << 19} Pollard rho steps\n", out.stderr
 
 
 # primes trial division reaches and primes past the limit: 1048583 is the
